@@ -37,7 +37,6 @@ from .geometry import (
     classify,
     gram_schmidt_rotation,
     project_to_boundary,
-    rotated_face_point,
 )
 from .likelihood import (
     FittedModel,
@@ -90,7 +89,6 @@ __all__ = [
     "classify",
     "gram_schmidt_rotation",
     "project_to_boundary",
-    "rotated_face_point",
     "FittedModel",
     "ParameterBoundError",
     "boundary_term",

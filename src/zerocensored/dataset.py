@@ -1,4 +1,9 @@
-"""Dataset containers: validated compositions and their transformed, rotation-annotated form."""
+"""Dataset containers: validated compositions and their transformed form.
+
+The transformed sample holds coordinates only.  The censored likelihood reads
+each face point's direction and radius straight from its coordinates, so no
+per-point rotation is built or cached here.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import rotated_face_point
+from .geometry import DIRECTION_TOL
 from .simplex import (
     RECLOSE_TOL,
     UNIT_SUM_TOL,
@@ -128,18 +133,11 @@ class CompositionalDataset:
 
 @dataclass(frozen=True)
 class TransformedSample:
-    """A dataset mapped to R^d, with rotation data cached for every face point.
-
-    ``rotations[i]`` and ``radii[i]`` are the Gram-Schmidt matrix B_i and the
-    norm c1_i of face vector i; they depend only on the data, never on the
-    model parameters, so they are computed once here.
-    """
+    """A dataset mapped to R^d: interior points, and face points with their zero part."""
 
     interior: np.ndarray
     face: np.ndarray
     face_zero_index: np.ndarray
-    rotations: np.ndarray
-    radii: np.ndarray
     alpha: float
     n_parts: int
     names: tuple[str, ...] | None = field(default=None, compare=False)
@@ -162,25 +160,24 @@ class TransformedSample:
 
 
 def transform_dataset(dataset: CompositionalDataset, alpha: float = 1.0) -> TransformedSample:
-    """Map a dataset into R^(D-1) and attach per-face-point rotation data."""
+    """Map a dataset into R^(D-1).
+
+    The origin is the image of the simplex centre, which is interior, so a
+    face point at the origin signals corrupted input and raises ``ValueError``.
+    """
     d = dataset.n_parts - 1
     interior = (
         alpha_transform(dataset.interior_parts, alpha)
         if dataset.n_interior
         else np.empty((0, d))
     )
-    n_face = dataset.n_face
-    face = alpha_transform(dataset.face_parts, alpha) if n_face else np.empty((0, d))
-    rotations = np.empty((n_face, d, d))
-    radii = np.empty(n_face)
-    for i in range(n_face):
-        rotations[i], radii[i] = rotated_face_point(face[i])
+    face = alpha_transform(dataset.face_parts, alpha) if dataset.n_face else np.empty((0, d))
+    if np.any(np.linalg.norm(face, axis=1) <= DIRECTION_TOL):
+        raise ValueError("face point maps to the origin; the centre is interior, input is corrupted")
     return TransformedSample(
         interior=interior,
         face=face,
         face_zero_index=dataset.face_zero_index.copy(),
-        rotations=rotations,
-        radii=radii,
         alpha=float(alpha),
         n_parts=dataset.n_parts,
         names=dataset.names,

@@ -3,9 +3,12 @@
 Latent points recovered from the alpha = 1 transform can land outside the
 simplex.  Such points are pulled to the boundary along the line joining them
 to the simplex centre; exactly one part (the most negative one) reaches zero.
-Transformed face points are then rotated onto the first coordinate axis with
-an orthonormal matrix built by Gram-Schmidt, which turns the censoring line
-integral into a one-dimensional normal tail probability.
+In the paper, transformed face points are then rotated onto the first
+coordinate axis with an orthonormal matrix built by Gram-Schmidt, which turns
+the censoring line integral into a one-dimensional normal tail probability.
+``gram_schmidt_rotation`` is kept as that rotated-frame reference; the fit
+evaluates the same term from each face point's direction and needs no
+rotation (see ``likelihood``).
 """
 
 from __future__ import annotations
@@ -140,16 +143,3 @@ def gram_schmidt_rotation(y) -> np.ndarray:
     if count < d:  # unreachable: y plus the standard basis spans R^d
         raise RuntimeError("Gram-Schmidt completion failed to produce a full basis")
     return rows
-
-
-def rotated_face_point(y_face) -> tuple[np.ndarray, float]:
-    """Rotation data (B, c1) for a transformed face point: c1 = ||y_face|| and B y_face = (c1, 0, ..., 0).
-
-    The origin is the image of the simplex centre, which is interior, so a
-    face point at the origin signals corrupted input.
-    """
-    y = np.asarray(y_face, dtype=float)
-    radius = float(np.linalg.norm(y))
-    if radius <= DIRECTION_TOL:
-        raise ValueError("face point maps to the origin; the centre is interior, input is corrupted")
-    return gram_schmidt_rotation(y), radius

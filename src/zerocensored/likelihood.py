@@ -3,10 +3,13 @@
 Interior points contribute ordinary normal log-densities.  A point that was
 pulled to a face enters through its rotated coordinates z = B y: the density
 of the non-first coordinates evaluated at zero, times the upper-tail
-probability of the first coordinate beyond the rotation radius c1.  The
-constant Jacobian term (n d + n/2) log D of the exponent-one transformation is
-included so reported values are full data log-likelihoods; it does not move
-the maximizer.
+probability of the first coordinate beyond the rotation radius c1.
+``boundary_term`` evaluates exactly that and is kept as the rotated-frame
+reference.  The term depends only on the unit direction u = y / c1 and c1, so
+the likelihood itself uses the equivalent direction form in
+``_boundary_terms``, which needs no rotation.  The constant Jacobian term
+(n d + n/2) log D of the exponent-one transformation is included so reported
+values are full data log-likelihoods; it does not move the maximizer.
 
 The covariance is optimized through its Cholesky factor with log-transformed
 diagonal, so every parameter vector maps to an SPD matrix and the search is
@@ -112,31 +115,24 @@ def boundary_term(rotation, radius: float, mean, cov) -> float:
     return float(marginal + tail)
 
 
-def _boundary_terms(rotations: np.ndarray, radii: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Vectorized ``boundary_term`` over a stack of face points."""
-    mu_z = rotations @ mean  # (n2, d)
-    sig_z = np.einsum("nij,jk,nlk->nil", rotations, cov, rotations, optimize=True)
-    d = mu_z.shape[1]
-    if d == 1:
-        sd = np.sqrt(sig_z[:, 0, 0])
-        return log_ndtr(-(radii - mu_z[:, 0]) / sd)
-    marg_cov = sig_z[:, 1:, 1:]
-    try:
-        chol_m = np.linalg.cholesky(marg_cov)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("rotated marginal covariance is not positive definite") from exc
-    k = d - 1
-    w = np.linalg.solve(chol_m, -mu_z[:, 1:, None])[..., 0]
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chol_m, axis1=1, axis2=2)), axis=1)
-    marginal = -0.5 * (k * LOG_2PI + log_det + np.sum(w * w, axis=1))
-    cross = sig_z[:, 0, 1:]
-    half = np.linalg.solve(chol_m, cross[..., None])
-    weights = np.linalg.solve(np.transpose(chol_m, (0, 2, 1)), half)[..., 0]
-    cond_mean = mu_z[:, 0] - np.einsum("nk,nk->n", weights, mu_z[:, 1:])
-    cond_var = sig_z[:, 0, 0] - np.einsum("nk,nk->n", weights, cross)
-    if np.any(cond_var <= 0.0):
-        raise NotPositiveDefiniteError("conditional variance is not positive")
-    return marginal + log_ndtr(-(radii - cond_mean) / np.sqrt(cond_var))
+def _boundary_terms(face: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Vectorized ``boundary_term`` over a stack of face points, without rotations.
+
+    With u = y / c1, L = chol(Sigma), w = L^-1 u, m = L^-1 mu, a = ||w||^2 and
+    b = w . m, the rotated first coordinate has conditional precision a and
+    conditional mean b / a given the others at zero, so the term is
+    -1/2 [(d - 1) log 2 pi + log|Sigma| + ||m||^2 - b^2/a + log a]
+    + log(1 - Phi((c1 - b/a) sqrt(a))).
+    """
+    radii = np.linalg.norm(face, axis=1)
+    w = solve_triangular(chol, (face / radii[:, None]).T, lower=True)  # (d, n2)
+    m = solve_triangular(chol, mean, lower=True)
+    a = np.sum(w * w, axis=0)
+    b = m @ w
+    d = mean.size
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m - b * b / a + np.log(a))
+    return marginal + log_ndtr(-(radii - b / a) * np.sqrt(a))
 
 
 def log_likelihood(sample: TransformedSample, mean, cov) -> float:
@@ -154,10 +150,10 @@ def log_likelihood(sample: TransformedSample, mean, cov) -> float:
     if mean.shape != (sample.dim,) or cov.shape != (sample.dim, sample.dim):
         raise ValueError("parameter dimensions do not match the sample")
     chol = cholesky(cov)
-    return _log_likelihood_chol(sample, mean, chol, cov)
+    return _log_likelihood_chol(sample, mean, chol)
 
 
-def _log_likelihood_chol(sample: TransformedSample, mean: np.ndarray, chol: np.ndarray, cov: np.ndarray) -> float:
+def _log_likelihood_chol(sample: TransformedSample, mean: np.ndarray, chol: np.ndarray) -> float:
     d = sample.dim
     n1 = sample.n_interior
     n2 = sample.n_face
@@ -169,7 +165,7 @@ def _log_likelihood_chol(sample: TransformedSample, mean: np.ndarray, chol: np.n
         w = solve_triangular(chol, resid.T, lower=True)
         total += -0.5 * n1 * (d * LOG_2PI + log_det) - 0.5 * float(np.sum(w * w))
     if n2:
-        total += float(np.sum(_boundary_terms(sample.rotations, sample.radii, mean, cov)))
+        total += float(np.sum(_boundary_terms(sample.face, mean, chol)))
     return total
 
 
@@ -223,6 +219,7 @@ class FittedModel:
             "loglik": float(self.loglik),
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
+            "gradient_norm": float(self.gradient_norm),
             "D": int(self.n_parts),
             "n1": int(self.n_interior),
             "n2": int(self.n_face),
@@ -294,10 +291,7 @@ def fit(
 
     def negloglik(theta: np.ndarray) -> float:
         mean, chol = _unpack_chol(theta, d)
-        try:
-            return -_log_likelihood_chol(sample, mean, chol, chol @ chol.T)
-        except NotPositiveDefiniteError:
-            return 1e300  # unreachable under the log-Cholesky map; belt and braces
+        return -_log_likelihood_chol(sample, mean, chol)
 
     best_theta = theta0.copy()
     best_value = negloglik(theta0)
@@ -337,8 +331,9 @@ def fit(
             "maxls": 60,
         },
     )
-    if negloglik(result.x) <= best_value:
-        best_value = negloglik(result.x)
+    final_value = negloglik(result.x)
+    if final_value <= best_value:
+        best_value = final_value
         best_theta = np.array(result.x)
 
     tri = best_theta[d:]

@@ -71,8 +71,6 @@ def test_transform_dataset_shapes_and_names():
     assert sample.dim == 2 and sample.n_parts == 3
     assert sample.interior.shape == (2, 2)
     assert sample.face.shape == (2, 2)
-    assert sample.rotations.shape == (2, 2, 2)
-    assert sample.radii.shape == (2,)
     assert sample.names == ("a", "b", "c")
     assert sample.n_obs == 4
 
@@ -93,15 +91,22 @@ def test_transformed_face_inverts_to_zero_at_recorded_index():
         assert rest.min() > 0
 
 
-def test_transform_rotations_are_orthonormal_with_radius():
-    sample = transform_dataset(small_dataset())
-    for i in range(sample.n_face):
-        b = sample.rotations[i]
-        np.testing.assert_allclose(b @ b.T, np.eye(2), atol=1e-12)
-        z = b @ sample.face[i]
-        assert z[0] == pytest.approx(sample.radii[i], rel=1e-12)
-        assert abs(z[1]) < 1e-12
-        assert sample.radii[i] > 0
+def test_transform_rejects_face_point_at_origin():
+    # The centre is interior, so a face row there can only come from corrupted input.
+    ds = CompositionalDataset(parts=[[1 / 3, 1 / 3, 1 / 3]], zero_index=[0])
+    with pytest.raises(ValueError, match="origin"):
+        transform_dataset(ds)
+
+
+def test_transformed_face_points_keep_distance_from_centre():
+    rng = np.random.default_rng(11)
+    rows = []
+    for _ in range(50):
+        w = rng.dirichlet(np.ones(3))
+        rows.append([0.0, w[1] + w[0] / 2, w[2] + w[0] / 2])
+    sample = transform_dataset(CompositionalDataset.from_array(rows))
+    assert sample.n_face == 50
+    assert np.linalg.norm(sample.face, axis=1).min() > 0.1
 
 
 def test_transform_with_general_alpha_round_trips():
@@ -115,4 +120,4 @@ def test_empty_face_set_is_fine():
     ds = CompositionalDataset.from_array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2]])
     sample = transform_dataset(ds)
     assert sample.n_face == 0
-    assert sample.rotations.shape == (0, 2, 2)
+    assert sample.face.shape == (0, 2)

@@ -7,12 +7,10 @@ from zerocensored import (
     MultipleZerosError,
     Region,
     TiedMinimumError,
-    alpha_transform,
     classify,
     gram_schmidt_rotation,
     inverse_alpha_transform,
     project_to_boundary,
-    rotated_face_point,
 )
 
 
@@ -165,29 +163,3 @@ def test_rotation_nearly_aligned_direction_stays_orthonormal():
 def test_rotation_rejects_zero_vector():
     with pytest.raises(ValueError):
         gram_schmidt_rotation(np.zeros(3))
-
-
-# --- rotated face points -------------------------------------------------------
-
-
-def test_rotated_face_point_composes():
-    y = alpha_transform(np.array([0.0, 0.5, 0.5]), 1.0)
-    b, c1 = rotated_face_point(y)
-    assert c1 == pytest.approx(np.linalg.norm(y), rel=1e-14)
-    assert c1 > 0
-    np.testing.assert_allclose(b @ y, [c1, 0.0], atol=1e-12)
-
-
-def test_rotated_face_point_positive_radius_everywhere():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        w = rng.dirichlet(np.ones(3))
-        face = np.array([0.0, w[1] + w[0] / 2, w[2] + w[0] / 2])
-        face /= face.sum()
-        _, c1 = rotated_face_point(alpha_transform(face, 1.0))
-        assert c1 > 0.1  # faces keep a positive distance from the centre
-
-
-def test_rotated_face_point_rejects_origin():
-    with pytest.raises(ValueError):
-        rotated_face_point(np.zeros(2))

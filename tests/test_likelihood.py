@@ -8,6 +8,7 @@ quadrature: the two routes share no code with the module under test.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -64,8 +65,6 @@ def interior_only_sample(points, n_parts):
         interior=np.asarray(points, float),
         face=np.empty((0, d)),
         face_zero_index=np.empty(0, dtype=int),
-        rotations=np.empty((0, d, d)),
-        radii=np.empty(0),
         alpha=1.0,
         n_parts=n_parts,
     )
@@ -74,17 +73,10 @@ def interior_only_sample(points, n_parts):
 def build_sample(interior, face_vectors, n_parts):
     d = n_parts - 1
     face = np.asarray(face_vectors, float).reshape(-1, d)
-    rotations = np.empty((face.shape[0], d, d))
-    radii = np.empty(face.shape[0])
-    for i, y in enumerate(face):
-        rotations[i] = gram_schmidt_rotation(y)
-        radii[i] = np.linalg.norm(y)
     return TransformedSample(
         interior=np.asarray(interior, float).reshape(-1, d),
         face=face,
         face_zero_index=np.zeros(face.shape[0], dtype=int),
-        rotations=rotations,
-        radii=radii,
         alpha=1.0,
         n_parts=n_parts,
     )
@@ -184,21 +176,63 @@ def test_boundary_term_invariant_to_row_sign_flips():
             assert boundary_term(flipped, c1, mean, cov) == pytest.approx(base, abs=1e-10)
 
 
-def test_vectorized_boundary_terms_match_scalar_route():
+@pytest.mark.parametrize("d", [1, 2, 4, 9, 19])
+def test_vectorized_boundary_terms_match_scalar_route(d):
     rng = np.random.default_rng(43)
-    d = 4
     n2 = 15
-    rotations = np.empty((n2, d, d))
-    radii = np.empty(n2)
-    for i in range(n2):
-        y = rng.normal(size=d)
-        rotations[i] = gram_schmidt_rotation(y)
-        radii[i] = np.linalg.norm(y)
+    face = rng.normal(size=(n2, d))
     mean = rng.normal(size=d)
     cov = random_spd(rng, d)
-    batch = _boundary_terms(rotations, radii, mean, cov)
-    scalar = [boundary_term(rotations[i], radii[i], mean, cov) for i in range(n2)]
+    batch = _boundary_terms(face, mean, np.linalg.cholesky(cov))
+    scalar = [boundary_term(gram_schmidt_rotation(y), np.linalg.norm(y), mean, cov) for y in face]
     np.testing.assert_allclose(batch, scalar, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_vectorized_boundary_terms_finite_deep_in_the_tail(d):
+    rng = np.random.default_rng(44)
+    cov = 0.01 * np.eye(d)
+    mean = np.zeros(d)
+    direction = rng.normal(size=d)
+    direction /= np.linalg.norm(direction)
+    face = np.outer([10.0, 30.0, 50.0], direction) * 0.1  # c / sigma = 10, 30, 50
+    batch = _boundary_terms(face, mean, np.linalg.cholesky(cov))
+    scalar = [boundary_term(gram_schmidt_rotation(y), np.linalg.norm(y), mean, cov) for y in face]
+    assert np.all(np.isfinite(batch))
+    np.testing.assert_allclose(batch, scalar, rtol=1e-12)
+
+
+def direction_form_mp(y, mean, cov):
+    """The direction form of the boundary term in 60-digit arithmetic."""
+    with mp.workdps(60):
+        d = len(y)
+        sigma = mp.matrix(cov.tolist())
+        lower = mp.cholesky(sigma)
+        c1 = mp.norm(mp.matrix(y.tolist()))
+        w = mp.lu_solve(lower, mp.matrix(y.tolist()) / c1)
+        m = mp.lu_solve(lower, mp.matrix(mean.tolist()))
+        a = sum(v * v for v in w)
+        b = sum(wi * mi for wi, mi in zip(w, m))
+        log_det = 2 * sum(mp.log(lower[i, i]) for i in range(d))
+        quad_m = sum(v * v for v in m)
+        marginal = -(
+            (d - 1) * mp.log(2 * mp.pi) + log_det + quad_m - b * b / a + mp.log(a)
+        ) / 2
+        z = (c1 - b / a) * mp.sqrt(a)
+        return float(marginal + mp.log(mp.erfc(z / mp.sqrt(2)) / 2))
+
+
+@pytest.mark.parametrize("d", [3, 9])
+def test_vectorized_boundary_terms_near_singular_cov(d):
+    rng = np.random.default_rng(45)
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    cov = basis @ np.diag(np.logspace(0, -8, d)) @ basis.T  # condition number 1e8
+    cov = 0.5 * (cov + cov.T)
+    face = rng.normal(size=(6, d))
+    mean = 3.0 * face[0]  # on the first ray, where ||m||^2 - b^2/a cancels
+    batch = _boundary_terms(face, mean, np.linalg.cholesky(cov))
+    reference = [direction_form_mp(y, mean, cov) for y in face]
+    np.testing.assert_allclose(batch, reference, rtol=1e-7)
 
 
 def test_boundary_term_rejects_nonpositive_radius():
@@ -377,5 +411,8 @@ def test_fitted_model_json_round_trip():
     assert back.loglik == model.loglik
     assert back.iterations == 31 and back.converged and back.seed == 7
     assert back.n_parts == 3 and back.n_interior == 40 and back.n_face == 9
+    assert back.gradient_norm == model.gradient_norm
     doc = model.to_dict()
-    assert set(doc) == {"mean", "cov", "loglik", "converged", "iterations", "D", "n1", "n2", "seed"}
+    assert set(doc) == {
+        "mean", "cov", "loglik", "converged", "iterations", "gradient_norm", "D", "n1", "n2", "seed"
+    }
