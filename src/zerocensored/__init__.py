@@ -36,7 +36,9 @@ from .geometry import (
     TiedMinimumError,
     classify,
     gram_schmidt_rotation,
+    project_rows,
     project_to_boundary,
+    zero_parts,
 )
 from .likelihood import (
     FittedModel,
@@ -88,7 +90,9 @@ __all__ = [
     "TiedMinimumError",
     "classify",
     "gram_schmidt_rotation",
+    "project_rows",
     "project_to_boundary",
+    "zero_parts",
     "FittedModel",
     "ParameterBoundError",
     "boundary_term",

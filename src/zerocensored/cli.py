@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .dataset import CompositionalDataset, transform_dataset
 from .diagnostics import diagnose, simulate_compositions
-from .geometry import Region, TiedMinimumError, classify, project_to_boundary
+from .geometry import TiedMinimumError, project_rows
 from .io import (
     read_compositions_csv,
     read_latent_csv,
@@ -143,20 +143,9 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_project(args) -> int:
     header, values = read_latent_csv(args.latent_csv)
-    out = np.empty_like(values)
-    zero_index = np.full(values.shape[0], -1, dtype=int)
-    n_projected = 0
-    for i, row in enumerate(values):
-        region, face_index = classify(row)
-        if region is Region.OUTSIDE:
-            result = project_to_boundary(row)
-            out[i] = result.composition
-            zero_index[i] = result.zero_index
-            n_projected += 1
-        else:
-            out[i] = np.where(np.abs(row) <= ZERO_TOL, 0.0, row)
-            zero_index[i] = -1 if face_index is None else face_index
-    dataset = CompositionalDataset(parts=out, zero_index=zero_index, names=tuple(header))
+    parts, zero_index = project_rows(values)
+    n_projected = int(np.count_nonzero(values.min(axis=1) < -ZERO_TOL))
+    dataset = CompositionalDataset(parts=parts, zero_index=zero_index, names=tuple(header))
     write_compositions_csv(args.output, dataset)
     print(f"projected {n_projected} of {values.shape[0]} rows onto the boundary; wrote {args.output}")
     return EXIT_OK

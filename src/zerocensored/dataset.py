@@ -7,24 +7,12 @@ per-point rotation is built or cached here.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import DIRECTION_TOL
-from .simplex import (
-    RECLOSE_TOL,
-    UNIT_SUM_TOL,
-    ZERO_TOL,
-    MultipleZerosError,
-    alpha_transform,
-)
-
-
-def _format_rows(rows) -> str:
-    shown = ", ".join(str(r) for r in rows[:10])
-    return shown + (", ..." if len(rows) > 10 else "")
+from .simplex import alpha_transform, validate_compositions
 
 
 @dataclass(frozen=True)
@@ -55,41 +43,14 @@ class CompositionalDataset:
 
     @classmethod
     def from_array(cls, rows, names=None) -> "CompositionalDataset":
-        """Validate an (n, D) array of compositions row by row.
+        """Validate an (n, D) array of compositions with ``validate_compositions``.
 
         Row numbers in error messages are 1-based data rows.  Rows whose sum
         is off by at most ``RECLOSE_TOL`` are re-closed with a single warning;
         rows with more than one zero raise ``MultipleZerosError`` listing them.
         """
-        x = np.array(rows, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] < 2:
-            raise ValueError(f"expected an (n, D) array with D >= 2, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            bad = np.flatnonzero(~np.isfinite(x).all(axis=1)) + 1
-            raise ValueError(f"non-finite values in rows {_format_rows(bad)}")
-        negative = np.flatnonzero((x < -ZERO_TOL).any(axis=1)) + 1
-        if negative.size:
-            raise ValueError(f"negative parts in rows {_format_rows(negative)}")
-        x[x < 0.0] = 0.0
-        sums = x.sum(axis=1)
-        broken = np.flatnonzero(np.abs(sums - 1.0) > RECLOSE_TOL) + 1
-        if broken.size:
-            raise ValueError(f"rows not summing to 1 (beyond {RECLOSE_TOL:g}): {_format_rows(broken)}")
-        reclose = np.abs(sums - 1.0) > UNIT_SUM_TOL
-        if reclose.any():
-            warnings.warn(f"re-closed {int(reclose.sum())} row(s) with unit-sum noise above {UNIT_SUM_TOL:g}", stacklevel=2)
-            x[reclose] /= sums[reclose, None]
-        zero_mask = x <= ZERO_TOL
-        counts = zero_mask.sum(axis=1)
-        multi = np.flatnonzero(counts > 1) + 1
-        if multi.size:
-            raise MultipleZerosError(
-                f"rows with more than one zero part: {_format_rows(multi)}", rows=multi
-            )
-        zero_index = np.where(counts == 1, zero_mask.argmax(axis=1), -1)
-        return cls(parts=x, zero_index=zero_index, names=tuple(names) if names is not None else None)
+        parts, zero_index = validate_compositions(rows)
+        return cls(parts=parts, zero_index=zero_index, names=tuple(names) if names is not None else None)
 
     @property
     def n_obs(self) -> int:

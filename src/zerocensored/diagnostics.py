@@ -2,9 +2,11 @@
 
 Draws come from the latent normal, are mapped back through the exponent-one
 transform, and out-of-simplex draws are pulled onto a face, exactly as the
-model censors.  The diagnostic compares observed per-component zero counts
-against Monte Carlo expectations under the fitted model, with a chi-square
-discrepancy and an optional simulated p-value.
+model censors, by the one boundary rule in ``geometry``: simulation calls
+``project_rows``, and the zero rates count ``zero_parts`` without pulling.
+The diagnostic compares observed per-component zero counts against Monte
+Carlo expectations under the fitted model, with a chi-square discrepancy and
+an optional simulated p-value.
 
 Determinism contract: every public operation takes an integer seed.  Rate
 estimation runs in chunks of ``chunk_size`` latent draws; the chunk
@@ -23,8 +25,8 @@ import numpy as np
 
 from .dataset import CompositionalDataset
 from .gaussian import MvnParams
-from .geometry import TiedMinimumError
-from .likelihood import FittedModel
+from .geometry import project_rows, zero_parts
+from .likelihood import FittedModel, json_float
 from .simplex import inverse_alpha_transform
 
 DEFAULT_CHUNK_SIZE = 1 << 17
@@ -42,30 +44,6 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
-def _project_rows(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized boundary pull for rows with a negative part; returns (parts, zero_index)."""
-    n_parts = parts.shape[1]
-    mins = parts.min(axis=1)
-    outside = mins < 0.0
-    if outside.any():
-        ties = (parts[outside] == mins[outside, None]).sum(axis=1) > 1
-        if ties.any():
-            raise TiedMinimumError("tied minimum parts in a simulated draw; cannot project")
-        scale = 1.0 / (1.0 - n_parts * mins[outside])
-        centre = 1.0 / n_parts
-        pulled = centre + scale[:, None] * (parts[outside] - centre)
-        idx = parts[outside].argmin(axis=1)
-        pulled[np.arange(pulled.shape[0]), idx] = 0.0
-        parts = parts.copy()
-        parts[outside] = pulled
-    zero_index = np.full(parts.shape[0], -1, dtype=int)
-    zero_index[outside] = parts[outside].argmin(axis=1)
-    exact = (~outside) & (mins == 0.0)
-    if exact.any():
-        zero_index[exact] = parts[exact].argmin(axis=1)
-    return parts, zero_index
-
-
 def simulate_compositions(n: int, model: MvnParams, n_parts: int, seed) -> CompositionalDataset:
     """Draw n compositions from the zero-censored model: latent normal, inverse transform, boundary pull."""
     if model.dim != n_parts - 1:
@@ -75,21 +53,14 @@ def simulate_compositions(n: int, model: MvnParams, n_parts: int, seed) -> Compo
     d = model.dim
     rng = np.random.default_rng(seed)
     latent = model.mean + rng.standard_normal((int(n), d)) @ model.chol.T
-    parts, zero_index = _project_rows(_latent_to_parts(latent))
+    parts, zero_index = project_rows(_latent_to_parts(latent))
     return CompositionalDataset(parts=parts, zero_index=zero_index)
 
 
 def _zero_counts_for_draws(model: MvnParams, n_parts: int, n_draws: int, rng) -> np.ndarray:
-    latent = model.mean + rng.standard_normal((n_draws, model.dim)) @ model.chol.T
-    parts = _latent_to_parts(latent)
-    mins = parts.min(axis=1)
-    boundary = mins <= 0.0
-    if not boundary.any():
-        return np.zeros(n_parts, dtype=np.int64)
-    sub = parts[boundary]
-    if np.any((sub == mins[boundary, None]).sum(axis=1) > 1):
-        raise TiedMinimumError("tied minimum parts in a simulated draw; cannot project")
-    return np.bincount(sub.argmin(axis=1), minlength=n_parts).astype(np.int64)
+    # No name holds the latent draws, so they are freed before the rule runs.
+    zero_index = zero_parts(_latent_to_parts(model.mean + rng.standard_normal((n_draws, model.dim)) @ model.chol.T))
+    return np.bincount(zero_index + 1, minlength=n_parts + 1)[1:].astype(np.int64)
 
 
 def zero_rates(
@@ -124,7 +95,9 @@ class ZeroDiagnostics:
     """Observed versus model-expected zero counts per component.
 
     ``observed_*``, ``chi_square`` and ``mc_pvalue`` are None when the
-    diagnostic was built without data (expected side only).
+    diagnostic was built without data (expected side only).  The JSON form
+    writes an infinite ``chi_square`` (an observed zero the model calls
+    impossible) as null.
     """
 
     expected_rates: np.ndarray
@@ -151,7 +124,7 @@ class ZeroDiagnostics:
             "expected_counts": listify(self.expected_counts),
             "observed_rates": listify(self.observed_rates),
             "expected_rates": listify(self.expected_rates),
-            "chi_square": None if self.chi_square is None else float(self.chi_square),
+            "chi_square": json_float(self.chi_square),
             "mc_pvalue": None if self.mc_pvalue is None else float(self.mc_pvalue),
             "n_observations": int(self.n_observations),
             "n_sims": int(self.n_sims),
@@ -160,7 +133,7 @@ class ZeroDiagnostics:
         }
 
     def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+        return json.dumps(self.to_dict(), allow_nan=False, **kwargs)
 
     def table_text(self) -> str:
         """Aligned component/observed/estimated table (the classic zero-count layout)."""

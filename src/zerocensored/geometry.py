@@ -3,6 +3,15 @@
 Latent points recovered from the alpha = 1 transform can land outside the
 simplex.  Such points are pulled to the boundary along the line joining them
 to the simplex centre; exactly one part (the most negative one) reaches zero.
+The package's one rule for this step lives here, used by ``project``,
+simulation and the zero rates.  A row is outside when its minimum is below
+``-ZERO_TOL``, and is pulled to c + (x - c) / (1 - D min), c = 1/D.  It is
+tied, and rejected, when another part lies within ``ZERO_TOL * (1 - D min)``
+of the minimum, i.e. would be at most ``ZERO_TOL`` after the pull.  In other
+rows parts within ``ZERO_TOL`` of zero are zeros, and two zeros are
+rejected.  ``zero_parts`` applies the rule, ``project_rows`` also pulls, and
+``classify`` and ``project_to_boundary`` are their one-vector forms.
+
 In the paper, transformed face points are then rotated onto the first
 coordinate axis with an orthonormal matrix built by Gram-Schmidt, which turns
 the censoring line integral into a one-dimensional normal tail probability.
@@ -19,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simplex import UNIT_SUM_TOL, ZERO_TOL, MultipleZerosError
+from .simplex import UNIT_SUM_TOL, ZERO_TOL, format_rows, reject_multiple_zeros
 
 #: Candidate basis vectors with residual norm below this are skipped during completion.
 GS_SKIP_TOL = 1e-8
@@ -51,35 +60,77 @@ class ProjectionResult:
     scale: float
 
 
-def _check_hyperplane(x: np.ndarray) -> None:
+def _check_hyperplane(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"expected one vector of parts, got shape {x.shape}")
     s = float(x.sum())
     if abs(s - 1.0) > max(UNIT_SUM_TOL, 1e-12 * x.size):
         raise ValueError(f"parts must sum to 1, got {s!r}")
+    return x
+
+
+def _as_rows(parts) -> np.ndarray:
+    x = np.asarray(parts, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError(f"expected an (n, D) array of parts with D >= 2, got shape {x.shape}")
+    return x
+
+
+def _zero_rule(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of an (n, D) array: (outside, stretch 1 - D min, zero_index)."""
+    zero_index = x.argmin(axis=1)
+    mins = x[np.arange(x.shape[0]), zero_index]  # a few times faster than x.min(axis=1) for few parts
+    outside = mins < -ZERO_TOL
+    stretch = 1.0 - x.shape[1] * mins
+    # Part j of an outside row is at most ZERO_TOL after the pull iff x_j - min <= ZERO_TOL * stretch.
+    counts = np.count_nonzero(x <= np.where(outside, mins + ZERO_TOL * stretch, ZERO_TOL)[:, None], axis=1)
+    tied = np.flatnonzero(outside & (counts > 1)) + 1
+    if tied.size:
+        raise TiedMinimumError(f"rows with a tied minimum, which the pull would turn into two zeros: {format_rows(tied)}")
+    reject_multiple_zeros(counts)
+    return outside, stretch, np.where(counts == 1, zero_index, -1)
+
+
+def zero_parts(parts) -> np.ndarray:
+    """Which part of each (n, D) unit-sum row is zero, or becomes zero under the pull; -1 if none.
+
+    Tied rows raise ``TiedMinimumError`` and rows with two zeros
+    ``MultipleZerosError``, both naming 1-based row numbers.
+    """
+    return _zero_rule(_as_rows(parts))[2]
+
+
+def project_rows(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Pull the outside rows of an (n, D) unit-sum array onto the boundary; returns (parts, zero_index).
+
+    Each row's zero part (see ``zero_parts``) is set to exactly 0.
+    """
+    x = _as_rows(parts)
+    outside, stretch, zero_index = _zero_rule(x)
+    out = x.copy()
+    centre = 1.0 / x.shape[1]
+    scale = 1.0 / stretch[outside]
+    out[outside] = centre + scale[:, None] * (x[outside] - centre)
+    rows = np.flatnonzero(zero_index >= 0)
+    out[rows, zero_index[rows]] = 0.0
+    return out, zero_index
 
 
 def classify(x) -> Classification:
     """Partition a unit-sum vector into interior, single-zero face, or outside the simplex.
 
-    Vectors with two or more zero parts (and no negative part) are outside
-    the model's scope and raise ``MultipleZerosError``.  A tie at a negative
-    minimum raises ``TiedMinimumError`` because projection would zero out
-    more than one part.
+    Vectors with two or more zero parts are outside the model's scope and
+    raise ``MultipleZerosError``; a tied minimum of an outside vector raises
+    ``TiedMinimumError``.
     """
-    x = np.asarray(x, dtype=float)
-    _check_hyperplane(x)
-    if np.any(x < -ZERO_TOL):
-        mn = float(x.min())
-        if int(np.count_nonzero(x == mn)) > 1:
-            raise TiedMinimumError("tied minimum parts; projection would create two zeros")
+    x = _check_hyperplane(x)
+    outside, _, zero_index = _zero_rule(x[None, :])
+    if outside[0]:
         return Classification(Region.OUTSIDE, None)
-    zeros = np.flatnonzero(np.abs(x) <= ZERO_TOL)
-    if zeros.size == 0:
+    if zero_index[0] < 0:
         return Classification(Region.INTERIOR, None)
-    if zeros.size == 1:
-        return Classification(Region.FACE, int(zeros[0]))
-    raise MultipleZerosError("more than one zero part; unsupported by the model")
+    return Classification(Region.FACE, int(zero_index[0]))
 
 
 def project_to_boundary(x) -> ProjectionResult:
@@ -89,23 +140,12 @@ def project_to_boundary(x) -> ProjectionResult:
     t = 1 / (1 - D min_j x_j), the unique scale at which the most negative
     part reaches zero while all others stay positive.
     """
-    x = np.asarray(x, dtype=float)
-    _check_hyperplane(x)
-    n_parts = x.size
-    mn = float(x.min())
-    if mn >= -ZERO_TOL:
+    x = _check_hyperplane(x)[None, :]
+    outside, stretch, _ = _zero_rule(x)
+    if not outside[0]:
         raise ValueError("point is not outside the simplex; nothing to project")
-    if int(np.count_nonzero(x == mn)) > 1:
-        raise TiedMinimumError("tied minimum parts; projection would create two zeros")
-    zero_index = int(np.argmin(x))
-    scale = 1.0 / (1.0 - n_parts * mn)
-    centre = 1.0 / n_parts
-    comp = centre + scale * (x - centre)
-    comp[zero_index] = 0.0
-    others = np.delete(comp, zero_index)
-    if np.any(others <= ZERO_TOL):
-        raise TiedMinimumError("near-tied minimum parts; projection would create a second zero")
-    return ProjectionResult(composition=comp, zero_index=zero_index, scale=scale)
+    parts, zero_index = project_rows(x)
+    return ProjectionResult(composition=parts[0], zero_index=int(zero_index[0]), scale=1.0 / float(stretch[0]))
 
 
 def gram_schmidt_rotation(y) -> np.ndarray:

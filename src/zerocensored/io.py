@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import CompositionalDataset
 from .diagnostics import ZeroDiagnostics
 from .likelihood import FittedModel
-from .simplex import MultipleZerosError
+from .simplex import closure, format_rows
 
 
 def _parse_rows(path) -> tuple[list[str], np.ndarray]:
@@ -55,24 +55,8 @@ def _is_number(cell: str) -> bool:
 def read_compositions_csv(path, *, apply_closure: bool = False) -> CompositionalDataset:
     """Read a dataset of compositions, or of raw amounts when ``apply_closure`` is set."""
     header, values = _parse_rows(path)
-    if values.shape[0] == 0:
-        return CompositionalDataset(
-            parts=np.empty((0, len(header))), zero_index=np.empty(0, dtype=int), names=tuple(header)
-        )
     if apply_closure:
-        if np.any(values < 0.0):
-            bad = np.flatnonzero((values < 0.0).any(axis=1)) + 1
-            raise ValueError(f"{path}: negative amounts in rows {list(bad[:10])}")
-        sums = values.sum(axis=1)
-        empty = np.flatnonzero(sums <= 0.0) + 1
-        if empty.size:
-            raise ValueError(f"{path}: all-zero rows {list(empty[:10])}")
-        multi = np.flatnonzero((values == 0.0).sum(axis=1) > 1) + 1
-        if multi.size:
-            raise MultipleZerosError(
-                f"{path}: rows with more than one zero: {list(multi[:10])}", rows=multi
-            )
-        values = values / sums[:, None]
+        values = closure(values)
     return CompositionalDataset.from_array(values, names=header)
 
 
@@ -93,14 +77,15 @@ def read_latent_csv(path) -> tuple[list[str], np.ndarray]:
     """Read unit-sum latent vectors (negative parts allowed, e.g. points awaiting projection).
 
     Sums off by at most 1e-6 are repaired by spreading the deficit uniformly,
-    which moves the point orthogonally to the unit-sum hyperplane.
+    which moves the point orthogonally to the unit-sum hyperplane.  Rows with
+    a non-finite value are rejected.
     """
     header, values = _parse_rows(path)
     if values.shape[0]:
         sums = values.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6) + 1
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-6)) + 1  # a NaN sum fails too
         if bad.size:
-            raise ValueError(f"{path}: rows not summing to 1: {list(bad[:10])}")
+            raise ValueError(f"{path}: rows not finite or not summing to 1: {format_rows(bad)}")
         values = values + ((1.0 - sums) / values.shape[1])[:, None]
     return header, values
 

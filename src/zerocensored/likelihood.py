@@ -183,13 +183,24 @@ def numerical_gradient(fun, theta, *, rel_step: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def json_float(value) -> float | None:
+    """Strict JSON has no NaN or infinity: a non-finite value (or None) is written as null."""
+    return None if value is None or not math.isfinite(value) else float(value)
+
+
+def _float_or_nan(value) -> float:
+    return math.nan if value is None else float(value)
+
+
 @dataclass(frozen=True)
 class FittedModel:
     """Maximum-likelihood estimate with convergence metadata.
 
     ``trace`` holds the log-likelihood at the initial point and after each
     optimizer iteration.  ``seed`` records data provenance when the fitted
-    sample was simulated; it is None for real data.
+    sample was simulated; it is None for real data.  The JSON form writes a
+    non-finite ``loglik`` or ``gradient_norm`` as null and reads null, or a
+    missing ``gradient_norm``, back as NaN.
     """
 
     mean: np.ndarray
@@ -216,10 +227,10 @@ class FittedModel:
         return {
             "mean": [float(v) for v in self.mean],
             "cov": [[float(v) for v in row] for row in self.cov],
-            "loglik": float(self.loglik),
+            "loglik": json_float(self.loglik),
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
-            "gradient_norm": float(self.gradient_norm),
+            "gradient_norm": json_float(self.gradient_norm),
             "D": int(self.n_parts),
             "n1": int(self.n_interior),
             "n2": int(self.n_face),
@@ -227,17 +238,17 @@ class FittedModel:
         }
 
     def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+        return json.dumps(self.to_dict(), allow_nan=False, **kwargs)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FittedModel":
         return cls(
             mean=np.asarray(doc["mean"], dtype=float),
             cov=np.asarray(doc["cov"], dtype=float),
-            loglik=float(doc["loglik"]),
+            loglik=_float_or_nan(doc["loglik"]),
             iterations=int(doc["iterations"]),
             converged=bool(doc["converged"]),
-            gradient_norm=float(doc.get("gradient_norm", math.nan)),
+            gradient_norm=_float_or_nan(doc.get("gradient_norm")),
             n_parts=int(doc["D"]),
             n_interior=int(doc["n1"]),
             n_face=int(doc["n2"]),
@@ -295,13 +306,15 @@ def fit(
 
     best_theta = theta0.copy()
     best_value = negloglik(theta0)
+    last_theta, last_value = best_theta, best_value
 
     def objective(theta: np.ndarray) -> float:
-        nonlocal best_theta, best_value
+        nonlocal best_theta, best_value, last_theta, last_value
         value = negloglik(theta)
+        last_theta, last_value = np.array(theta), value
         if value < best_value:
             best_value = value
-            best_theta = np.array(theta)
+            best_theta = last_theta
         return value
 
     def gradient(theta: np.ndarray) -> np.ndarray:
@@ -310,7 +323,8 @@ def fit(
     trace = [-best_value]
 
     def record(theta: np.ndarray) -> None:
-        trace.append(-negloglik(theta))
+        # L-BFGS-B reports an iterate right after evaluating it.
+        trace.append(-(last_value if np.array_equal(theta, last_theta) else negloglik(theta)))
 
     bounds = [(None, None)] * theta0.size
     for pos in _diag_positions(d):
@@ -331,9 +345,9 @@ def fit(
             "maxls": 60,
         },
     )
-    final_value = negloglik(result.x)
-    if final_value <= best_value:
-        best_value = final_value
+    at_result = result.fun <= best_value
+    if at_result:
+        best_value = float(result.fun)
         best_theta = np.array(result.x)
 
     tri = best_theta[d:]
@@ -343,7 +357,8 @@ def fit(
         )
 
     mean_hat, cov_hat = unpack_params(best_theta, d)
-    grad_norm = float(np.max(np.abs(numerical_gradient(negloglik, best_theta))))
+    grad = result.jac if at_result else numerical_gradient(negloglik, best_theta)
+    grad_norm = float(np.max(np.abs(grad)))
     return FittedModel(
         mean=mean_hat,
         cov=cov_hat,

@@ -40,48 +40,77 @@ class MultipleZerosError(ValueError):
         self.rows = tuple(rows) if rows is not None else None
 
 
-def as_composition(parts, *, reclose: bool = True) -> np.ndarray:
-    """Validate one composition vector and return it as a float array.
+def format_rows(rows) -> str:
+    """The first ten 1-based row numbers of an error message, then "..." if there are more."""
+    shown = ", ".join(str(r) for r in rows[:10])
+    return shown + (", ..." if len(rows) > 10 else "")
 
-    Tiny negative parts (rounding noise above ``-ZERO_TOL``) are clamped to
-    zero.  Unit-sum violations up to ``RECLOSE_TOL`` are repaired by dividing
-    by the sum, with a warning; larger violations are rejected.
+
+def reject_multiple_zeros(zero_counts: np.ndarray) -> None:
+    """Raise ``MultipleZerosError`` naming the 1-based rows with more than one zero part."""
+    multi = np.flatnonzero(zero_counts > 1) + 1
+    if multi.size:
+        raise MultipleZerosError(f"rows with more than one zero part: {format_rows(multi)}", rows=multi)
+
+
+def _reject_rows(bad: np.ndarray, message: str) -> None:
+    rows = np.flatnonzero(bad) + 1
+    if rows.size:
+        raise ValueError(f"{message} {format_rows(rows)}")
+
+
+def validate_compositions(rows, *, reclose: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Check one composition or an (n, D) array of them; returns (parts, zero_index).
+
+    Parts must be finite; negatives down to ``-ZERO_TOL`` are clamped to zero.
+    Row sums off by at most ``RECLOSE_TOL`` are re-closed with one warning
+    (only up to ``UNIT_SUM_TOL`` is accepted when ``reclose`` is false).
+    Parts up to ``ZERO_TOL`` are zeros, and a row may have one (its
+    ``zero_index``, -1 if none).  Errors name 1-based row numbers.
     """
-    x = np.array(parts, dtype=float)
+    x = np.array(rows, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError(f"expected an (n, D) array with D >= 2, got shape {x.shape}")
+    _reject_rows(~np.isfinite(x).all(axis=1), "non-finite values in rows")
+    _reject_rows((x < -ZERO_TOL).any(axis=1), "negative parts in rows")
+    x[x < 0.0] = 0.0
+    sums = x.sum(axis=1)
+    limit = RECLOSE_TOL if reclose else UNIT_SUM_TOL
+    _reject_rows(np.abs(sums - 1.0) > limit, f"rows not summing to 1 (beyond {limit:g}):")
+    off = np.abs(sums - 1.0) > UNIT_SUM_TOL
+    if off.any():
+        warnings.warn(f"re-closed {int(off.sum())} row(s) with unit-sum noise above {UNIT_SUM_TOL:g}", stacklevel=3)
+        x[off] /= sums[off, None]
+    counts = np.count_nonzero(x <= ZERO_TOL, axis=1)
+    reject_multiple_zeros(counts)
+    return x, np.where(counts == 1, x.argmin(axis=1), -1)
+
+
+def as_composition(parts, *, reclose: bool = True) -> np.ndarray:
+    """Validate one composition vector with ``validate_compositions`` and return it."""
+    x = np.asarray(parts, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"a composition needs at least 2 parts in one vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("composition parts must be finite")
-    if np.any(x < -ZERO_TOL):
-        raise ValueError(f"composition parts must be non-negative, got minimum {x.min()!r}")
-    x[x < 0.0] = 0.0
-    s = float(x.sum())
-    if abs(s - 1.0) > UNIT_SUM_TOL:
-        if reclose and abs(s - 1.0) <= RECLOSE_TOL:
-            warnings.warn(f"parts sum to {s!r}; re-closing to unit sum", stacklevel=2)
-            x = x / s
-        else:
-            raise ValueError(f"composition parts must sum to 1, got {s!r}")
-    if int(np.count_nonzero(x <= ZERO_TOL)) > 1:
-        raise MultipleZerosError("composition has more than one zero part")
-    return x
+    return validate_compositions(x, reclose=reclose)[0][0]
 
 
 def closure(raw) -> np.ndarray:
-    """Normalize non-negative amounts (hours, weights, counts) to a composition."""
-    x = np.array(raw, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError(f"closure needs at least 2 amounts in one vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("amounts must be finite")
-    if np.any(x < 0.0):
-        raise ValueError(f"amounts must be non-negative, got minimum {x.min()!r}")
-    s = float(x.sum())
-    if s <= 0.0:
-        raise ValueError("amounts are all zero; closure is undefined")
-    if int(np.count_nonzero(x == 0.0)) > 1:
-        raise MultipleZerosError("more than one zero amount; the model supports at most one zero per vector")
-    return x / s
+    """Normalize non-negative amounts (hours, weights, counts) in one vector or (n, D) rows.
+
+    The closed rows pass ``validate_compositions``, so a row with two zeros
+    raises ``MultipleZerosError``.
+    """
+    x = np.asarray(raw, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] < 2:
+        raise ValueError(f"closure needs vectors of at least 2 amounts, got shape {x.shape}")
+    rows = np.atleast_2d(x)
+    _reject_rows((rows < 0.0).any(axis=1), "negative amounts in rows")
+    sums = rows.sum(axis=1)
+    _reject_rows(sums <= 0.0, "all-zero rows, where closure is undefined:")
+    parts, _ = validate_compositions(rows / sums[:, None])
+    return parts if x.ndim == 2 else parts[0]
 
 
 @lru_cache(maxsize=None)

@@ -103,6 +103,17 @@ def test_zero_rates_sum_below_one_and_match_simulation():
     np.testing.assert_allclose(rates, counts / 100_000, atol=0.01)
 
 
+def test_zero_rates_count_the_zeros_simulation_writes():
+    # one chunk: zero_rates draws from child 0 of its seed, exactly as simulate does from that child
+    n = 50_000
+    rates = zero_rates(BOUNDARY_MODEL, 3, n, seed=13)
+    child = np.random.SeedSequence(13).spawn(1)[0]
+    zero_index = simulate_compositions(n, BOUNDARY_MODEL, 3, seed=child).zero_index
+    counts = np.bincount(zero_index[zero_index >= 0], minlength=3)
+    assert counts.sum() > 10_000
+    np.testing.assert_array_equal(rates, counts / n)
+
+
 def test_zero_rates_deterministic_and_chunking_contract():
     a = zero_rates(BOUNDARY_MODEL, 3, 50_000, seed=6, chunk_size=1 << 17)
     b = zero_rates(BOUNDARY_MODEL, 3, 50_000, seed=6, chunk_size=1 << 17)

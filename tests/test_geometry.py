@@ -10,7 +10,9 @@ from zerocensored import (
     classify,
     gram_schmidt_rotation,
     inverse_alpha_transform,
+    project_rows,
     project_to_boundary,
+    zero_parts,
 )
 
 
@@ -107,6 +109,63 @@ def test_projection_rejects_inside_points():
 def test_projection_rejects_exact_ties():
     with pytest.raises(TiedMinimumError):
         project_to_boundary([-0.25, -0.25, 1.5])
+
+
+# --- vectorized rule ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_parts", [3, 10])
+def test_project_rows_matches_scalar_reference_row_by_row(n_parts):
+    rng = np.random.default_rng(11 + n_parts)
+    x, _ = inverse_alpha_transform(rng.normal(scale=1.5, size=(2000, n_parts - 1)), 1.0)
+    x[:50] = project_rows(x[:50])[0]  # rows already on a face
+    parts, zero_index = project_rows(x)
+    np.testing.assert_array_equal(zero_parts(x), zero_index)
+    regions = set()
+    for i, row in enumerate(x):
+        region, face_index = classify(row)
+        regions.add(region)
+        if region is Region.OUTSIDE:
+            ref = project_to_boundary(row)
+            np.testing.assert_array_equal(parts[i], ref.composition)
+            assert zero_index[i] == ref.zero_index
+        else:
+            np.testing.assert_array_equal(parts[i], np.where(np.abs(row) <= 1e-12, 0.0, row))
+            assert zero_index[i] == (-1 if face_index is None else face_index)
+    assert regions == {Region.INTERIOR, Region.FACE, Region.OUTSIDE}
+
+
+@pytest.mark.parametrize(
+    "bad_row, error",
+    [
+        ([-0.25, -0.25, 1.5], TiedMinimumError),
+        ([-0.25, -0.25 + 1e-13, 1.5 - 1e-13], TiedMinimumError),
+        ([0.0, 0.0, 1.0], MultipleZerosError),
+        ([1e-13, -1e-13, 1.0], MultipleZerosError),
+    ],
+    ids=["exact-tie", "near-tie", "two-zeros", "two-near-zeros"],
+)
+def test_rule_names_unsupported_rows(bad_row, error):
+    rows = np.array([[0.2, 0.3, 0.5], bad_row, [-0.1, 0.5, 0.6], bad_row])
+    for apply in (project_rows, zero_parts):
+        with pytest.raises(error) as excinfo:
+            apply(rows)
+        assert str(excinfo.value).endswith(": 2, 4")
+    if error is MultipleZerosError:
+        assert excinfo.value.rows == (2, 4)
+
+
+def test_near_tie_limit_is_zero_tol_after_the_pull():
+    # the second part lands at 1e-10 / 1.75 after the pull, above ZERO_TOL: not a tie
+    parts, zero_index = project_rows(np.array([[-0.25, -0.25 + 1e-10, 1.5 - 1e-10]]))
+    assert zero_index[0] == 0 and parts[0, 1] == pytest.approx(1e-10 / 1.75, rel=1e-5)
+
+
+def test_project_rows_empty_and_shape_check():
+    parts, zero_index = project_rows(np.empty((0, 4)))
+    assert parts.shape == (0, 4) and zero_index.shape == (0,)
+    with pytest.raises(ValueError):
+        project_rows([0.2, 0.3, 0.5])
 
 
 # --- Gram-Schmidt rotation ----------------------------------------------------

@@ -10,6 +10,7 @@ from zerocensored import (
     FittedModel,
     MultipleZerosError,
     MvnParams,
+    diagnose,
     simulate_compositions,
 )
 from zerocensored.cli import main
@@ -18,6 +19,7 @@ from zerocensored.io import (
     read_latent_csv,
     read_model_json,
     write_compositions_csv,
+    write_diagnostics_json,
     write_model_json,
 )
 
@@ -105,6 +107,13 @@ def test_latent_csv_repairs_tiny_sum_noise(tmp_path):
     assert values.sum(axis=1) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_latent_csv_rejects_non_finite_rows(tmp_path):
+    path = tmp_path / "latent.csv"
+    path.write_text("a,b,c\n-0.1,0.5,0.6\nnan,0.5,0.5\n0.2,inf,-1.0\n")
+    with pytest.raises(ValueError, match=r"not finite or not summing to 1: 2, 3$"):
+        read_latent_csv(path)
+
+
 def test_model_json_file_round_trip(tmp_path):
     path = tmp_path / "model.json"
     write_model_json(path, BOUNDARY_MODEL)
@@ -119,6 +128,37 @@ def test_model_json_malformed(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError, match="malformed"):
         read_model_json(path)
+
+
+def strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_model_json_writes_missing_gradient_norm_as_null(tmp_path):
+    doc = BOUNDARY_MODEL.to_dict()
+    del doc["gradient_norm"]  # a file written before the field existed
+    path = tmp_path / "model.json"
+    write_model_json(path, FittedModel.from_dict(doc))
+    assert strict_json(path)["gradient_norm"] is None
+    assert np.isnan(read_model_json(path).gradient_norm)
+
+
+def test_diagnostics_json_writes_infinite_chi_square_as_null(tmp_path):
+    # the model puts no mass near the boundary, so the observed zero is impossible under it
+    model = FittedModel(
+        mean=np.zeros(2), cov=1e-4 * np.eye(2), loglik=0.0, iterations=0, converged=True,
+        gradient_norm=0.0, n_parts=3, n_interior=0, n_face=0,
+    )
+    data = CompositionalDataset.from_array([[0.0, 0.5, 0.5], [0.3, 0.3, 0.4]])
+    result = diagnose(model, data, n_sims=10_000, seed=3)
+    assert result.chi_square == np.inf
+    path = tmp_path / "diag.json"
+    write_diagnostics_json(path, result)
+    doc = strict_json(path)
+    assert doc["chi_square"] is None and doc["observed_counts"] == [1, 0, 0]
 
 
 # --- CLI: fit -----------------------------------------------------------------------
@@ -263,6 +303,13 @@ def test_cli_project_tied_minimum_is_unsupported(tmp_path, capsys):
     latent = tmp_path / "tied.csv"
     write_csv(latent, ["a", "b", "c"], [[-0.25, -0.25, 1.5]])
     assert main(["project", str(latent), "-o", str(tmp_path / "p.csv")]) == 4
+
+
+def test_cli_project_names_two_zero_rows(tmp_path, capsys):
+    latent = tmp_path / "two-zeros.csv"
+    write_csv(latent, ["a", "b", "c"], [[-0.1, 0.5, 0.6], [0.0, 0.0, 1.0]])
+    assert main(["project", str(latent), "-o", str(tmp_path / "p.csv")]) == 4
+    assert capsys.readouterr().err.rstrip().endswith(": 2")
 
 
 # --- CLI: plot ---------------------------------------------------------------------------

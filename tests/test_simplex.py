@@ -32,6 +32,7 @@ def random_interior(rng, n_parts):
 
 def test_closure_scales_proportionally():
     np.testing.assert_allclose(closure([2, 2, 4]), [0.25, 0.25, 0.5])
+    np.testing.assert_allclose(closure([[2, 2, 4], [0, 3, 1]]), [[0.25, 0.25, 0.5], [0, 0.75, 0.25]])
 
 
 def test_closure_uniform():
@@ -51,6 +52,14 @@ def test_closure_rejects_bad_input():
         closure([0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         closure([1.0])
+    # rows of amounts: errors name the 1-based rows
+    with pytest.raises(ValueError, match=r"negative amounts in rows 2$"):
+        closure([[1.0, 1.0, 1.0], [1.0, -0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"all-zero rows.*: 1, 3$"):
+        closure([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(MultipleZerosError) as excinfo:
+        closure([[1.0, 1.0, 1.0], [0.0, 0.0, 2.0]])
+    assert excinfo.value.rows == (2,)
 
 
 def test_as_composition_recloses_small_violations():
