@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import CompositionalDataset
 from .diagnostics import ZeroDiagnostics
 from .likelihood import FittedModel
-from .simplex import closure, format_rows
+from .simplex import _close_rows, format_rows
 
 
 def _parse_rows(path) -> tuple[list[str], np.ndarray]:
@@ -53,10 +53,13 @@ def _is_number(cell: str) -> bool:
 
 
 def read_compositions_csv(path, *, apply_closure: bool = False) -> CompositionalDataset:
-    """Read a dataset of compositions, or of raw amounts when ``apply_closure`` is set."""
+    """Read a dataset of compositions, or of raw amounts when ``apply_closure`` is set.
+
+    Closed rows are validated once, by ``CompositionalDataset.from_array``.
+    """
     header, values = _parse_rows(path)
     if apply_closure:
-        values = closure(values)
+        values = _close_rows(values)
     return CompositionalDataset.from_array(values, names=header)
 
 

@@ -1,4 +1,4 @@
-"""The zero-censored Gaussian log-likelihood and its numerical maximization.
+"""The zero-censored Gaussian log-likelihood, its score, and its maximization.
 
 Interior points contribute ordinary normal log-densities.  A point that was
 pulled to a face enters through its rotated coordinates z = B y: the density
@@ -14,6 +14,9 @@ values are full data log-likelihoods; it does not move the maximizer.
 The covariance is optimized through its Cholesky factor with log-transformed
 diagonal, so every parameter vector maps to an SPD matrix and the search is
 unconstrained apart from a +/-30 safety bound on the log-diagonal entries.
+``_score`` is the exact gradient in those coordinates, built from the
+quantities the likelihood has already computed; ``numerical_gradient`` is
+the central-difference reference it is tested against.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def _unpack_chol(theta, dim: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"packed vector must have length {expected}, got shape {theta.shape}")
     tri = theta[dim:].copy()
     diag_pos = _diag_positions(dim)
-    # Allow the finite-difference probes to peek just past the optimizer bound.
+    # Allow finite-difference checks of the score to peek just past the optimizer bound.
     if np.any(np.abs(tri[diag_pos]) > LOG_DIAG_BOUND + 1e-3):
         raise ParameterBoundError("log-diagonal coordinate beyond the +/-30 safety bound")
     tri[diag_pos] = np.exp(tri[diag_pos])
@@ -124,15 +127,33 @@ def _boundary_terms(face: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.
     -1/2 [(d - 1) log 2 pi + log|Sigma| + ||m||^2 - b^2/a + log a]
     + log(1 - Phi((c1 - b/a) sqrt(a))).
     """
+    return _face_frame(face, mean, chol)[0]
+
+
+@dataclass(frozen=True)
+class _FaceFrame:
+    """The face points' quantities that the score reuses: radii c1, w (d, n2), m, a, b and z."""
+
+    radii: np.ndarray
+    w: np.ndarray
+    m: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    z: np.ndarray
+
+
+def _face_frame(face: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> tuple[np.ndarray, _FaceFrame]:
+    """The boundary terms of ``_boundary_terms`` and the frame they were computed in."""
     radii = np.linalg.norm(face, axis=1)
     w = solve_triangular(chol, (face / radii[:, None]).T, lower=True)  # (d, n2)
     m = solve_triangular(chol, mean, lower=True)
     a = np.sum(w * w, axis=0)
     b = m @ w
+    z = (radii - b / a) * np.sqrt(a)
     d = mean.size
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m - b * b / a + np.log(a))
-    return marginal + log_ndtr(-(radii - b / a) * np.sqrt(a))
+    return marginal + log_ndtr(-z), _FaceFrame(radii, w, m, a, b, z)
 
 
 def log_likelihood(sample: TransformedSample, mean, cov) -> float:
@@ -149,24 +170,71 @@ def log_likelihood(sample: TransformedSample, mean, cov) -> float:
         raise ValueError("empty sample")
     if mean.shape != (sample.dim,) or cov.shape != (sample.dim, sample.dim):
         raise ValueError("parameter dimensions do not match the sample")
-    chol = cholesky(cov)
-    return _log_likelihood_chol(sample, mean, chol)
+    return _log_likelihood_frame(sample, mean, cholesky(cov))[0]
 
 
-def _log_likelihood_chol(sample: TransformedSample, mean: np.ndarray, chol: np.ndarray) -> float:
+def _log_likelihood_frame(
+    sample: TransformedSample, mean: np.ndarray, chol: np.ndarray
+) -> tuple[float, np.ndarray | None, _FaceFrame | None]:
+    """The log-likelihood, the whitened interior residuals (d, n1) and the face frame."""
     d = sample.dim
     n1 = sample.n_interior
     n2 = sample.n_face
     n = n1 + n2
     total = (n * d + 0.5 * n) * math.log(sample.n_parts)
+    resid = frame = None
     if n1:
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        resid = sample.interior - mean
-        w = solve_triangular(chol, resid.T, lower=True)
-        total += -0.5 * n1 * (d * LOG_2PI + log_det) - 0.5 * float(np.sum(w * w))
+        resid = solve_triangular(chol, (sample.interior - mean).T, lower=True)
+        total += -0.5 * n1 * (d * LOG_2PI + log_det) - 0.5 * float(np.sum(resid * resid))
     if n2:
-        total += float(np.sum(_boundary_terms(sample.face, mean, chol)))
-    return total
+        terms, frame = _face_frame(sample.face, mean, chol)
+        total += float(np.sum(terms))
+    return total, resid, frame
+
+
+def _loglik_and_score(sample: TransformedSample, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """The log-likelihood at packed parameters and its gradient in those coordinates."""
+    mean, chol = _unpack_chol(theta, sample.dim)
+    value, resid, frame = _log_likelihood_frame(sample, mean, chol)
+    return value, _score(chol, resid, frame)
+
+
+def _score(chol: np.ndarray, resid: np.ndarray | None, frame: _FaceFrame | None) -> np.ndarray:
+    """Gradient of the log-likelihood in the packed coordinates of ``pack_params``.
+
+    Interior points give dl/dmu = L^-T sum z and dl/dL = tril(L^-T Z Z^T) - n1 diag(1/L).
+    Face points go through (m, w, a, b): with the inverse Mills ratio
+    lam = phi(z) / (1 - Phi(z)), computed in logs so it stays finite deep in the
+    tail, g_b = b/a + lam/sqrt(a), g_a = -(b^2/a^2 + 1/a)/2 - lam (c1/sqrt(a) +
+    b/a^(3/2))/2 and g_m = -n2 m + W g_b; then dl/dmu = L^-T g_m and
+    dl/dL = -tril(L^-T [g_m m^T + m (W g_b)^T + 2 W diag(g_a) W^T]) - n2 diag(1/L).
+    The log-diagonal coordinates take dl/dL_jj * L_jj.
+    """
+    d = chol.shape[0]
+    g_mean = np.zeros(d)
+    g_chol = np.zeros((d, d))
+    count = 0
+    if resid is not None:
+        g_mean += resid.sum(axis=1)
+        g_chol += resid @ resid.T
+        count += resid.shape[1]
+    if frame is not None:
+        w, m, a, b = frame.w, frame.m, frame.a, frame.b
+        root_a = np.sqrt(a)
+        lam = np.exp(-0.5 * (frame.z * frame.z + LOG_2PI) - log_ndtr(-frame.z))
+        g_b = b / a + lam / root_a
+        g_a = -0.5 * (b * b / (a * a) + 1.0 / a) - 0.5 * lam * (frame.radii / root_a + b / (a * root_a))
+        w_gb = w @ g_b
+        g_m = w_gb - a.size * m
+        g_mean += g_m
+        g_chol -= np.outer(g_m, m) + np.outer(m, w_gb) + 2.0 * (w * g_a) @ w.T
+        count += a.size
+    solved = solve_triangular(chol, np.column_stack([g_mean, g_chol]), lower=True, trans="T")
+    g_tri = np.tril(solved[:, 1:])
+    diag = np.arange(d)
+    g_tri[diag, diag] = g_tri[diag, diag] * chol[diag, diag] - count
+    return np.concatenate([solved[:, 0], g_tri[np.tril_indices(d)]])
 
 
 def numerical_gradient(fun, theta, *, rel_step: float = 1e-6) -> np.ndarray:
@@ -197,10 +265,12 @@ class FittedModel:
     """Maximum-likelihood estimate with convergence metadata.
 
     ``trace`` holds the log-likelihood at the initial point and after each
-    optimizer iteration.  ``seed`` records data provenance when the fitted
-    sample was simulated; it is None for real data.  The JSON form writes a
-    non-finite ``loglik`` or ``gradient_norm`` as null and reads null, or a
-    missing ``gradient_norm``, back as NaN.
+    optimizer iteration.  ``evaluations`` counts the optimizer's combined
+    value-and-score calls and ``message`` is its exit message.  ``seed``
+    records data provenance when the fitted sample was simulated; it is None
+    for real data.  The JSON form writes a non-finite ``loglik`` or
+    ``gradient_norm`` as null and reads null, or a missing ``gradient_norm``,
+    back as NaN; a missing ``evaluations`` or ``message`` reads back as None.
     """
 
     mean: np.ndarray
@@ -214,6 +284,8 @@ class FittedModel:
     n_face: int
     trace: tuple[float, ...] = field(default=(), repr=False)
     seed: int | None = None
+    evaluations: int | None = None
+    message: str | None = None
 
     @property
     def params(self) -> MvnParams:
@@ -231,6 +303,8 @@ class FittedModel:
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
             "gradient_norm": json_float(self.gradient_norm),
+            "evaluations": None if self.evaluations is None else int(self.evaluations),
+            "message": self.message,
             "D": int(self.n_parts),
             "n1": int(self.n_interior),
             "n2": int(self.n_face),
@@ -253,6 +327,8 @@ class FittedModel:
             n_interior=int(doc["n1"]),
             n_face=int(doc["n2"]),
             seed=doc.get("seed"),
+            evaluations=doc.get("evaluations"),
+            message=doc.get("message"),
         )
 
     @classmethod
@@ -271,13 +347,14 @@ def fit(
 ) -> FittedModel:
     """Maximize the censored log-likelihood over (mean, cov) by L-BFGS-B.
 
-    Gradients are central finite differences (step 1e-6 * (1 + |theta|)).
-    The start point is the sample mean and covariance (1/n convention) of all
-    transformed points, face vectors included as-is; the covariance gets a
-    +ridge * I bump if it is numerically singular.  Convergence means the
-    projected gradient inf-norm fell below ``gradient_tol`` or the relative
-    log-likelihood change fell below ``loglik_rel_tol``; hitting ``max_iter``
-    returns ``converged=False`` rather than raising.
+    The optimizer gets the value and the exact score from one call per
+    point (``_score``).  The start point is the sample mean and covariance
+    (1/n convention) of all transformed points, face vectors included as-is;
+    the covariance gets a +ridge * I bump if it is numerically singular.
+    Convergence means the projected gradient inf-norm fell below
+    ``gradient_tol`` or the relative log-likelihood change fell below
+    ``loglik_rel_tol``; hitting ``max_iter`` returns ``converged=False``
+    rather than raising.
     """
     d = sample.dim
     n1 = sample.n_interior
@@ -301,24 +378,24 @@ def fit(
     theta0 = pack_params(mean0, cov0)
 
     def negloglik(theta: np.ndarray) -> float:
-        mean, chol = _unpack_chol(theta, d)
-        return -_log_likelihood_chol(sample, mean, chol)
+        return -_log_likelihood_frame(sample, *_unpack_chol(theta, d))[0]
+
+    def negloglik_and_score(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        value, score = _loglik_and_score(sample, theta)
+        return -value, -score
 
     best_theta = theta0.copy()
     best_value = negloglik(theta0)
     last_theta, last_value = best_theta, best_value
 
-    def objective(theta: np.ndarray) -> float:
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal best_theta, best_value, last_theta, last_value
-        value = negloglik(theta)
+        value, score = negloglik_and_score(theta)
         last_theta, last_value = np.array(theta), value
         if value < best_value:
             best_value = value
             best_theta = last_theta
-        return value
-
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        return numerical_gradient(negloglik, theta)
+        return value, score
 
     trace = [-best_value]
 
@@ -333,7 +410,7 @@ def fit(
     result = minimize(
         objective,
         theta0,
-        jac=gradient,
+        jac=True,
         method="L-BFGS-B",
         bounds=bounds,
         callback=record,
@@ -357,7 +434,7 @@ def fit(
         )
 
     mean_hat, cov_hat = unpack_params(best_theta, d)
-    grad = result.jac if at_result else numerical_gradient(negloglik, best_theta)
+    grad = result.jac if at_result else negloglik_and_score(best_theta)[1]
     grad_norm = float(np.max(np.abs(grad)))
     return FittedModel(
         mean=mean_hat,
@@ -371,4 +448,6 @@ def fit(
         n_face=sample.n_face,
         trace=tuple(trace),
         seed=seed,
+        evaluations=int(result.nfev),
+        message=str(result.message),
     )

@@ -103,14 +103,20 @@ def closure(raw) -> np.ndarray:
     raises ``MultipleZerosError``.
     """
     x = np.asarray(raw, dtype=float)
+    parts, _ = validate_compositions(_close_rows(x))
+    return parts if x.ndim == 2 else parts[0]
+
+
+def _close_rows(raw) -> np.ndarray:
+    """Divide each row of non-negative amounts by its sum, as (n, D) rows, without validating the result."""
+    x = np.asarray(raw, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] < 2:
         raise ValueError(f"closure needs vectors of at least 2 amounts, got shape {x.shape}")
     rows = np.atleast_2d(x)
     _reject_rows((rows < 0.0).any(axis=1), "negative amounts in rows")
     sums = rows.sum(axis=1)
     _reject_rows(sums <= 0.0, "all-zero rows, where closure is undefined:")
-    parts, _ = validate_compositions(rows / sums[:, None])
-    return parts if x.ndim == 2 else parts[0]
+    return rows / sums[:, None]
 
 
 @lru_cache(maxsize=None)

@@ -100,6 +100,33 @@ def test_csv_closure_rejects_multi_zero_rows(tmp_path):
     assert excinfo.value.rows == (2, 3)
 
 
+def test_csv_closure_validates_each_row_once(tmp_path, monkeypatch):
+    import zerocensored.dataset as dataset_module
+    import zerocensored.simplex as simplex_module
+
+    calls = []
+    validate = simplex_module.validate_compositions
+
+    def counting(rows, **kwargs):
+        calls.append(np.shape(rows))
+        return validate(rows, **kwargs)
+
+    monkeypatch.setattr(simplex_module, "validate_compositions", counting)
+    monkeypatch.setattr(dataset_module, "validate_compositions", counting)
+    path = tmp_path / "hours.csv"
+    write_csv(path, ["work", "rest", "play"], [[1200, 900, 300], [0, 1800, 600], [5, 5, 10]])
+    ds = read_compositions_csv(path, apply_closure=True)
+    assert calls == [(3, 3)]
+    np.testing.assert_allclose(ds.parts[2], [0.25, 0.25, 0.5])
+
+
+def test_csv_closure_names_a_closed_two_zero_row(tmp_path):
+    path = tmp_path / "hours.csv"
+    write_csv(path, ["w", "r", "p"], [[100, 200, 300], [50, 0, 0]])
+    with pytest.raises(MultipleZerosError, match="more than one zero part: 2$"):
+        read_compositions_csv(path, apply_closure=True)
+
+
 def test_latent_csv_repairs_tiny_sum_noise(tmp_path):
     path = tmp_path / "latent.csv"
     write_csv(path, ["a", "b", "c"], [[-0.1, 0.5, 0.6 + 3e-7]])

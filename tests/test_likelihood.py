@@ -6,6 +6,7 @@ from-scratch implementation built on naive matrix inverses plus the same
 quadrature: the two routes share no code with the module under test.
 """
 
+import json
 import math
 
 import mpmath as mp
@@ -23,11 +24,20 @@ from zerocensored import (
     mvn_logpdf,
     numerical_gradient,
     pack_params,
+    simulate_compositions,
+    transform_dataset,
     unpack_params,
     MvnParams,
 )
+import zerocensored.likelihood as likelihood_module
 from zerocensored.dataset import TransformedSample
-from zerocensored.likelihood import _boundary_terms, _diag_positions
+from zerocensored.likelihood import (
+    _boundary_terms,
+    _diag_positions,
+    _log_likelihood_frame,
+    _loglik_and_score,
+    _unpack_chol,
+)
 
 
 def random_spd(rng, d, jitter=0.3):
@@ -344,6 +354,89 @@ def test_gradient_matches_higher_order_stencil():
         assert np.linalg.norm(g_fast - g_ref) <= 1e-4 * max(np.linalg.norm(g_ref), 1.0)
 
 
+def four_point_stencil(fun, theta, rel_step=1e-4):
+    """The fourth-order central difference of ``test_gradient_matches_higher_order_stencil``."""
+    grad = np.empty(theta.size)
+    for i in range(theta.size):
+        h = rel_step * (1.0 + abs(theta[i]))
+        acc = 0.0
+        for shift, weight in zip((-2, -1, 1, 2), (1.0, -8.0, 8.0, -1.0)):
+            t = theta.copy()
+            t[i] += shift * h
+            acc += weight * fun(t)
+        grad[i] = acc / (12.0 * h)
+    return grad
+
+
+def packed_loglik(sample):
+    return lambda theta: log_likelihood(sample, *unpack_params(theta, sample.dim))
+
+
+def assert_score_matches(sample, theta, rtol, rel_step=1e-4):
+    value, score = _loglik_and_score(sample, theta)
+    assert np.all(np.isfinite(score))
+    assert value == _log_likelihood_frame(sample, *_unpack_chol(theta, sample.dim))[0]
+    ref = four_point_stencil(packed_loglik(sample), theta, rel_step)
+    assert np.linalg.norm(score - ref) <= rtol * max(np.linalg.norm(ref), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["interior", "face", "mixed"])
+@pytest.mark.parametrize("d", [1, 2, 4, 9, 19])
+def test_score_matches_finite_differences(d, kind):
+    rng = np.random.default_rng(60 + d)
+    n1 = 0 if kind == "face" else 30
+    n2 = 0 if kind == "interior" else 12
+    sample = build_sample(rng.normal(size=(n1, d)), rng.normal(size=(n2, d)) + 0.5, d + 1)
+    for _ in range(3):
+        theta = pack_params(rng.normal(size=d), random_spd(rng, d))
+        assert_score_matches(sample, theta, rtol=1e-9)
+        score = _loglik_and_score(sample, theta)[1]
+        oracle = numerical_gradient(packed_loglik(sample), theta)
+        assert np.linalg.norm(score - oracle) <= 1e-6 * max(np.linalg.norm(oracle), 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_score_finite_deep_in_the_tail(d):
+    rng = np.random.default_rng(61)
+    direction = rng.normal(size=d)
+    direction /= np.linalg.norm(direction)
+    face = np.outer([10.0, 30.0, 50.0], direction) * 0.1  # c / sigma = 10, 30, 50
+    sample = build_sample(0.1 * rng.normal(size=(20, d)), face, d + 1)
+    cov = 0.01 * np.eye(d)
+    assert_score_matches(sample, pack_params(np.zeros(d), cov), rtol=1e-8)
+    # The mean far beyond every face point along its ray: z = (c - b/a) sqrt(a) << 0.
+    assert_score_matches(sample, pack_params(8.0 * direction, cov), rtol=1e-8)
+
+
+@pytest.mark.parametrize("d", [3, 9])
+def test_score_near_singular_cov(d):
+    rng = np.random.default_rng(62)
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    cov = basis @ np.diag(np.logspace(0, -8, d)) @ basis.T  # condition number 1e8
+    cov = 0.5 * (cov + cov.T)
+    mean = basis[:, 0] + 0.1 * basis[:, -1]
+    draws = rng.multivariate_normal(mean, cov, size=26)
+    face = np.vstack([mean / 3.0, draws[20:]])  # the first on the mean's ray, where ||m||^2 - b^2/a cancels
+    sample = build_sample(draws[:20], face, d + 1)
+    # Cholesky entries down to 1e-4 need a stencil step well below the default.
+    assert_score_matches(sample, pack_params(mean, cov), rtol=1e-6, rel_step=1e-6)
+
+
+def test_fit_uses_the_score_and_reports_its_calls(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit called numerical_gradient")
+
+    monkeypatch.setattr(likelihood_module, "numerical_gradient", refuse)
+    rng = np.random.default_rng(63)
+    sample = build_sample(rng.normal(size=(60, 2)), rng.normal(size=(20, 2)) + 1.0, 3)
+    model = fit(sample)
+    assert model.converged and model.gradient_norm < 1e-2
+    assert model.evaluations >= model.iterations
+    assert isinstance(model.message, str) and model.message
+    back = FittedModel.from_json(model.to_json())
+    assert back.evaluations == model.evaluations and back.message == model.message
+
+
 # --- fit -------------------------------------------------------------------------------
 
 
@@ -372,6 +465,21 @@ def test_fit_ascends_from_initialization():
     assert model.loglik == pytest.approx(
         log_likelihood(sample, model.mean, model.cov), rel=1e-12
     )
+
+
+def test_fit_converges_at_twenty_parts():
+    rng = np.random.default_rng(64)
+    d = 19
+    a = rng.normal(size=(d, d))
+    cov = a @ a.T / d + 0.5 * np.eye(d)
+    sd = np.sqrt(np.diag(cov))
+    params = MvnParams(0.05 * rng.normal(size=d), 0.16 * cov / np.outer(sd, sd))
+    sample = transform_dataset(simulate_compositions(2000, params, d + 1, 65))
+    assert sample.n_face > 50
+    model = fit(sample)
+    assert model.converged
+    assert model.loglik >= model.trace[0]
+    assert model.loglik == pytest.approx(log_likelihood(sample, model.mean, model.cov), rel=1e-12)
 
 
 def test_fit_warns_with_too_few_interior_points():
@@ -404,6 +512,8 @@ def test_fitted_model_json_round_trip():
         n_interior=40,
         n_face=9,
         seed=7,
+        evaluations=40,
+        message="CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL",
     )
     back = FittedModel.from_json(model.to_json())
     np.testing.assert_allclose(back.mean, model.mean)
@@ -412,7 +522,19 @@ def test_fitted_model_json_round_trip():
     assert back.iterations == 31 and back.converged and back.seed == 7
     assert back.n_parts == 3 and back.n_interior == 40 and back.n_face == 9
     assert back.gradient_norm == model.gradient_norm
+    assert back.evaluations == 40 and back.message == model.message
     doc = model.to_dict()
     assert set(doc) == {
-        "mean", "cov", "loglik", "converged", "iterations", "gradient_norm", "D", "n1", "n2", "seed"
+        "mean", "cov", "loglik", "converged", "iterations", "gradient_norm", "evaluations", "message",
+        "D", "n1", "n2", "seed",
     }
+
+
+def test_model_json_without_optimizer_fields_reads_back_none():
+    doc = {
+        "mean": [0.1, -0.2], "cov": [[1.0, 0.2], [0.2, 0.5]], "loglik": -12.5, "converged": True,
+        "iterations": 31, "gradient_norm": 3e-7, "D": 3, "n1": 40, "n2": 9, "seed": None,
+    }
+    model = FittedModel.from_dict(doc)
+    assert model.evaluations is None and model.message is None
+    assert json.loads(model.to_json())["evaluations"] is None
