@@ -30,14 +30,9 @@ from .gaussian import (
     std_normal_log_tail,
 )
 from .geometry import (
-    Classification,
-    ProjectionResult,
-    Region,
     TiedMinimumError,
-    classify,
     gram_schmidt_rotation,
     project_rows,
-    project_to_boundary,
     zero_parts,
 )
 from .likelihood import (
@@ -46,7 +41,6 @@ from .likelihood import (
     boundary_term,
     fit,
     log_likelihood,
-    numerical_gradient,
     pack_params,
     unpack_params,
 )
@@ -84,21 +78,15 @@ __all__ = [
     "mvn_logpdf",
     "mvn_sample",
     "std_normal_log_tail",
-    "Classification",
-    "ProjectionResult",
-    "Region",
     "TiedMinimumError",
-    "classify",
     "gram_schmidt_rotation",
     "project_rows",
-    "project_to_boundary",
     "zero_parts",
     "FittedModel",
     "ParameterBoundError",
     "boundary_term",
     "fit",
     "log_likelihood",
-    "numerical_gradient",
     "pack_params",
     "unpack_params",
     "MultipleZerosError",

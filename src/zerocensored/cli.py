@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("data_csv", type=Path)
     p_fit.add_argument("-o", "--output", type=Path, required=True, help="model JSON path")
     p_fit.add_argument("--closure", action="store_true", help="rows are raw amounts; normalize first")
-    p_fit.add_argument("--alpha", type=float, default=1.0, help="reserved; must stay 1")
     p_fit.add_argument("--max-iter", type=int, default=5000)
     p_fit.add_argument("--tol", type=float, default=1e-6, help="gradient inf-norm tolerance")
     p_fit.set_defaults(func=_cmd_fit)
@@ -61,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("-n", "--count", type=int, required=True)
     p_sim.add_argument("-o", "--output", type=Path, required=True, help="CSV path")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sim.add_argument("--alpha", type=float, default=1.0, help="reserved; must stay 1")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_diag = sub.add_parser("diagnose", help="zero-count goodness of fit of a model against data")
@@ -72,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--sims", type=int, default=DEFAULT_SIMS, help="Monte Carlo draws for rates")
     p_diag.add_argument("--replicates", type=int, default=None, help="simulated p-value replicates")
     p_diag.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_diag.add_argument("--alpha", type=float, default=1.0, help="reserved; must stay 1")
     p_diag.set_defaults(func=_cmd_diagnose)
 
     p_proj = sub.add_parser("project", help="pull out-of-simplex latent vectors onto the boundary")
@@ -85,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--model", type=Path, default=None, help="fitted model JSON for contours")
     p_plot.add_argument("--closure", action="store_true")
     p_plot.add_argument("-o", "--output", type=Path, required=True, help="SVG path")
-    p_plot.add_argument("--alpha", type=float, default=1.0, help="reserved; must stay 1")
     p_plot.set_defaults(func=_cmd_plot)
 
     return parser
@@ -176,9 +172,6 @@ def _cmd_plot(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "alpha", 1.0) != 1.0:
-        print("error: only alpha = 1 is supported", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except (MultipleZerosError, TiedMinimumError) as exc:

@@ -99,7 +99,6 @@ class TransformedSample:
     interior: np.ndarray
     face: np.ndarray
     face_zero_index: np.ndarray
-    alpha: float
     n_parts: int
     names: tuple[str, ...] | None = field(default=None, compare=False)
 
@@ -120,26 +119,21 @@ class TransformedSample:
         return self.n_interior + self.n_face
 
 
-def transform_dataset(dataset: CompositionalDataset, alpha: float = 1.0) -> TransformedSample:
-    """Map a dataset into R^(D-1).
+def transform_dataset(dataset: CompositionalDataset) -> TransformedSample:
+    """Map a dataset into R^(D-1) with the exponent-one transform, the one the likelihood is defined for.
 
     The origin is the image of the simplex centre, which is interior, so a
     face point at the origin signals corrupted input and raises ``ValueError``.
     """
     d = dataset.n_parts - 1
-    interior = (
-        alpha_transform(dataset.interior_parts, alpha)
-        if dataset.n_interior
-        else np.empty((0, d))
-    )
-    face = alpha_transform(dataset.face_parts, alpha) if dataset.n_face else np.empty((0, d))
+    interior = alpha_transform(dataset.interior_parts, 1.0) if dataset.n_interior else np.empty((0, d))
+    face = alpha_transform(dataset.face_parts, 1.0) if dataset.n_face else np.empty((0, d))
     if np.any(np.linalg.norm(face, axis=1) <= DIRECTION_TOL):
         raise ValueError("face point maps to the origin; the centre is interior, input is corrupted")
     return TransformedSample(
         interior=interior,
         face=face,
         face_zero_index=dataset.face_zero_index.copy(),
-        alpha=float(alpha),
         n_parts=dataset.n_parts,
         names=dataset.names,
     )

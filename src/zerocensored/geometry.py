@@ -9,8 +9,8 @@ simulation and the zero rates.  A row is outside when its minimum is below
 tied, and rejected, when another part lies within ``ZERO_TOL * (1 - D min)``
 of the minimum, i.e. would be at most ``ZERO_TOL`` after the pull.  In other
 rows parts within ``ZERO_TOL`` of zero are zeros, and two zeros are
-rejected.  ``zero_parts`` applies the rule, ``project_rows`` also pulls, and
-``classify`` and ``project_to_boundary`` are their one-vector forms.
+rejected.  ``zero_parts`` applies the rule to an (n, D) array of rows and
+``project_rows`` also pulls; a single vector goes through them as one row.
 
 In the paper, transformed face points are then rotated onto the first
 coordinate axis with an orthonormal matrix built by Gram-Schmidt, which turns
@@ -22,13 +22,9 @@ rotation (see ``likelihood``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple
-
 import numpy as np
 
-from .simplex import UNIT_SUM_TOL, ZERO_TOL, format_rows, reject_multiple_zeros
+from .simplex import ZERO_TOL, format_rows, reject_multiple_zeros
 
 #: Candidate basis vectors with residual norm below this are skipped during completion.
 GS_SKIP_TOL = 1e-8
@@ -38,36 +34,6 @@ DIRECTION_TOL = 1e-12
 
 class TiedMinimumError(ValueError):
     """Raised when the minimum part is not unique, so projection would create two zeros."""
-
-
-class Region(Enum):
-    INTERIOR = "interior"
-    FACE = "face"
-    OUTSIDE = "outside"
-
-
-class Classification(NamedTuple):
-    region: Region
-    zero_index: int | None
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    """A latent point pulled onto a face: the composition, which part is zero, and the pull factor."""
-
-    composition: np.ndarray
-    zero_index: int
-    scale: float
-
-
-def _check_hyperplane(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError(f"expected one vector of parts, got shape {x.shape}")
-    s = float(x.sum())
-    if abs(s - 1.0) > max(UNIT_SUM_TOL, 1e-12 * x.size):
-        raise ValueError(f"parts must sum to 1, got {s!r}")
-    return x
 
 
 def _as_rows(parts) -> np.ndarray:
@@ -115,37 +81,6 @@ def project_rows(parts) -> tuple[np.ndarray, np.ndarray]:
     rows = np.flatnonzero(zero_index >= 0)
     out[rows, zero_index[rows]] = 0.0
     return out, zero_index
-
-
-def classify(x) -> Classification:
-    """Partition a unit-sum vector into interior, single-zero face, or outside the simplex.
-
-    Vectors with two or more zero parts are outside the model's scope and
-    raise ``MultipleZerosError``; a tied minimum of an outside vector raises
-    ``TiedMinimumError``.
-    """
-    x = _check_hyperplane(x)
-    outside, _, zero_index = _zero_rule(x[None, :])
-    if outside[0]:
-        return Classification(Region.OUTSIDE, None)
-    if zero_index[0] < 0:
-        return Classification(Region.INTERIOR, None)
-    return Classification(Region.FACE, int(zero_index[0]))
-
-
-def project_to_boundary(x) -> ProjectionResult:
-    """Pull an out-of-simplex point to the boundary along the line through the centre.
-
-    With centre c = (1/D, ..., 1/D) the projected point is c + t (x - c) with
-    t = 1 / (1 - D min_j x_j), the unique scale at which the most negative
-    part reaches zero while all others stay positive.
-    """
-    x = _check_hyperplane(x)[None, :]
-    outside, stretch, _ = _zero_rule(x)
-    if not outside[0]:
-        raise ValueError("point is not outside the simplex; nothing to project")
-    parts, zero_index = project_rows(x)
-    return ProjectionResult(composition=parts[0], zero_index=int(zero_index[0]), scale=1.0 / float(stretch[0]))
 
 
 def gram_schmidt_rotation(y) -> np.ndarray:

@@ -6,17 +6,17 @@ of the non-first coordinates evaluated at zero, times the upper-tail
 probability of the first coordinate beyond the rotation radius c1.
 ``boundary_term`` evaluates exactly that and is kept as the rotated-frame
 reference.  The term depends only on the unit direction u = y / c1 and c1, so
-the likelihood itself uses the equivalent direction form in
-``_boundary_terms``, which needs no rotation.  The constant Jacobian term
-(n d + n/2) log D of the exponent-one transformation is included so reported
-values are full data log-likelihoods; it does not move the maximizer.
+the likelihood itself uses the equivalent direction form in ``_face_frame``,
+which needs no rotation.  The constant Jacobian term (n d + n/2) log D of the
+exponent-one transformation, the only member of the power family that the
+likelihood is defined for, is included so reported values are full data
+log-likelihoods; it does not move the maximizer.
 
 The covariance is optimized through its Cholesky factor with log-transformed
 diagonal, so every parameter vector maps to an SPD matrix and the search is
 unconstrained apart from a +/-30 safety bound on the log-diagonal entries.
 ``_score`` is the exact gradient in those coordinates, built from the
-quantities the likelihood has already computed; ``numerical_gradient`` is
-the central-difference reference it is tested against.
+quantities the likelihood has already computed.
 """
 
 from __future__ import annotations
@@ -118,18 +118,6 @@ def boundary_term(rotation, radius: float, mean, cov) -> float:
     return float(marginal + tail)
 
 
-def _boundary_terms(face: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Vectorized ``boundary_term`` over a stack of face points, without rotations.
-
-    With u = y / c1, L = chol(Sigma), w = L^-1 u, m = L^-1 mu, a = ||w||^2 and
-    b = w . m, the rotated first coordinate has conditional precision a and
-    conditional mean b / a given the others at zero, so the term is
-    -1/2 [(d - 1) log 2 pi + log|Sigma| + ||m||^2 - b^2/a + log a]
-    + log(1 - Phi((c1 - b/a) sqrt(a))).
-    """
-    return _face_frame(face, mean, chol)[0]
-
-
 @dataclass(frozen=True)
 class _FaceFrame:
     """The face points' quantities that the score reuses: radii c1, w (d, n2), m, a, b and z."""
@@ -143,7 +131,14 @@ class _FaceFrame:
 
 
 def _face_frame(face: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> tuple[np.ndarray, _FaceFrame]:
-    """The boundary terms of ``_boundary_terms`` and the frame they were computed in."""
+    """Vectorized ``boundary_term`` over a stack of face points, and the frame it was computed in.
+
+    With u = y / c1, L = chol(Sigma), w = L^-1 u, m = L^-1 mu, a = ||w||^2 and
+    b = w . m, the rotated first coordinate has conditional precision a and
+    conditional mean b / a given the others at zero, so the term is
+    -1/2 [(d - 1) log 2 pi + log|Sigma| + ||m||^2 - b^2/a + log a]
+    + log(1 - Phi((c1 - b/a) sqrt(a))).  No rotation is built.
+    """
     radii = np.linalg.norm(face, axis=1)
     w = solve_triangular(chol, (face / radii[:, None]).T, lower=True)  # (d, n2)
     m = solve_triangular(chol, mean, lower=True)
@@ -235,20 +230,6 @@ def _score(chol: np.ndarray, resid: np.ndarray | None, frame: _FaceFrame | None)
     diag = np.arange(d)
     g_tri[diag, diag] = g_tri[diag, diag] * chol[diag, diag] - count
     return np.concatenate([solved[:, 0], g_tri[np.tril_indices(d)]])
-
-
-def numerical_gradient(fun, theta, *, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient with per-coordinate step rel_step * (1 + |theta_i|)."""
-    theta = np.asarray(theta, dtype=float)
-    grad = np.empty(theta.size)
-    for i in range(theta.size):
-        h = rel_step * (1.0 + abs(theta[i]))
-        up = theta.copy()
-        up[i] += h
-        down = theta.copy()
-        down[i] -= h
-        grad[i] = (fun(up) - fun(down)) / (2.0 * h)
-    return grad
 
 
 def json_float(value) -> float | None:
@@ -377,31 +358,29 @@ def fit(
         cholesky(cov0)  # give up if still singular
     theta0 = pack_params(mean0, cov0)
 
-    def negloglik(theta: np.ndarray) -> float:
-        return -_log_likelihood_frame(sample, *_unpack_chol(theta, d))[0]
-
     def negloglik_and_score(theta: np.ndarray) -> tuple[float, np.ndarray]:
         value, score = _loglik_and_score(sample, theta)
         return -value, -score
 
-    best_theta = theta0.copy()
-    best_value = negloglik(theta0)
-    last_theta, last_value = best_theta, best_value
+    best_theta, best_value = theta0, math.inf
+    last_theta, last_value = theta0, math.inf
+    trace: list[float] = []
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal best_theta, best_value, last_theta, last_value
         value, score = negloglik_and_score(theta)
         last_theta, last_value = np.array(theta), value
+        if not trace:  # L-BFGS-B's first call is at theta0
+            trace.append(-value)
         if value < best_value:
             best_value = value
             best_theta = last_theta
         return value, score
 
-    trace = [-best_value]
-
     def record(theta: np.ndarray) -> None:
         # L-BFGS-B reports an iterate right after evaluating it.
-        trace.append(-(last_value if np.array_equal(theta, last_theta) else negloglik(theta)))
+        same = np.array_equal(theta, last_theta)
+        trace.append(-last_value if same else _log_likelihood_frame(sample, *_unpack_chol(theta, d))[0])
 
     bounds = [(None, None)] * theta0.size
     for pos in _diag_positions(d):

@@ -35,15 +35,6 @@ def ternary_coordinates(parts) -> np.ndarray:
     return parts @ TRIANGLE
 
 
-def barycentric_from_xy(xy) -> np.ndarray:
-    """Invert ``ternary_coordinates``; coordinates may lie outside the triangle."""
-    xy = np.asarray(xy, dtype=float)
-    c = xy[..., 1] / TRIANGLE[2, 1]
-    b = xy[..., 0] - 0.5 * c
-    a = 1.0 - b - c
-    return np.stack([a, b, c], axis=-1)
-
-
 @dataclass(frozen=True)
 class ContourLine:
     """One model density contour: its log-density level and the polyline in both spaces."""

@@ -49,7 +49,6 @@ def interior_only_sample(points, n_parts):
         interior=np.asarray(points, float),
         face=np.empty((0, d)),
         face_zero_index=np.empty(0, dtype=int),
-        alpha=1.0,
         n_parts=n_parts,
     )
 

@@ -77,14 +77,14 @@ def test_transform_dataset_shapes_and_names():
 
 def test_transformed_interior_inverts_to_strictly_positive():
     sample = transform_dataset(small_dataset())
-    parts, inside = inverse_alpha_transform(sample.interior, sample.alpha)
+    parts, inside = inverse_alpha_transform(sample.interior, 1.0)
     assert np.all(inside)
     assert parts.min() > 0
 
 
 def test_transformed_face_inverts_to_zero_at_recorded_index():
     sample = transform_dataset(small_dataset())
-    parts, _ = inverse_alpha_transform(sample.face, sample.alpha)
+    parts, _ = inverse_alpha_transform(sample.face, 1.0)
     for i, row in enumerate(parts):
         assert abs(row[sample.face_zero_index[i]]) < 1e-10
         rest = np.delete(row, sample.face_zero_index[i])
@@ -109,11 +109,10 @@ def test_transformed_face_points_keep_distance_from_centre():
     assert np.linalg.norm(sample.face, axis=1).min() > 0.1
 
 
-def test_transform_with_general_alpha_round_trips():
-    ds = small_dataset()
-    sample = transform_dataset(ds, alpha=0.5)
-    parts, _ = inverse_alpha_transform(sample.interior, 0.5)
-    np.testing.assert_allclose(parts, ds.interior_parts, atol=1e-12)
+def test_transform_takes_no_alpha():
+    # The likelihood is defined for the exponent-one transform only, so no other exponent reaches it.
+    with pytest.raises(TypeError):
+        transform_dataset(small_dataset(), alpha=0.5)
 
 
 def test_empty_face_set_is_fine():

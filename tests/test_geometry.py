@@ -1,52 +1,54 @@
-"""Classification, boundary pull and Gram-Schmidt rotation tests."""
+"""Boundary rule (which part is zero, and the pull onto a face) and Gram-Schmidt rotation tests."""
 
 import numpy as np
 import pytest
 
 from zerocensored import (
     MultipleZerosError,
-    Region,
     TiedMinimumError,
-    classify,
     gram_schmidt_rotation,
     inverse_alpha_transform,
     project_rows,
-    project_to_boundary,
     zero_parts,
 )
 
 
-# --- classify ----------------------------------------------------------------
+def pull_one(x):
+    """``project_rows`` on a single vector: (pulled composition, zero index)."""
+    parts, zero_index = project_rows(np.asarray(x, float)[None, :])
+    return parts[0], int(zero_index[0])
+
+
+# --- which part is zero ------------------------------------------------------
 
 
 def test_classify_interior():
-    region, idx = classify([0.2, 0.3, 0.5])
-    assert region is Region.INTERIOR and idx is None
+    x = [0.2, 0.3, 0.5]
+    assert zero_parts([x])[0] == -1
+    np.testing.assert_array_equal(pull_one(x)[0], x)
 
 
 def test_classify_face():
-    region, idx = classify([0.0, 0.4, 0.6])
-    assert region is Region.FACE and idx == 0
+    x = [0.0, 0.4, 0.6]
+    assert zero_parts([x])[0] == 0
+    np.testing.assert_array_equal(pull_one(x)[0], x)
 
 
 def test_classify_outside():
-    region, idx = classify([-0.1, 0.5, 0.6])
-    assert region is Region.OUTSIDE and idx is None
+    # an outside row reports the part that becomes zero under the pull, and is moved
+    x = [-0.1, 0.5, 0.6]
+    assert zero_parts([x])[0] == 0
+    assert not np.array_equal(pull_one(x)[0], x)
 
 
 def test_classify_rejects_two_zeros():
     with pytest.raises(MultipleZerosError):
-        classify([0.0, 0.0, 1.0])
+        zero_parts([[0.0, 0.0, 1.0]])
 
 
 def test_classify_rejects_tied_negative_minimum():
     with pytest.raises(TiedMinimumError):
-        classify([-0.1, -0.1, 1.2])
-
-
-def test_classify_requires_unit_sum():
-    with pytest.raises(ValueError):
-        classify([0.2, 0.2, 0.2])
+        zero_parts([[-0.1, -0.1, 1.2]])
 
 
 # --- boundary pull -----------------------------------------------------------
@@ -60,20 +62,30 @@ def solve_pull_scale(x):
     return centre / (centre - x[j])
 
 
+def pull_scale_of(x, pulled):
+    """The t of pulled = c + t (x - c), read off the largest part, which is never the zero."""
+    x = np.asarray(x, float)
+    centre = 1.0 / x.size
+    j = np.argmax(x)
+    return (pulled[j] - centre) / (x[j] - centre)
+
+
 def test_projection_hand_example():
-    res = project_to_boundary([-0.1, 0.5, 0.6])
-    assert res.scale == pytest.approx(1 / 1.3, rel=1e-14)
-    assert res.scale == pytest.approx(solve_pull_scale([-0.1, 0.5, 0.6]), rel=1e-14)
-    assert res.zero_index == 0
-    np.testing.assert_allclose(res.composition, [0.0, 0.6 / 1.3, 0.7 / 1.3], atol=1e-15)
-    assert res.composition.sum() == pytest.approx(1.0, abs=1e-12)
+    x = [-0.1, 0.5, 0.6]
+    composition, zero_index = pull_one(x)
+    scale = pull_scale_of(x, composition)
+    assert scale == pytest.approx(1 / 1.3, rel=1e-14)
+    assert scale == pytest.approx(solve_pull_scale(x), rel=1e-14)
+    assert zero_index == 0
+    np.testing.assert_allclose(composition, [0.0, 0.6 / 1.3, 0.7 / 1.3], atol=1e-15)
+    assert composition.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_projection_continuity_near_boundary():
     x = np.array([-1e-9, 0.5, 0.5 + 1e-9])
-    res = project_to_boundary(x)
-    assert res.scale == pytest.approx(1.0, abs=1e-8)
-    np.testing.assert_allclose(res.composition, [0.0, 0.5, 0.5], atol=1e-8)
+    composition, _ = pull_one(x)
+    assert pull_scale_of(x, composition) == pytest.approx(1.0, abs=1e-8)
+    np.testing.assert_allclose(composition, [0.0, 0.5, 0.5], atol=1e-8)
 
 
 def test_projection_collinearity_and_invariants():
@@ -85,30 +97,25 @@ def test_projection_collinearity_and_invariants():
         x, inside = inverse_alpha_transform(y, 1.0)
         if inside:
             continue
-        res = project_to_boundary(x)
+        composition, zero_index = pull_one(x)
         n_checked += 1
         centre = np.full(n_parts, 1.0 / n_parts)
         # collinearity via the Gram determinant of (x - c, p - c)
-        a, b = x - centre, res.composition - centre
+        a, b = x - centre, composition - centre
         gram = np.array([[a @ a, a @ b], [a @ b, b @ b]])
         assert abs(np.linalg.det(gram)) < 1e-12
-        assert res.zero_index == np.argmin(x)
-        assert res.composition[res.zero_index] == 0.0
-        others = np.delete(res.composition, res.zero_index)
+        assert zero_index == np.argmin(x)
+        assert composition[zero_index] == 0.0
+        others = np.delete(composition, zero_index)
         assert others.min() > 0
-        assert res.composition.sum() == pytest.approx(1.0, abs=1e-10)
-        assert 0.0 < res.scale < 1.0
+        assert composition.sum() == pytest.approx(1.0, abs=1e-10)
+        assert 0.0 < pull_scale_of(x, composition) < 1.0
     assert n_checked > 1000  # the latent scale must actually produce escapes
-
-
-def test_projection_rejects_inside_points():
-    with pytest.raises(ValueError):
-        project_to_boundary([0.2, 0.3, 0.5])
 
 
 def test_projection_rejects_exact_ties():
     with pytest.raises(TiedMinimumError):
-        project_to_boundary([-0.25, -0.25, 1.5])
+        pull_one([-0.25, -0.25, 1.5])
 
 
 # --- vectorized rule ---------------------------------------------------------
@@ -121,18 +128,22 @@ def test_project_rows_matches_scalar_reference_row_by_row(n_parts):
     x[:50] = project_rows(x[:50])[0]  # rows already on a face
     parts, zero_index = project_rows(x)
     np.testing.assert_array_equal(zero_parts(x), zero_index)
-    regions = set()
+    centre = 1.0 / n_parts
+    outside = x.min(axis=1) < -1e-12
+    on_face = ~outside & (np.abs(x) <= 1e-12).any(axis=1)
+    assert outside.any() and on_face.any() and (~outside & ~on_face).any()
     for i, row in enumerate(x):
-        region, face_index = classify(row)
-        regions.add(region)
-        if region is Region.OUTSIDE:
-            ref = project_to_boundary(row)
-            np.testing.assert_array_equal(parts[i], ref.composition)
-            assert zero_index[i] == ref.zero_index
+        if outside[i]:
+            # the closed-form pull: c + t (x - c) with t = c / (c - x_min), the zero part set to 0
+            j = int(np.argmin(row))
+            ref = centre + solve_pull_scale(row) * (row - centre)
+            ref[j] = 0.0
+            np.testing.assert_allclose(parts[i], ref, rtol=0, atol=1e-15)
+            assert parts[i, j] == 0.0
+            assert zero_index[i] == j
         else:
             np.testing.assert_array_equal(parts[i], np.where(np.abs(row) <= 1e-12, 0.0, row))
-            assert zero_index[i] == (-1 if face_index is None else face_index)
-    assert regions == {Region.INTERIOR, Region.FACE, Region.OUTSIDE}
+            assert zero_index[i] == (int(np.argmin(row)) if on_face[i] else -1)
 
 
 @pytest.mark.parametrize(

@@ -227,10 +227,18 @@ def test_cli_fit_rejects_multi_zero_rows(tmp_path, capsys):
     assert "2" in capsys.readouterr().err
 
 
-def test_cli_fit_rejects_other_alpha(tmp_path, capsys):
-    path, _ = make_zero_free_csv(tmp_path)
-    assert main(["fit", str(path), "--alpha", "2", "-o", str(tmp_path / "m.json")]) == 2
-    assert "alpha" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["fit", "simulate", "diagnose", "plot"])
+def test_cli_fit_rejects_other_alpha(tmp_path, capsys, command):
+    # No command takes an exponent: the likelihood is defined for the exponent-one transform only.
+    data, _ = make_zero_free_csv(tmp_path)
+    model = tmp_path / "model.json"
+    write_model_json(model, BOUNDARY_MODEL)
+    inputs = {"fit": [data], "simulate": [model, "-n", "5"], "diagnose": [model, data], "plot": [data]}[command]
+    argv = [command, *map(str, inputs), "--alpha", "2", "-o", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --alpha 2" in capsys.readouterr().err
 
 
 def test_cli_fit_rejects_tiny_datasets(tmp_path, capsys):

@@ -13,7 +13,9 @@ from zerocensored import (
     render_svg,
     ternary_coordinates,
 )
-from zerocensored.ternary import TRIANGLE, barycentric_from_xy
+from zerocensored.ternary import TRIANGLE
+
+from reference import barycentric_from_xy
 
 MODEL = MvnParams(np.array([0.6, 0.8]), np.array([[0.15, -0.2], [-0.2, 1.5]]))
 
