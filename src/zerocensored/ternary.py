@@ -91,6 +91,8 @@ def render_svg(
         names = dataset.names
     if names is None:
         names = ("comp1", "comp2", "comp3")
+    # Escaped for XML once, for the labels and the <desc> JSON (not with xml.sax.saxutils: it imports urllib).
+    names = [n.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;") for n in names]
 
     side = width - 2.0 * margin
     height = 2.0 * margin + side * TRIANGLE[2, 1]

@@ -263,6 +263,50 @@ def test_diagnose_wires_everything():
     assert with_p.mc_pvalue is not None
 
 
+def test_diagnose_estimates_the_rates_once(monkeypatch):
+    import zerocensored.diagnostics as diagnostics
+
+    calls = []
+    real = diagnostics.zero_rates
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "zero_rates", counting)
+    model = toy_model(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov, 3)
+    ds = simulate_compositions(200, BOUNDARY_MODEL, 3, seed=38)
+    diagnose(model, ds, n_sims=20_000, seed=39, n_replicates=99)
+    assert len(calls) == 1
+
+
+def test_diagnose_pvalue_is_mc_pvalue_with_the_same_seed():
+    model = toy_model(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov, 3)
+    ds = simulate_compositions(200, BOUNDARY_MODEL, 3, seed=40)
+    result = diagnose(model, ds, n_sims=300_000, seed=41, n_replicates=199)
+    p = mc_pvalue(model, ds.observed_zero_counts(), 200, 199, 300_000, seed=41)
+    assert result.mc_pvalue == p
+    # It ranks the reported statistic among multinomial replicates from the reported rates,
+    # drawn from the child after the three rate chunks.
+    np.testing.assert_array_equal(result.expected_rates, zero_rates(BOUNDARY_MODEL, 3, 300_000, seed=41))
+    rng = np.random.default_rng(np.random.SeedSequence(41).spawn(4)[3])
+    rates = result.expected_rates
+    replicates = rng.multinomial(200, [*rates, 1.0 - rates.sum()], size=199)[:, :-1]
+    exceed = sum(chi_square_discrepancy(c, result.expected_counts) >= result.chi_square for c in replicates)
+    assert result.mc_pvalue == (1 + exceed) / 200
+
+
+def test_diagnose_records_integral_seeds_as_themselves():
+    model = toy_model(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov, 3)
+    ds = simulate_compositions(100, BOUNDARY_MODEL, 3, seed=42)
+    plain = diagnose(model, ds, n_sims=20_000, seed=3, n_replicates=99)
+    numpy_int = diagnose(model, ds, n_sims=20_000, seed=np.int64(3), n_replicates=99)
+    assert plain.seed == numpy_int.seed == 3
+    assert numpy_int.to_dict() == plain.to_dict()
+    assert expected_zero_table(model, 100, 20_000, seed=np.int64(3)).seed == 3
+    assert diagnose(model, ds, n_sims=20_000, seed=np.random.SeedSequence(3)).seed == -1
+
+
 def test_diagnose_dimension_mismatch():
     model = toy_model(np.zeros(3), np.eye(3), 4)
     ds = simulate_compositions(50, BOUNDARY_MODEL, 3, seed=33)

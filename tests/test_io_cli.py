@@ -319,6 +319,18 @@ def test_cli_diagnose_dimension_mismatch(tmp_path, capsys):
     assert main(["diagnose", str(model), str(data), "-o", str(tmp_path / "d.json")]) == 2
 
 
+def test_cli_diagnose_with_replicates_deterministic_bytes(tmp_path):
+    model = model_json_path(tmp_path)
+    data = tmp_path / "obs.csv"
+    assert main(["simulate", str(model), "-n", "150", "--seed", "8", "-o", str(data)]) == 0
+    out1, out2 = tmp_path / "d1.json", tmp_path / "d2.json"
+    for out in (out1, out2):
+        argv = ["diagnose", str(model), str(data), "--sims", "20000", "--replicates", "99", "-o", str(out)]
+        assert main(argv) == 0
+    assert json.loads(out1.read_text())["mc_pvalue"] is not None
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 # --- CLI: project ------------------------------------------------------------------------
 
 
@@ -371,6 +383,19 @@ def test_cli_plot_empty_dataset_frame_only(tmp_path):
     assert main(["plot", str(data), "-o", str(out)]) == 0
     svg = out.read_text()
     assert "<polygon" in svg and "<circle" not in svg
+
+
+def test_cli_plot_escapes_markup_in_part_names(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    data = tmp_path / "marked.csv"
+    write_csv(data, ["a&b", "<c>", "d"], [[0.2, 0.3, 0.5], [0.0, 0.4, 0.6]])
+    out = tmp_path / "marked.svg"
+    assert main(["plot", str(data), "-o", str(out)]) == 0
+    root = ET.parse(out).getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    assert [t.text for t in root.iter(f"{ns}text")] == ["a&b", "<c>", "d"]
+    assert json.loads(root.find(f"{ns}desc").text)["vertex_order"] == ["a&b", "<c>", "d"]
 
 
 def test_cli_plot_rejects_non_ternary(tmp_path, capsys):
