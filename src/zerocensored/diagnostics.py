@@ -10,10 +10,10 @@ an optional simulated p-value, whose replicate zero counts are drawn from
 their exact law given the rates, Multinomial(n, (rates, 1 - sum(rates))).
 
 Determinism contract: every public operation takes an integer seed.  Rate
-estimation runs in chunks of ``chunk_size`` latent draws; the chunk
-generators are ``SeedSequence(seed).spawn(n_chunks)``, so the same seed with
-the same chunk count reproduces results exactly (and chunks may be evaluated
-in parallel without changing them); the p-value replicates use child n_chunks.
+estimation runs in fixed chunks of ``CHUNK_SIZE`` latent draws; the chunk
+generators are ``SeedSequence(seed).spawn(n_chunks)``, so the same seed and
+``n_sims`` reproduce results exactly (and chunks may be evaluated in parallel
+without changing them); the p-value replicates use child n_chunks.
 """
 
 from __future__ import annotations
@@ -31,13 +31,16 @@ from .geometry import project_rows, zero_parts
 from .likelihood import FittedModel, json_float
 from .simplex import inverse_alpha_transform
 
-DEFAULT_CHUNK_SIZE = 1 << 17
+#: Latent draws per rate chunk, each chunk with its own child generator.
+CHUNK_SIZE = 1 << 17
 #: Expected counts below this are pooled into a single leftover cell.
 CHI_SQUARE_FLOOR = 0.5
 MIN_RATE_SIMS = 10_000
 
 
-def _latent_to_parts(latent: np.ndarray) -> np.ndarray:
+def _draw_parts(model: MvnParams, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n latent normal draws mapped back to unit-sum parts, before any boundary rule."""
+    latent = model.mean + rng.standard_normal((n, model.dim)) @ model.chol.T
     parts, _ = inverse_alpha_transform(latent, 1.0)
     return parts
 
@@ -52,39 +55,29 @@ def simulate_compositions(n: int, model: MvnParams, n_parts: int, seed) -> Compo
         raise ValueError(f"model dimension {model.dim} does not match {n_parts} parts")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    d = model.dim
-    rng = np.random.default_rng(seed)
-    latent = model.mean + rng.standard_normal((int(n), d)) @ model.chol.T
-    parts, zero_index = project_rows(_latent_to_parts(latent))
+    parts, zero_index = project_rows(_draw_parts(model, int(n), np.random.default_rng(seed)))
     return CompositionalDataset(parts=parts, zero_index=zero_index)
 
 
-def zero_rates(
-    model: MvnParams,
-    n_parts: int,
-    n_sims: int,
-    seed,
-    *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> np.ndarray:
+def zero_rates(model: MvnParams, n_parts: int, n_sims: int, seed) -> np.ndarray:
     """Monte Carlo probability that a draw lands with its zero in component j, for each j.
 
-    The rates sum to the overall boundary probability, which is at most 1.
+    The draws run in chunks of ``CHUNK_SIZE``.  The rates sum to the overall
+    boundary probability, which is at most 1.
     """
     if model.dim != n_parts - 1:
         raise ValueError(f"model dimension {model.dim} does not match {n_parts} parts")
     if n_sims < MIN_RATE_SIMS:
         raise ValueError(f"need at least {MIN_RATE_SIMS} simulations, got {n_sims}")
-    n_chunks = math.ceil(n_sims / chunk_size)
+    n_chunks = math.ceil(n_sims / CHUNK_SIZE)
     children = _seed_sequence(seed).spawn(n_chunks)
     counts = np.zeros(n_parts, dtype=np.int64)
     remaining = int(n_sims)
     for child in children:
-        m = min(chunk_size, remaining)
+        m = min(CHUNK_SIZE, remaining)
         # No name holds the latent draws, so they are freed before the rule runs, and the zero
         # indices go before the next chunk is drawn: kept, they add ~5 MB to peak RSS at D = 10.
-        rng = np.random.default_rng(child)
-        zero_index = zero_parts(_latent_to_parts(model.mean + rng.standard_normal((m, model.dim)) @ model.chol.T))
+        zero_index = zero_parts(_draw_parts(model, m, np.random.default_rng(child)))
         counts += np.bincount(zero_index + 1, minlength=n_parts + 1)[1:]
         del zero_index
         remaining -= m
@@ -175,13 +168,13 @@ def expected_zero_table(model: FittedModel, n_obs: int, n_sims: int, seed, *, na
     )
 
 
-def chi_square_discrepancy(observed, expected, *, floor: float = CHI_SQUARE_FLOOR) -> float:
+def chi_square_discrepancy(observed, expected) -> float:
     """Sum of (obs - exp)^2 / exp over components, pooling sparse cells.
 
-    Components with expected count below ``floor`` are pooled into a single
-    leftover cell so the statistic stays defined for sparse tables.  A
-    leftover cell with zero expectation contributes 0 when its observed count
-    is also zero and +inf otherwise (an observation the model calls
+    Components with expected count below ``CHI_SQUARE_FLOOR`` are pooled into
+    a single leftover cell so the statistic stays defined for sparse tables.
+    A leftover cell with zero expectation contributes 0 when its observed
+    count is also zero and +inf otherwise (an observation the model calls
     impossible).
     """
     obs = np.asarray(observed, dtype=float)
@@ -190,7 +183,7 @@ def chi_square_discrepancy(observed, expected, *, floor: float = CHI_SQUARE_FLOO
         raise ValueError("observed and expected must be equal-length non-empty vectors")
     if np.any(exp < 0.0):
         raise ValueError("expected counts must be non-negative")
-    keep = exp >= floor
+    keep = exp >= CHI_SQUARE_FLOOR
     stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
     pooled_obs = float(obs[~keep].sum())
     pooled_exp = float(exp[~keep].sum())

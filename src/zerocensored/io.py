@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import CompositionalDataset
 from .diagnostics import ZeroDiagnostics
 from .likelihood import FittedModel
-from .simplex import _close_rows, format_rows
+from .simplex import RECLOSE_TOL, _close_rows, format_rows
 
 
 def _parse_rows(path) -> tuple[list[str], np.ndarray]:
@@ -79,14 +79,14 @@ def write_compositions_csv(path, dataset: CompositionalDataset) -> None:
 def read_latent_csv(path) -> tuple[list[str], np.ndarray]:
     """Read unit-sum latent vectors (negative parts allowed, e.g. points awaiting projection).
 
-    Sums off by at most 1e-6 are repaired by spreading the deficit uniformly,
+    Sums off by at most ``RECLOSE_TOL`` are repaired by spreading the deficit uniformly,
     which moves the point orthogonally to the unit-sum hyperplane.  Rows with
     a non-finite value are rejected.
     """
     header, values = _parse_rows(path)
     if values.shape[0]:
         sums = values.sum(axis=1)
-        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-6)) + 1  # a NaN sum fails too
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= RECLOSE_TOL)) + 1  # a NaN sum fails too
         if bad.size:
             raise ValueError(f"{path}: rows not finite or not summing to 1: {format_rows(bad)}")
         values = values + ((1.0 - sums) / values.shape[1])[:, None]

@@ -44,6 +44,10 @@ from .gaussian import (
 
 #: Safety bound on the log-diagonal coordinates of the packed Cholesky factor.
 LOG_DIAG_BOUND = 30.0
+#: The fit stops once the relative log-likelihood change falls below this (L-BFGS-B ``ftol``).
+LOGLIK_REL_TOL = 1e-10
+#: Added to the diagonal of a numerically singular start covariance.
+START_RIDGE = 1e-8
 
 
 class ParameterBoundError(RuntimeError):
@@ -322,8 +326,6 @@ def fit(
     *,
     max_iter: int = 5000,
     gradient_tol: float = 1e-6,
-    loglik_rel_tol: float = 1e-10,
-    ridge: float = 1e-8,
     seed: int | None = None,
 ) -> FittedModel:
     """Maximize the censored log-likelihood over (mean, cov) by L-BFGS-B.
@@ -331,10 +333,10 @@ def fit(
     The optimizer gets the value and the exact score from one call per
     point (``_score``).  The start point is the sample mean and covariance
     (1/n convention) of all transformed points, face vectors included as-is;
-    the covariance gets a +ridge * I bump if it is numerically singular.
+    the covariance gets a +START_RIDGE * I bump if it is numerically singular.
     Convergence means the projected gradient inf-norm fell below
     ``gradient_tol`` or the relative log-likelihood change fell below
-    ``loglik_rel_tol``; hitting ``max_iter`` returns ``converged=False``
+    ``LOGLIK_REL_TOL``; hitting ``max_iter`` returns ``converged=False``
     rather than raising.
     """
     d = sample.dim
@@ -354,7 +356,7 @@ def fit(
     try:
         cholesky(cov0)
     except NotPositiveDefiniteError:
-        cov0 = cov0 + ridge * np.eye(d)
+        cov0 = cov0 + START_RIDGE * np.eye(d)
         cholesky(cov0)  # give up if still singular
     theta0 = pack_params(mean0, cov0)
 
@@ -396,7 +398,7 @@ def fit(
         options={
             "maxiter": max_iter,
             "maxfun": 50 * max_iter,
-            "ftol": loglik_rel_tol,
+            "ftol": LOGLIK_REL_TOL,
             "gtol": gradient_tol,
             "maxls": 60,
         },

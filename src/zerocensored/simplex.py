@@ -59,14 +59,14 @@ def _reject_rows(bad: np.ndarray, message: str) -> None:
         raise ValueError(f"{message} {format_rows(rows)}")
 
 
-def validate_compositions(rows, *, reclose: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def validate_compositions(rows) -> tuple[np.ndarray, np.ndarray]:
     """Check one composition or an (n, D) array of them; returns (parts, zero_index).
 
     Parts must be finite; negatives down to ``-ZERO_TOL`` are clamped to zero.
-    Row sums off by at most ``RECLOSE_TOL`` are re-closed with one warning
-    (only up to ``UNIT_SUM_TOL`` is accepted when ``reclose`` is false).
-    Parts up to ``ZERO_TOL`` are zeros, and a row may have one (its
-    ``zero_index``, -1 if none).  Errors name 1-based row numbers.
+    Row sums off by more than ``UNIT_SUM_TOL`` but at most ``RECLOSE_TOL``
+    are re-closed with one warning.  Parts up to ``ZERO_TOL`` are zeros, and
+    a row may have one (its ``zero_index``, -1 if none).  Errors name 1-based
+    row numbers.
     """
     x = np.array(rows, dtype=float)
     if x.ndim == 1:
@@ -77,8 +77,7 @@ def validate_compositions(rows, *, reclose: bool = True) -> tuple[np.ndarray, np
     _reject_rows((x < -ZERO_TOL).any(axis=1), "negative parts in rows")
     x[x < 0.0] = 0.0
     sums = x.sum(axis=1)
-    limit = RECLOSE_TOL if reclose else UNIT_SUM_TOL
-    _reject_rows(np.abs(sums - 1.0) > limit, f"rows not summing to 1 (beyond {limit:g}):")
+    _reject_rows(np.abs(sums - 1.0) > RECLOSE_TOL, f"rows not summing to 1 (beyond {RECLOSE_TOL:g}):")
     off = np.abs(sums - 1.0) > UNIT_SUM_TOL
     if off.any():
         warnings.warn(f"re-closed {int(off.sum())} row(s) with unit-sum noise above {UNIT_SUM_TOL:g}", stacklevel=3)
@@ -88,12 +87,12 @@ def validate_compositions(rows, *, reclose: bool = True) -> tuple[np.ndarray, np
     return x, np.where(counts == 1, x.argmin(axis=1), -1)
 
 
-def as_composition(parts, *, reclose: bool = True) -> np.ndarray:
+def as_composition(parts) -> np.ndarray:
     """Validate one composition vector with ``validate_compositions`` and return it."""
     x = np.asarray(parts, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"a composition needs at least 2 parts in one vector, got shape {x.shape}")
-    return validate_compositions(x, reclose=reclose)[0][0]
+    return validate_compositions(x)[0][0]
 
 
 def closure(raw) -> np.ndarray:

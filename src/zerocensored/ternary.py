@@ -5,8 +5,11 @@ The drawing embeds the composition in an equilateral triangle with vertices
 vertex j.  Boundary (single-zero) points are drawn as green crosses.  When a
 fitted model is supplied, its latent density contours are exact ellipses in
 latent space; they are mapped through the inverse exponent-one transform
-(affine), so the drawn polylines are true level sets.  Contour log-density
-levels and the vertex order are recorded in the SVG ``<desc>`` metadata.
+(affine), so the drawn polylines are true level sets.  The outermost one is
+the ``COVERAGE`` ellipse, whose squared Mahalanobis radius is the chi-square
+(2 degrees of freedom, i.e. exponential with mean 2) quantile
+``-2 log(1 - COVERAGE)``.  Contour log-density levels and the vertex order are
+recorded in the SVG ``<desc>`` metadata.
 """
 
 from __future__ import annotations
@@ -16,15 +19,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .dataset import CompositionalDataset
 from .gaussian import LOG_2PI, MvnParams
 from .simplex import inverse_alpha_transform
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-DEFAULT_LEVELS = 6
-DEFAULT_COVERAGE = 0.99
+#: Contours drawn per model, and the probability mass inside the outermost one.
+N_LEVELS = 6
+COVERAGE = 0.99
+#: Points per contour polyline (the first and last coincide).
+N_POINTS = 241
+#: SVG width and the margin around the triangle, in pixels.
+WIDTH = 560
+MARGIN = 48.0
 
 
 def ternary_coordinates(parts) -> np.ndarray:
@@ -44,28 +52,23 @@ class ContourLine:
     parts: np.ndarray
 
 
-def density_contours(
-    model: MvnParams,
-    *,
-    n_levels: int = DEFAULT_LEVELS,
-    coverage: float = DEFAULT_COVERAGE,
-    n_points: int = 241,
-) -> list[ContourLine]:
+def density_contours(model: MvnParams) -> list[ContourLine]:
     """Level sets of the latent normal, mapped to composition coordinates.
 
-    Levels step the log-density in ``n_levels`` equal decrements from the
-    peak down to the density at the Mahalanobis radius covering ``coverage``
+    Levels step the log-density in ``N_LEVELS`` equal decrements from the
+    peak down to the density at the Mahalanobis radius covering ``COVERAGE``
     probability mass, so the outermost contour is the coverage ellipse.
+    Each polyline has ``N_POINTS`` points.
     """
     if model.dim != 2:
         raise ValueError("density contours are drawn for 2-d latent models (3 parts) only")
-    r_max = math.sqrt(chi2.ppf(coverage, df=2))
+    r_max = math.sqrt(-2.0 * math.log1p(-COVERAGE))
     peak = -0.5 * (2.0 * LOG_2PI + 2.0 * float(np.sum(np.log(np.diag(model.chol)))))
-    t = np.linspace(0.0, 2.0 * math.pi, n_points)
+    t = np.linspace(0.0, 2.0 * math.pi, N_POINTS)
     circle = np.column_stack([np.cos(t), np.sin(t)])
     lines = []
-    for k in range(1, n_levels + 1):
-        radius = r_max * math.sqrt(k / n_levels)
+    for k in range(1, N_LEVELS + 1):
+        radius = r_max * math.sqrt(k / N_LEVELS)
         latent = model.mean + radius * circle @ model.chol.T
         parts, _ = inverse_alpha_transform(latent, 1.0)
         lines.append(ContourLine(log_density=peak - 0.5 * radius**2, latent=latent, parts=parts))
@@ -76,31 +79,26 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(
-    dataset: CompositionalDataset | None = None,
-    model: MvnParams | None = None,
-    *,
-    names=None,
-    width: int = 560,
-    margin: float = 48.0,
-) -> str:
-    """Render a ternary scatter (interior dots, green boundary crosses) with optional contours."""
+def render_svg(dataset: CompositionalDataset | None = None, model: MvnParams | None = None) -> str:
+    """Render a ternary scatter (interior dots, green boundary crosses) with optional contours.
+
+    Vertex labels are the dataset's part names, or ``comp1``..``comp3`` when it
+    has none.  The drawing is ``WIDTH`` pixels wide with a ``MARGIN`` around
+    the triangle.
+    """
     if dataset is not None and dataset.n_parts != 3:
         raise ValueError(f"ternary plots need exactly 3 components, got {dataset.n_parts}")
-    if names is None and dataset is not None:
-        names = dataset.names
-    if names is None:
-        names = ("comp1", "comp2", "comp3")
+    names = ("comp1", "comp2", "comp3") if dataset is None or dataset.names is None else dataset.names
     # Escaped for XML once, for the labels and the <desc> JSON (not with xml.sax.saxutils: it imports urllib).
     names = [n.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;") for n in names]
 
-    side = width - 2.0 * margin
-    height = 2.0 * margin + side * TRIANGLE[2, 1]
+    side = WIDTH - 2.0 * MARGIN
+    height = 2.0 * MARGIN + side * TRIANGLE[2, 1]
 
     def to_px(xy: np.ndarray) -> np.ndarray:
         xy = np.atleast_2d(xy)
-        px = margin + xy[:, 0] * side
-        py = height - margin - xy[:, 1] * side
+        px = MARGIN + xy[:, 0] * side
+        py = height - MARGIN - xy[:, 1] * side
         return np.column_stack([px, py])
 
     contours = []
@@ -108,15 +106,15 @@ def render_svg(
     if model is not None:
         contours = density_contours(model)
         meta["contour_log_density_levels"] = [round(c.log_density, 6) for c in contours]
-        meta["contour_coverage"] = DEFAULT_COVERAGE
+        meta["contour_coverage"] = COVERAGE
 
     parts_svg: list[str] = []
     parts_svg.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height:.0f}" '
-        f'viewBox="0 0 {width} {height:.0f}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height:.0f}" '
+        f'viewBox="0 0 {WIDTH} {height:.0f}">'
     )
     parts_svg.append(f"<desc>{json.dumps(meta, sort_keys=True)}</desc>")
-    parts_svg.append(f'<rect width="{width}" height="{height:.0f}" fill="white"/>')
+    parts_svg.append(f'<rect width="{WIDTH}" height="{height:.0f}" fill="white"/>')
 
     tri_px = to_px(TRIANGLE)
     tri_path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in tri_px)

@@ -1,11 +1,30 @@
-"""The package's public names and the README's list of them agree."""
+"""The package's public names, the README's list of them, its fixed settings and its import cost."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-import zerocensored
+import numpy as np
+import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import zerocensored
+from zerocensored import (
+    CompositionalDataset,
+    MvnParams,
+    as_composition,
+    chi_square_discrepancy,
+    density_contours,
+    fit,
+    render_svg,
+    transform_dataset,
+    zero_rates,
+)
+from zerocensored.simplex import validate_compositions
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_public_names_resolve_and_readme_lists_only_public_names():
@@ -17,3 +36,42 @@ def test_public_names_resolve_and_readme_lists_only_public_names():
     assert listed
     stale = [name for name in listed if name not in zerocensored.__all__]
     assert not stale, f"README advertises names that are not public: {stale}"
+
+
+def _small_sample():
+    rng = np.random.default_rng(0)
+    return transform_dataset(CompositionalDataset.from_array(rng.dirichlet(np.ones(3), size=20)))
+
+
+_MODEL = MvnParams(np.zeros(2), np.eye(2))
+_COMPOSITION = [0.2, 0.3, 0.5]
+
+# Each call is valid apart from one keyword that is now a module constant.
+FIXED_SETTINGS = {
+    "validate_compositions(reclose=)": lambda: validate_compositions([_COMPOSITION], reclose=True),
+    "as_composition(reclose=)": lambda: as_composition(_COMPOSITION, reclose=True),
+    "zero_rates(chunk_size=)": lambda: zero_rates(_MODEL, 3, 10_000, 0, chunk_size=1 << 17),
+    "chi_square_discrepancy(floor=)": lambda: chi_square_discrepancy([1, 2], [1.0, 2.0], floor=0.5),
+    "fit(loglik_rel_tol=)": lambda: fit(_small_sample(), loglik_rel_tol=1e-10),
+    "fit(ridge=)": lambda: fit(_small_sample(), ridge=1e-8),
+    "density_contours(n_levels=)": lambda: density_contours(_MODEL, n_levels=6),
+    "density_contours(coverage=)": lambda: density_contours(_MODEL, coverage=0.99),
+    "density_contours(n_points=)": lambda: density_contours(_MODEL, n_points=241),
+    "render_svg(names=)": lambda: render_svg(None, None, names=("a", "b", "c")),
+    "render_svg(width=)": lambda: render_svg(None, None, width=560),
+    "render_svg(margin=)": lambda: render_svg(None, None, margin=48.0),
+}
+
+
+@pytest.mark.parametrize("call", FIXED_SETTINGS.values(), ids=FIXED_SETTINGS.keys())
+def test_fixed_settings_are_not_keywords(call):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call()
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # Importing scipy.stats made up about 40% of every command's start-up; the package needs none of it.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, zerocensored.cli; assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

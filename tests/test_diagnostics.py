@@ -15,6 +15,7 @@ from zerocensored import (
     zero_rates,
 )
 from zerocensored.dataset import CompositionalDataset
+from zerocensored.diagnostics import CHUNK_SIZE
 
 
 def toy_model(mean, cov, n_parts):
@@ -115,13 +116,12 @@ def test_zero_rates_count_the_zeros_simulation_writes():
 
 
 def test_zero_rates_deterministic_and_chunking_contract():
-    a = zero_rates(BOUNDARY_MODEL, 3, 50_000, seed=6, chunk_size=1 << 17)
-    b = zero_rates(BOUNDARY_MODEL, 3, 50_000, seed=6, chunk_size=1 << 17)
+    # 300 000 draws run as three fixed-size chunks, each from its own child stream
+    n_sims = 300_000
+    assert -(-n_sims // CHUNK_SIZE) == 3
+    a = zero_rates(BOUNDARY_MODEL, 3, n_sims, seed=6)
+    b = zero_rates(BOUNDARY_MODEL, 3, n_sims, seed=6)
     np.testing.assert_array_equal(a, b)
-    # a different chunk count is a different (but still deterministic) stream
-    c = zero_rates(BOUNDARY_MODEL, 3, 50_000, seed=6, chunk_size=10_000)
-    d = zero_rates(BOUNDARY_MODEL, 3, 50_000, seed=6, chunk_size=10_000)
-    np.testing.assert_array_equal(c, d)
 
 
 def test_zero_rates_monte_carlo_error_scales():

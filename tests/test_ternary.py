@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from zerocensored import (
     CompositionalDataset,
@@ -13,7 +14,7 @@ from zerocensored import (
     render_svg,
     ternary_coordinates,
 )
-from zerocensored.ternary import TRIANGLE
+from zerocensored.ternary import N_LEVELS, TRIANGLE
 
 from reference import barycentric_from_xy
 
@@ -49,6 +50,14 @@ def test_contours_lie_on_level_sets():
         levels = mvn_logpdf(latent_back, MODEL)
         assert np.abs(levels - line.log_density).max() < 1e-3
         np.testing.assert_allclose(latent_back, line.latent, atol=1e-10)
+
+
+def test_outermost_contour_is_the_99_percent_ellipse():
+    # squared Mahalanobis radius of the N_LEVELS-th (outermost) contour
+    outer = density_contours(MODEL)[N_LEVELS - 1]
+    resid = outer.latent - MODEL.mean
+    radius2 = np.einsum("ij,ij->i", resid @ np.linalg.inv(MODEL.cov), resid)
+    np.testing.assert_allclose(radius2, chi2.ppf(0.99, df=2), rtol=0, atol=1e-12)
 
 
 def test_contour_levels_decrease_outward():
