@@ -111,8 +111,6 @@ def _cmd_simulate(args) -> int:
         print("error: -n must be non-negative", file=sys.stderr)
         return EXIT_INPUT
     dataset = simulate_compositions(args.count, model.params, model.n_parts, args.seed)
-    names = tuple(f"comp{i + 1}" for i in range(model.n_parts))
-    dataset = CompositionalDataset(parts=dataset.parts, zero_index=dataset.zero_index, names=names)
     write_compositions_csv(args.output, dataset)
     print(f"wrote {dataset.n_obs} compositions ({dataset.n_face} on the boundary) to {args.output}")
     return EXIT_OK

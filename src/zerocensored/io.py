@@ -3,11 +3,19 @@
 CSV conventions: comma-separated, UTF-8, a header row of component names,
 decimal-point reals, no thousands separators.  Zeros are written literally as
 ``0``; other values use ``repr`` so a write/read round trip is lossless.
+Written rows end in CRLF, as ``csv.writer`` ends them.
+
+Reading is one bulk ``np.loadtxt`` parse of the rows after the header.  A file
+it does not accept with the header's column count (no data rows, a blank-cell
+or quoted row, anything it cannot parse) goes to the row-by-row checker, which
+returns the same values for every file both accept and names the offending row
+of a rejected file.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -19,16 +27,44 @@ from .likelihood import FittedModel
 from .simplex import RECLOSE_TOL, _close_rows, format_rows
 
 
+#: Rows formatted per write; bounds the formatted text held in memory at once.
+WRITE_BLOCK = 4096
+
+
+def _read_header(path, reader) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if all(_is_number(cell) for cell in header):
+        raise ValueError(f"{path}: missing header row (first line is numeric)")
+    return header
+
+
 def _parse_rows(path) -> tuple[list[str], np.ndarray]:
     with open(path, newline="", encoding="utf-8") as fh:
+        header = _read_header(path, csv.reader(fh))
+        # A file with no data line never reaches loadtxt, which warns on it.
+        first = next((line for line in fh if line.strip()), None)
+        if first is not None:
+            try:
+                # comments=None: the checker rejects a "#" in a cell, so loadtxt must too.
+                values = np.loadtxt(
+                    itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2, dtype=float
+                )
+            except ValueError:
+                pass
+            else:
+                if values.shape[1] == len(header):
+                    return header, values
+    return _parse_rows_checked(path)
+
+
+def _parse_rows_checked(path) -> tuple[list[str], np.ndarray]:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if all(_is_number(cell) for cell in header):
-            raise ValueError(f"{path}: missing header row (first line is numeric)")
+        header = _read_header(path, reader)
         rows = []
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
@@ -63,17 +99,17 @@ def read_compositions_csv(path, *, apply_closure: bool = False) -> Compositional
     return CompositionalDataset.from_array(values, names=header)
 
 
-def _format_value(v: float) -> str:
-    return "0" if v == 0.0 else repr(float(v))
-
-
 def write_compositions_csv(path, dataset: CompositionalDataset) -> None:
     names = dataset.names or tuple(f"comp{i + 1}" for i in range(dataset.n_parts))
+    row_format = ",".join(["{}"] * dataset.n_parts) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in dataset.parts:
-            writer.writerow([_format_value(v) for v in row])
+        csv.writer(fh).writerow(names)
+        for start in range(0, dataset.n_obs, WRITE_BLOCK):
+            rows = dataset.parts[start : start + WRITE_BLOCK]
+            cells = list(map(repr, rows.ravel().tolist()))
+            for i in np.flatnonzero(rows == 0.0).tolist():
+                cells[i] = "0"
+            fh.write((row_format * len(rows)).format(*cells))
 
 
 def read_latent_csv(path) -> tuple[list[str], np.ndarray]:

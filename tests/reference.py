@@ -1,5 +1,7 @@
 """Reference routines that the tests check the package against; not part of the package's API."""
 
+import csv
+
 import numpy as np
 
 from zerocensored.ternary import TRIANGLE
@@ -26,3 +28,13 @@ def barycentric_from_xy(xy) -> np.ndarray:
     b = xy[..., 0] - 0.5 * c
     a = 1.0 - b - c
     return np.stack([a, b, c], axis=-1)
+
+
+def write_compositions_csv_rowwise(path, dataset) -> None:
+    """Row-by-row ``csv.writer`` form of ``io.write_compositions_csv``: zeros as ``0``, others ``repr``."""
+    names = dataset.names or tuple(f"comp{i + 1}" for i in range(dataset.n_parts))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in dataset.parts:
+            writer.writerow(["0" if v == 0.0 else repr(float(v)) for v in row])

@@ -1,6 +1,7 @@
 """CSV/JSON interchange and command-line workflow tests."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from zerocensored import (
     diagnose,
     simulate_compositions,
 )
+import zerocensored.io as io_module
 from zerocensored.cli import main
 from zerocensored.io import (
+    WRITE_BLOCK,
     read_compositions_csv,
     read_latent_csv,
     read_model_json,
@@ -22,6 +25,8 @@ from zerocensored.io import (
     write_diagnostics_json,
     write_model_json,
 )
+
+from reference import write_compositions_csv_rowwise
 
 BOUNDARY_MODEL = FittedModel(
     mean=np.array([0.6, 0.8]),
@@ -82,6 +87,101 @@ def test_csv_jagged_row_rejected(tmp_path):
     path.write_text("a,b,c\n0.5,0.5\n")
     with pytest.raises(ValueError, match="row 1"):
         read_compositions_csv(path)
+
+
+# Each body follows the header line "a,b,c\n"; the bulk parse must agree with the
+# row-by-row checker on every one, accepted or rejected.
+ODD_CSV_BODIES = {
+    "blank lines": "\n0.1,0.2,0.7\n\n0.3,0.3,0.4\n\n",
+    "whitespace-only lines": "  \n0.1,0.2,0.7\n \t \n0.3,0.3,0.4\n",
+    "blank-cell row": "0.1,0.2,0.7\n , , \n0.3,0.3,0.4\n",
+    "only blank-cell rows": " , , \n,,\n",
+    "LF": "0.1,0.2,0.7\n0.3,0.3,0.4\n",
+    "LF, no final newline": "0.1,0.2,0.7\n0.3,0.3,0.4",
+    "CRLF": "0.1,0.2,0.7\r\n0.3,0.3,0.4\r\n",
+    "CRLF, no final newline": "0.1,0.2,0.7\r\n0.3,0.3,0.4",
+    "CR": "0.1,0.2,0.7\r0.3,0.3,0.4\r",
+    "quoted numeric cells": '"0.1",0.2,"0.7"\n0.3,0.3,0.4\n',
+    "spaces around cells": " 0.1 ,0.2\t, 0.7  \n0.3,0.3,0.4\n",
+    "hash in a cell": "0.1,0.2,0.7\n0.1,0.2,0.7 # x\n",
+    "underscore digits": "1_000,0.2,0.7\n",
+    "nan, inf, 1e999": "nan,inf,1e999\n-nan,-inf,-1e999\nNaN,Infinity,+nan\n",
+    "empty cell": "0.1,0.2,0.7\n0.1,,0.7\n",
+    "trailing comma": "0.1,0.2,0.7,\n",
+    "jagged row": "0.1,0.2,0.7\n0.3,0.7\n",
+    "every row too narrow": "0.1,0.9\n0.3,0.7\n",
+    "non-numeric cell": "0.1,0.2,0.7\n0.1,oops,0.7\n",
+    "single data row": "0.1,0.2,0.7\n",
+    "header only": "",
+    "header only, blank lines": "\n  \n",
+}
+
+
+@pytest.mark.parametrize("body", ODD_CSV_BODIES.values(), ids=ODD_CSV_BODIES.keys())
+def test_csv_bulk_parse_matches_row_checker(tmp_path, body):
+    path = tmp_path / "odd.csv"
+    path.write_bytes(("a,b,c\n" + body).encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a file with no data rows
+        try:
+            expected = io_module._parse_rows_checked(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                io_module._parse_rows(path)
+            assert str(excinfo.value) == str(exc)
+            return
+        header, values = io_module._parse_rows(path)
+    assert header == expected[0] == ["a", "b", "c"]
+    assert values.dtype == expected[1].dtype and values.shape == expected[1].shape
+    np.testing.assert_array_equal(values.view(np.int64), expected[1].view(np.int64))
+
+
+WRITER_ROWS = {
+    "tiny and huge values": [[5e-324, 1e-300, 1.0], [1e-5, 1e16, 0.5]],
+    "0.1 + 0.2 and zeros": [[0.1 + 0.2, 0.0, -0.0], [0.0, 0.25, 0.75]],
+    "no rows": np.empty((0, 3)),
+}
+
+
+@pytest.mark.parametrize("names", [None, ("a,b", 'say "hi"', "plain")], ids=["default names", "quoted names"])
+@pytest.mark.parametrize("rows", WRITER_ROWS.values(), ids=WRITER_ROWS.keys())
+def test_csv_writer_matches_row_writer_bytes(tmp_path, rows, names):
+    rows = np.asarray(rows, dtype=float)
+    ds = CompositionalDataset(parts=rows, zero_index=np.full(rows.shape[0], -1), names=names)
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_compositions_csv(fast, ds)
+    write_compositions_csv_rowwise(slow, ds)
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_csv_writer_matches_row_writer_across_blocks(tmp_path):
+    rng = np.random.default_rng(71)
+    rows = rng.dirichlet(np.ones(3), size=2 * WRITE_BLOCK + 1)
+    rows[rng.random(rows.shape) < 0.1] = 0.0
+    ds = CompositionalDataset(parts=rows, zero_index=np.full(rows.shape[0], -1))
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_compositions_csv(fast, ds)
+    write_compositions_csv_rowwise(slow, ds)
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_csv_package_and_benchmark_files_take_the_bulk_parse(tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"{path} fell back to the row-by-row reader")
+
+    monkeypatch.setattr(io_module, "_parse_rows_checked", refuse)
+    ds = simulate_compositions(300, MvnParams(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov), 3, seed=2)
+    assert ds.n_face > 0
+    written = tmp_path / "written.csv"
+    write_compositions_csv(written, ds)
+    np.testing.assert_array_equal(read_compositions_csv(written).parts, ds.parts)
+    # The benchmark's inputs: np.savetxt with "%.17g" and LF line ends.
+    savetxt = tmp_path / "savetxt.csv"
+    np.savetxt(savetxt, ds.parts, fmt="%.17g", delimiter=",", header="part1,part2,part3", comments="")
+    np.testing.assert_array_equal(read_compositions_csv(savetxt).parts, ds.parts)
+    latent = np.array([[0.5, 0.75, -0.25], [0.2, 0.3, 0.5]])
+    np.savetxt(savetxt, latent, fmt="%.17g", delimiter=",", header="part1,part2,part3", comments="")
+    np.testing.assert_array_equal(read_latent_csv(savetxt)[1], latent)
 
 
 def test_csv_closure_normalizes_amounts(tmp_path):
