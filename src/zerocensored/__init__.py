@@ -14,8 +14,6 @@ from .diagnostics import (
     ZeroDiagnostics,
     chi_square_discrepancy,
     diagnose,
-    expected_zero_table,
-    mc_pvalue,
     simulate_compositions,
     zero_rates,
 )
@@ -26,7 +24,6 @@ from .gaussian import (
     cholesky,
     conditional_split,
     mvn_logpdf,
-    mvn_sample,
     std_normal_log_tail,
 )
 from .geometry import (
@@ -66,8 +63,6 @@ __all__ = [
     "ZeroDiagnostics",
     "chi_square_discrepancy",
     "diagnose",
-    "expected_zero_table",
-    "mc_pvalue",
     "simulate_compositions",
     "zero_rates",
     "ConditionalSplit",
@@ -76,7 +71,6 @@ __all__ = [
     "cholesky",
     "conditional_split",
     "mvn_logpdf",
-    "mvn_sample",
     "std_normal_log_tail",
     "TiedMinimumError",
     "gram_schmidt_rotation",

@@ -110,7 +110,7 @@ def _cmd_simulate(args) -> int:
     if args.count < 0:
         print("error: -n must be non-negative", file=sys.stderr)
         return EXIT_INPUT
-    dataset = simulate_compositions(args.count, model.params, model.n_parts, args.seed)
+    dataset = simulate_compositions(args.count, model.params, args.seed)
     write_compositions_csv(args.output, dataset)
     print(f"wrote {dataset.n_obs} compositions ({dataset.n_face} on the boundary) to {args.output}")
     return EXIT_OK

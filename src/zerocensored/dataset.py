@@ -15,6 +15,11 @@ from .geometry import DIRECTION_TOL
 from .simplex import alpha_transform, validate_compositions
 
 
+def part_names(names, n_parts: int) -> tuple[str, ...]:
+    """``names`` as a tuple, or the default ``comp1``..``compD`` when it is None."""
+    return tuple(f"comp{i + 1}" for i in range(n_parts)) if names is None else tuple(names)
+
+
 @dataclass(frozen=True)
 class CompositionalDataset:
     """An ordered collection of compositions, each interior or with a single zero part.
@@ -86,10 +91,7 @@ class CompositionalDataset:
 
     def observed_zero_counts(self) -> np.ndarray:
         """Number of observed zeros in each component."""
-        counts = np.zeros(self.n_parts, dtype=int)
-        idx, reps = np.unique(self.face_zero_index, return_counts=True)
-        counts[idx] = reps
-        return counts
+        return np.bincount(self.face_zero_index, minlength=self.n_parts)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ Draws come from the latent normal, are mapped back through the exponent-one
 transform, and out-of-simplex draws are pulled onto a face, exactly as the
 model censors, by the one boundary rule in ``geometry``: simulation calls
 ``project_rows``, and the zero rates count ``zero_parts`` without pulling.
-The diagnostic compares observed per-component zero counts against Monte
-Carlo expectations under the fitted model, with a chi-square discrepancy and
-an optional simulated p-value, whose replicate zero counts are drawn from
-their exact law given the rates, Multinomial(n, (rates, 1 - sum(rates))).
+The part count is always the model's, ``model.dim + 1``.  ``diagnose`` is
+the one route to the diagnostic: it compares observed per-component zero
+counts against Monte Carlo expectations under the fitted model, with a
+chi-square discrepancy and an optional simulated p-value, whose replicate
+zero counts are drawn from their exact law given the rates,
+Multinomial(n, (rates, 1 - sum(rates))).
 
 Determinism contract: every public operation takes an integer seed.  Rate
 estimation runs in fixed chunks of ``CHUNK_SIZE`` latent draws; the chunk
@@ -21,11 +23,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CompositionalDataset
+from .dataset import CompositionalDataset, part_names
 from .gaussian import MvnParams
 from .geometry import project_rows, zero_parts
 from .likelihood import FittedModel, json_float
@@ -49,26 +51,23 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
-def simulate_compositions(n: int, model: MvnParams, n_parts: int, seed) -> CompositionalDataset:
-    """Draw n compositions from the zero-censored model: latent normal, inverse transform, boundary pull."""
-    if model.dim != n_parts - 1:
-        raise ValueError(f"model dimension {model.dim} does not match {n_parts} parts")
+def simulate_compositions(n: int, model: MvnParams, seed) -> CompositionalDataset:
+    """Draw n compositions of ``model.dim + 1`` parts: latent normal, inverse transform, boundary pull."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     parts, zero_index = project_rows(_draw_parts(model, int(n), np.random.default_rng(seed)))
     return CompositionalDataset(parts=parts, zero_index=zero_index)
 
 
-def zero_rates(model: MvnParams, n_parts: int, n_sims: int, seed) -> np.ndarray:
-    """Monte Carlo probability that a draw lands with its zero in component j, for each j.
+def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
+    """Monte Carlo probability that a draw lands with its zero in part j, for each of ``model.dim + 1`` parts.
 
     The draws run in chunks of ``CHUNK_SIZE``.  The rates sum to the overall
     boundary probability, which is at most 1.
     """
-    if model.dim != n_parts - 1:
-        raise ValueError(f"model dimension {model.dim} does not match {n_parts} parts")
     if n_sims < MIN_RATE_SIMS:
         raise ValueError(f"need at least {MIN_RATE_SIMS} simulations, got {n_sims}")
+    n_parts = model.dim + 1
     n_chunks = math.ceil(n_sims / CHUNK_SIZE)
     children = _seed_sequence(seed).spawn(n_chunks)
     counts = np.zeros(n_parts, dtype=np.int64)
@@ -86,38 +85,32 @@ def zero_rates(model: MvnParams, n_parts: int, n_sims: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZeroDiagnostics:
-    """Observed versus model-expected zero counts per component.
+    """Observed versus model-expected zero counts per component, as ``diagnose`` reports them.
 
-    ``observed_*``, ``chi_square`` and ``mc_pvalue`` are None when the
-    diagnostic was built without data (expected side only).  The JSON form
-    writes an infinite ``chi_square`` (an observed zero the model calls
-    impossible) as null.
+    ``mc_pvalue`` and ``n_replicates`` are None when no replicates were
+    drawn.  The JSON form writes an infinite ``chi_square`` (an observed zero
+    the model calls impossible) as null.
     """
 
-    expected_rates: np.ndarray
+    names: tuple[str, ...] | None
+    observed_counts: np.ndarray
     expected_counts: np.ndarray
+    observed_rates: np.ndarray
+    expected_rates: np.ndarray
+    chi_square: float
+    mc_pvalue: float | None
     n_observations: int
     n_sims: int
+    n_replicates: int | None
     seed: int
-    names: tuple[str, ...] | None = None
-    observed_counts: np.ndarray | None = None
-    observed_rates: np.ndarray | None = None
-    chi_square: float | None = None
-    mc_pvalue: float | None = None
-    n_replicates: int | None = None
 
     def to_dict(self) -> dict:
-        def listify(a):
-            return None if a is None else [float(v) for v in a]
-
         return {
-            "names": list(self.names) if self.names is not None else None,
-            "observed_counts": None
-            if self.observed_counts is None
-            else [int(v) for v in self.observed_counts],
-            "expected_counts": listify(self.expected_counts),
-            "observed_rates": listify(self.observed_rates),
-            "expected_rates": listify(self.expected_rates),
+            "names": None if self.names is None else list(self.names),
+            "observed_counts": [int(v) for v in self.observed_counts],
+            "expected_counts": [float(v) for v in self.expected_counts],
+            "observed_rates": [float(v) for v in self.observed_rates],
+            "expected_rates": [float(v) for v in self.expected_rates],
             "chi_square": json_float(self.chi_square),
             "mc_pvalue": None if self.mc_pvalue is None else float(self.mc_pvalue),
             "n_observations": int(self.n_observations),
@@ -131,41 +124,13 @@ class ZeroDiagnostics:
 
     def table_text(self) -> str:
         """Aligned component/observed/estimated table (the classic zero-count layout)."""
-        n_parts = self.expected_counts.size
-        names = self.names if self.names is not None else tuple(f"comp{i + 1}" for i in range(n_parts))
-        observed = (
-            ["-"] * n_parts
-            if self.observed_counts is None
-            else [str(int(v)) for v in self.observed_counts]
-        )
-        estimated = [f"{v:.3f}" for v in self.expected_counts]
         rows = [
-            ["Components", *names],
-            ["Observed zeros", *observed],
-            ["Estimated zeros", *estimated],
+            ["Components", *part_names(self.names, self.expected_counts.size)],
+            ["Observed zeros", *(str(int(v)) for v in self.observed_counts)],
+            ["Estimated zeros", *(f"{v:.3f}" for v in self.expected_counts)],
         ]
-        widths = [max(len(row[j]) for row in rows) for j in range(n_parts + 1)]
-        lines = ["  ".join(cell.rjust(widths[j]) for j, cell in enumerate(row)) for row in rows]
-        return "\n".join(lines)
-
-
-def _recorded_seed(seed) -> int:
-    return int(seed) if isinstance(seed, numbers.Integral) else -1
-
-
-def expected_zero_table(model: FittedModel, n_obs: int, n_sims: int, seed, *, names=None) -> ZeroDiagnostics:
-    """Expected zero counts for a sample of size n_obs under the fitted model."""
-    if n_obs < 0:
-        raise ValueError(f"need n_obs >= 0, got {n_obs}")
-    rates = zero_rates(model.params, model.n_parts, n_sims, seed)
-    return ZeroDiagnostics(
-        expected_rates=rates,
-        expected_counts=n_obs * rates,
-        n_observations=int(n_obs),
-        n_sims=int(n_sims),
-        seed=_recorded_seed(seed),
-        names=tuple(names) if names is not None else None,
-    )
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
 def chi_square_discrepancy(observed, expected) -> float:
@@ -194,34 +159,6 @@ def chi_square_discrepancy(observed, expected) -> float:
     return stat
 
 
-def _replicate_pvalue(stat: float, rates: np.ndarray, n_obs: int, n_replicates: int, seq) -> float:
-    """Add-one rank of ``stat`` among ``n_replicates`` multinomial replicates drawn from the rates.
-
-    The draw uses the next child of ``seq``, the sequence the rates came from, so
-    the replicate stream is disjoint from the rate chunks.
-    """
-    if n_replicates < 99:
-        raise ValueError(f"need at least 99 replicates, got {n_replicates}")
-    expected = n_obs * rates
-    rng = np.random.default_rng(seq.spawn(1)[0])
-    counts = rng.multinomial(int(n_obs), [*rates, max(0.0, 1.0 - rates.sum())], size=n_replicates)[:, :-1]
-    exceed = sum(chi_square_discrepancy(c, expected) >= stat for c in counts)
-    return (1 + exceed) / (n_replicates + 1)
-
-
-def mc_pvalue(model: FittedModel, observed, n_obs: int, n_replicates: int, n_sims: int, seed) -> float:
-    """Simulated p-value for the zero-count discrepancy, add-one convention.
-
-    Each replicate is scored with ``chi_square_discrepancy`` against the table
-    ``zero_rates(..., seed)`` gives, and the p-value is (1 + #{replicate >=
-    observed}) / (n_replicates + 1); ``diagnose`` reports it for the same seed.
-    """
-    seq = _seed_sequence(seed)
-    rates = zero_rates(model.params, model.n_parts, n_sims, seq)
-    stat = chi_square_discrepancy(observed, n_obs * rates)
-    return _replicate_pvalue(stat, rates, n_obs, n_replicates, seq)
-
-
 def diagnose(
     model: FittedModel,
     dataset: CompositionalDataset,
@@ -230,24 +167,43 @@ def diagnose(
     seed,
     n_replicates: int | None = None,
 ) -> ZeroDiagnostics:
-    """Full zero-count diagnostic of a dataset against a fitted model."""
+    """Zero-count diagnostic of a dataset against a fitted model, with an optional simulated p-value.
+
+    The expected counts are n times ``zero_rates(model.params, n_sims=n_sims,
+    seed=seed)``, estimated once.  With ``n_replicates`` (at least 99) the
+    p-value is the add-one rank (1 + #{replicate >= observed}) / (R + 1) of
+    the chi-square discrepancy among R replicate zero-count vectors, drawn from
+    the next child of the seed's sequence, after the rate chunks.
+    """
     if dataset.n_parts != model.n_parts:
         raise ValueError(
             f"dataset has {dataset.n_parts} components but the model expects {model.n_parts}"
         )
+    if n_replicates is not None and n_replicates < 99:
+        raise ValueError(f"need at least 99 replicates, got {n_replicates}")
     seq = _seed_sequence(seed)
-    table = expected_zero_table(model, dataset.n_obs, n_sims, seq, names=dataset.names)
+    # By keyword: the traced benchmark (perfbench/layers.py) reads n_sims from the call.
+    rates = zero_rates(model.params, n_sims=n_sims, seed=seq)
+    n_obs = dataset.n_obs
+    expected = n_obs * rates
     observed = dataset.observed_zero_counts()
-    stat = chi_square_discrepancy(observed, table.expected_counts)
-    pvalue = None if n_replicates is None else _replicate_pvalue(
-        stat, table.expected_rates, dataset.n_obs, n_replicates, seq
-    )
-    return replace(
-        table,
-        seed=_recorded_seed(seed),
+    stat = chi_square_discrepancy(observed, expected)
+    pvalue = None
+    if n_replicates is not None:
+        rng = np.random.default_rng(seq.spawn(1)[0])
+        replicates = rng.multinomial(n_obs, [*rates, max(0.0, 1.0 - rates.sum())], size=n_replicates)
+        exceed = sum(chi_square_discrepancy(c, expected) >= stat for c in replicates[:, :-1])
+        pvalue = (1 + exceed) / (n_replicates + 1)
+    return ZeroDiagnostics(
+        names=dataset.names,
         observed_counts=observed,
-        observed_rates=observed / max(dataset.n_obs, 1),
+        expected_counts=expected,
+        observed_rates=observed / max(n_obs, 1),
+        expected_rates=rates,
         chi_square=stat,
         mc_pvalue=pvalue,
+        n_observations=n_obs,
+        n_sims=int(n_sims),
         n_replicates=n_replicates,
+        seed=int(seed) if isinstance(seed, numbers.Integral) else -1,
     )

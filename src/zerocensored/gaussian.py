@@ -2,8 +2,8 @@
 
 All covariance work goes through Cholesky factors: log-determinants come from
 pivot logs and quadratic forms from triangular solves, with no explicit matrix
-inversion.  Sampling uses NumPy's ``default_rng`` (PCG64 with ziggurat
-normals), so results are reproducible from an integer seed.
+inversion.  Draws from a normal are made where they are used, in
+``diagnostics``.
 """
 
 from __future__ import annotations
@@ -93,15 +93,6 @@ def mvn_logpdf(y, params: MvnParams):
     quad = np.sum(w * w, axis=0)
     out = -0.5 * (d * LOG_2PI + log_det + quad)
     return float(out[0]) if y.ndim == 1 else out
-
-
-def mvn_sample(n: int, params: MvnParams, seed) -> np.ndarray:
-    """Draw n vectors mu + L z with z standard normal from ``default_rng(seed)``."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(n), params.dim))
-    return params.mean + z @ params.chol.T
 
 
 def conditional_split(params_rotated: MvnParams) -> ConditionalSplit:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import CompositionalDataset
+from .dataset import CompositionalDataset, part_names
 from .diagnostics import ZeroDiagnostics
 from .likelihood import FittedModel
 from .simplex import RECLOSE_TOL, _close_rows, format_rows
@@ -36,6 +36,8 @@ def _read_header(path, reader) -> list[str]:
         header = next(reader)
     except StopIteration:
         raise ValueError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: header row is not valid CSV ({exc})") from None
     header = [h.strip() for h in header]
     if all(_is_number(cell) for cell in header):
         raise ValueError(f"{path}: missing header row (first line is numeric)")
@@ -66,15 +68,20 @@ def _parse_rows_checked(path) -> tuple[list[str], np.ndarray]:
         reader = csv.reader(fh)
         header = _read_header(path, reader)
         rows = []
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise ValueError(f"{path}: row {lineno} contains a non-numeric value") from None
+        lineno = 0
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
+                try:
+                    rows.append([float(cell) for cell in row])
+                except ValueError:
+                    raise ValueError(f"{path}: row {lineno} contains a non-numeric value") from None
+        except csv.Error as exc:
+            # The csv module's own error (e.g. a cell over its field size limit) is not a ValueError.
+            raise ValueError(f"{path}: row {lineno + 1} is not valid CSV ({exc})") from None
     if not rows:
         return header, np.empty((0, len(header)))
     return header, np.asarray(rows, dtype=float)
@@ -100,10 +107,9 @@ def read_compositions_csv(path, *, apply_closure: bool = False) -> Compositional
 
 
 def write_compositions_csv(path, dataset: CompositionalDataset) -> None:
-    names = dataset.names or tuple(f"comp{i + 1}" for i in range(dataset.n_parts))
     row_format = ",".join(["{}"] * dataset.n_parts) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(names)
+        csv.writer(fh).writerow(part_names(dataset.names, dataset.n_parts))
         for start in range(0, dataset.n_obs, WRITE_BLOCK):
             rows = dataset.parts[start : start + WRITE_BLOCK]
             cells = list(map(repr, rows.ravel().tolist()))

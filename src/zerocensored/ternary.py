@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CompositionalDataset
+from .dataset import CompositionalDataset, part_names
 from .gaussian import LOG_2PI, MvnParams
 from .simplex import inverse_alpha_transform
 
@@ -88,7 +88,7 @@ def render_svg(dataset: CompositionalDataset | None = None, model: MvnParams | N
     """
     if dataset is not None and dataset.n_parts != 3:
         raise ValueError(f"ternary plots need exactly 3 components, got {dataset.n_parts}")
-    names = ("comp1", "comp2", "comp3") if dataset is None or dataset.names is None else dataset.names
+    names = part_names(None if dataset is None else dataset.names, 3)
     # Escaped for XML once, for the labels and the <desc> JSON (not with xml.sax.saxutils: it imports urllib).
     names = [n.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;") for n in names]
 

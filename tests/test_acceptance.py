@@ -107,7 +107,7 @@ def test_criterion_3_example_generator_regeneration():
     params = zc.MvnParams(EXAMPLE_MEAN, EXAMPLE_COV)
     fractions, means, covs = [], [], []
     for seed in range(20):
-        ds = zc.simulate_compositions(500, params, 3, seed=seed)
+        ds = zc.simulate_compositions(500, params, seed=seed)
         fractions.append(ds.n_face / 500)
         model = zc.fit(zc.transform_dataset(ds))
         means.append(model.mean)
@@ -144,7 +144,7 @@ def test_criterion_3_example_generator_regeneration():
 def test_criterion_4_zero_rate_reproduction():
     """Monte Carlo zero rates at the reported estimates match the published values to 0.01."""
     params = zc.MvnParams(REPORTED_MEAN, np.array([[0.129, -0.132], [-0.132, 1.477]]))
-    rates = zc.zero_rates(params, 3, 1_000_000, seed=400)
+    rates = zc.zero_rates(params, 1_000_000, seed=400)
     errors = np.abs(rates - REPORTED_ZERO_RATES)
     ok = bool(errors.max() <= 0.01)
     assert report(
@@ -256,7 +256,7 @@ def test_criterion_7_simulate_fit_consistency():
     params = zc.MvnParams(EXAMPLE_MEAN, EXAMPLE_COV)
     worst_mu = worst_cov = 0.0
     for seed in range(5):
-        ds = zc.simulate_compositions(5000, params, 3, seed=seed)
+        ds = zc.simulate_compositions(5000, params, seed=seed)
         model = zc.fit(zc.transform_dataset(ds))
         worst_mu = max(worst_mu, float(np.abs(model.mean - EXAMPLE_MEAN).max()))
         worst_cov = max(worst_cov, float(np.abs(model.cov - EXAMPLE_COV).max()))
@@ -284,11 +284,8 @@ def test_criterion_8_diagnostic_calibration():
     trial_seeds = np.random.SeedSequence(800).spawn(n_trials)
     rejections = 0
     for t in range(n_trials):
-        ds = zc.simulate_compositions(n_obs, model.params, 3, seed=trial_seeds[t])
-        p = zc.mc_pvalue(
-            model, ds.observed_zero_counts(), n_obs,
-            n_replicates=99, n_sims=10_000, seed=trial_seeds[t].spawn(1)[0],
-        )
+        ds = zc.simulate_compositions(n_obs, model.params, seed=trial_seeds[t])
+        p = zc.diagnose(model, ds, n_sims=10_000, seed=trial_seeds[t].spawn(1)[0], n_replicates=99).mc_pvalue
         rejections += p <= 0.05
     rate = rejections / n_trials
     ok = 0.02 <= rate <= 0.08
@@ -309,7 +306,7 @@ def test_criterion_9_time_budget_fit_optional():
     ds = read_compositions_csv(TIMEBUDGET, apply_closure=True)
     assert ds.n_obs == 28 and ds.n_parts == 10
     model = zc.fit(zc.transform_dataset(ds))
-    table = zc.expected_zero_table(model, 28, 1_000_000, seed=900, names=ds.names)
+    table = zc.diagnose(model, ds, n_sims=1_000_000, seed=900)
     ordering = np.argsort(table.expected_counts)[::-1]
     ok = abs(model.mean[0] - 1.075) <= 0.05 and {"kids", "hous"} <= {ds.names[j] for j in ordering[:2]}
     assert report(

@@ -12,10 +12,12 @@ import pytest
 import zerocensored
 from zerocensored import (
     CompositionalDataset,
+    FittedModel,
     MvnParams,
     as_composition,
     chi_square_discrepancy,
     density_contours,
+    diagnose,
     fit,
     render_svg,
     transform_dataset,
@@ -38,6 +40,24 @@ def test_public_names_resolve_and_readme_lists_only_public_names():
     assert not stale, f"README advertises names that are not public: {stale}"
 
 
+def test_readme_lists_the_json_keys_the_writers_write():
+    text = README.read_text(encoding="utf-8")
+    schema = re.search(r"### Model JSON schema\s*```json\n(.*?)```", text, re.DOTALL)
+    assert schema, "README has no 'Model JSON schema' block"
+    model_keys = re.findall(r'^\s*"(\w+)":', schema.group(1), re.MULTILINE)
+    sentence = re.search(r"The diagnostics JSON carries (.*?)\.", text, re.DOTALL)
+    assert sentence, "README has no 'The diagnostics JSON carries' sentence"
+    diagnostics_keys = re.findall(r"`([^`]+)`", sentence.group(1))
+
+    model = FittedModel(
+        mean=np.zeros(2), cov=np.eye(2), loglik=0.0, iterations=0, converged=True,
+        gradient_norm=0.0, n_parts=3, n_interior=3, n_face=0,
+    )
+    data = CompositionalDataset.from_array([[0.2, 0.3, 0.5], [0.0, 0.5, 0.5]])
+    assert model_keys == list(model.to_dict())
+    assert diagnostics_keys == list(diagnose(model, data, n_sims=10_000, seed=0).to_dict())
+
+
 def _small_sample():
     rng = np.random.default_rng(0)
     return transform_dataset(CompositionalDataset.from_array(rng.dirichlet(np.ones(3), size=20)))
@@ -50,7 +70,7 @@ _COMPOSITION = [0.2, 0.3, 0.5]
 FIXED_SETTINGS = {
     "validate_compositions(reclose=)": lambda: validate_compositions([_COMPOSITION], reclose=True),
     "as_composition(reclose=)": lambda: as_composition(_COMPOSITION, reclose=True),
-    "zero_rates(chunk_size=)": lambda: zero_rates(_MODEL, 3, 10_000, 0, chunk_size=1 << 17),
+    "zero_rates(chunk_size=)": lambda: zero_rates(_MODEL, 10_000, 0, chunk_size=1 << 17),
     "chi_square_discrepancy(floor=)": lambda: chi_square_discrepancy([1, 2], [1.0, 2.0], floor=0.5),
     "fit(loglik_rel_tol=)": lambda: fit(_small_sample(), loglik_rel_tol=1e-10),
     "fit(ridge=)": lambda: fit(_small_sample(), ridge=1e-8),

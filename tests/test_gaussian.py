@@ -18,7 +18,6 @@ from zerocensored import (
     cholesky,
     conditional_split,
     mvn_logpdf,
-    mvn_sample,
     std_normal_log_tail,
 )
 
@@ -116,35 +115,6 @@ def test_logpdf_integrates_to_one_2d():
 def test_logpdf_dimension_mismatch():
     with pytest.raises(ValueError):
         mvn_logpdf(np.zeros(3), MvnParams(np.zeros(2), np.eye(2)))
-
-
-# --- sampling --------------------------------------------------------------------
-
-
-def test_sample_moments_standard():
-    params = MvnParams(np.zeros(2), np.eye(2))
-    draws = mvn_sample(100_000, params, seed=42)
-    assert np.abs(draws.mean(axis=0)).max() < 0.02
-    emp_cov = np.cov(draws.T, bias=True)
-    assert np.abs(emp_cov - np.eye(2)).max() < 0.03
-
-
-def test_sample_moments_correlated():
-    lower = np.array([[2.0, 0.0], [1.0, 1.0]])
-    cov = lower @ lower.T
-    draws = mvn_sample(100_000, MvnParams(np.zeros(2), cov), seed=7)
-    emp_cov = np.cov(draws.T, bias=True)
-    assert np.abs(emp_cov - cov).max() < 0.05
-
-
-def test_sample_deterministic_given_seed():
-    params = MvnParams(np.array([1.0, -1.0]), np.array([[2.0, 0.3], [0.3, 0.5]]))
-    np.testing.assert_array_equal(mvn_sample(50, params, seed=3), mvn_sample(50, params, seed=3))
-
-
-def test_sample_requires_positive_count():
-    with pytest.raises(ValueError):
-        mvn_sample(0, MvnParams(np.zeros(1), np.eye(1)), seed=0)
 
 
 # --- conditional split -------------------------------------------------------------

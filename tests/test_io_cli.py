@@ -51,7 +51,7 @@ def write_csv(path, header, rows):
 
 
 def test_csv_write_read_round_trip(tmp_path):
-    ds = simulate_compositions(100, MvnParams(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov), 3, seed=1)
+    ds = simulate_compositions(100, MvnParams(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov), seed=1)
     ds = CompositionalDataset(parts=ds.parts, zero_index=ds.zero_index, names=("p", "q", "r"))
     path = tmp_path / "data.csv"
     write_compositions_csv(path, ds)
@@ -170,7 +170,7 @@ def test_csv_package_and_benchmark_files_take_the_bulk_parse(tmp_path, monkeypat
         raise AssertionError(f"{path} fell back to the row-by-row reader")
 
     monkeypatch.setattr(io_module, "_parse_rows_checked", refuse)
-    ds = simulate_compositions(300, MvnParams(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov), 3, seed=2)
+    ds = simulate_compositions(300, MvnParams(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov), seed=2)
     assert ds.n_face > 0
     written = tmp_path / "written.csv"
     write_compositions_csv(written, ds)
@@ -349,6 +349,22 @@ def test_cli_fit_rejects_tiny_datasets(tmp_path, capsys):
 
 def test_cli_fit_missing_file(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.json")]) == 2
+
+
+# Each file has one cell over the csv module's 131 072-character field limit; the
+# jagged last row sends the first file past the bulk parse to the row-by-row checker.
+OVERSIZED_CELL_FILES = {
+    "data row": ("a,b,c\n0.1" + "0" * 131_074 + ",0.5,0.4\n0.2,0.3\n", "row 1 is not valid CSV"),
+    "header": ("a" * 131_075 + ",b,c\n0.2,0.3,0.5\n", "header row is not valid CSV"),
+}
+
+
+@pytest.mark.parametrize("text, where", OVERSIZED_CELL_FILES.values(), ids=OVERSIZED_CELL_FILES.keys())
+def test_cli_fit_oversized_cell_is_an_input_error(tmp_path, capsys, text, where):
+    path = tmp_path / "huge.csv"
+    path.write_text(text)
+    assert main(["fit", str(path), "-o", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {where} (field larger than field limit")
 
 
 # --- CLI: simulate ---------------------------------------------------------------------

@@ -486,7 +486,7 @@ def test_fit_converges_at_twenty_parts():
     cov = a @ a.T / d + 0.5 * np.eye(d)
     sd = np.sqrt(np.diag(cov))
     params = MvnParams(0.05 * rng.normal(size=d), 0.16 * cov / np.outer(sd, sd))
-    sample = transform_dataset(simulate_compositions(2000, params, d + 1, 65))
+    sample = transform_dataset(simulate_compositions(2000, params, 65))
     assert sample.n_face > 50
     model = fit(sample)
     assert model.converged
