@@ -15,7 +15,13 @@ Determinism contract: every public operation takes an integer seed.  Rate
 estimation runs in fixed chunks of ``CHUNK_SIZE`` latent draws; the chunk
 generators are ``SeedSequence(seed).spawn(n_chunks)``, so the same seed and
 ``n_sims`` reproduce results exactly (and chunks may be evaluated in parallel
-without changing them); the p-value replicates use child n_chunks.
+without changing them); the p-value replicates use child n_chunks.  Each
+stream, a rate chunk's or a simulation's, is drawn in consecutive blocks of
+``BLOCK_ROWS`` rows, and a remainder shorter than one block joins the last
+block.  This changes no value: the output is bit-for-bit that of one
+whole-stream draw.  So ``simulate_compositions`` holds its result plus one
+block and ``zero_rates`` one block, and a tie or two-zero error names row
+numbers within the block.
 """
 
 from __future__ import annotations
@@ -31,10 +37,12 @@ from .dataset import CompositionalDataset, part_names
 from .gaussian import MvnParams
 from .geometry import project_rows, zero_parts
 from .likelihood import FittedModel, json_float
-from .simplex import inverse_alpha_transform
+from .simplex import _inverse_affine
 
 #: Latent draws per rate chunk, each chunk with its own child generator.
 CHUNK_SIZE = 1 << 17
+#: Rows per draw block: a stream is drawn, mapped and counted or pulled this many rows at a time.
+BLOCK_ROWS = 1 << 14
 #: Expected counts below this are pooled into a single leftover cell.
 CHI_SQUARE_FLOOR = 0.5
 MIN_RATE_SIMS = 10_000
@@ -42,9 +50,23 @@ MIN_RATE_SIMS = 10_000
 
 def _draw_parts(model: MvnParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """n latent normal draws mapped back to unit-sum parts, before any boundary rule."""
-    latent = model.mean + rng.standard_normal((n, model.dim)) @ model.chol.T
-    parts, _ = inverse_alpha_transform(latent, 1.0)
-    return parts
+    latent = rng.standard_normal((n, model.dim)) @ model.chol.T
+    latent += model.mean
+    return _inverse_affine(latent)
+
+
+def _draw_blocks(model: MvnParams, n: int, rng: np.random.Generator):
+    """Yield (rows, parts) for consecutive blocks of n draws; together they are ``_draw_parts(model, n, rng)``.
+
+    Blocks have ``BLOCK_ROWS`` rows and the remainder joins the last one, so
+    no block but a lone one is shorter than that: BLAS rounds some small
+    products differently, and blocks this long give the whole-array values.
+    """
+    n_blocks = max(1, n // BLOCK_ROWS)
+    for i in range(n_blocks):
+        start = i * BLOCK_ROWS
+        stop = n if i == n_blocks - 1 else start + BLOCK_ROWS
+        yield slice(start, stop), _draw_parts(model, stop - start, rng)
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -52,18 +74,29 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def simulate_compositions(n: int, model: MvnParams, seed) -> CompositionalDataset:
-    """Draw n compositions of ``model.dim + 1`` parts: latent normal, inverse transform, boundary pull."""
+    """Draw n compositions of ``model.dim + 1`` parts: latent normal, inverse transform, boundary pull.
+
+    The draws are pulled block by block (see ``_draw_blocks``), so a tied or
+    two-zero draw raises with its row number within its block.
+    """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    parts, zero_index = project_rows(_draw_parts(model, int(n), np.random.default_rng(seed)))
+    n = int(n)
+    parts = np.empty((n, model.dim + 1))
+    zero_index = np.empty(n, dtype=np.intp)
+    for rows, block in _draw_blocks(model, n, np.random.default_rng(seed)):
+        parts[rows], zero_index[rows] = project_rows(block)
+        del block  # before the next block is drawn
     return CompositionalDataset(parts=parts, zero_index=zero_index)
 
 
 def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
     """Monte Carlo probability that a draw lands with its zero in part j, for each of ``model.dim + 1`` parts.
 
-    The draws run in chunks of ``CHUNK_SIZE``.  The rates sum to the overall
-    boundary probability, which is at most 1.
+    The draws run in chunks of ``CHUNK_SIZE``, each drawn and counted in
+    blocks of ``BLOCK_ROWS`` rows, so one block is held at a time and a tied
+    or two-zero draw raises with its row number within its block.  The rates
+    sum to the overall boundary probability, which is at most 1.
     """
     if n_sims < MIN_RATE_SIMS:
         raise ValueError(f"need at least {MIN_RATE_SIMS} simulations, got {n_sims}")
@@ -74,11 +107,9 @@ def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
     remaining = int(n_sims)
     for child in children:
         m = min(CHUNK_SIZE, remaining)
-        # No name holds the latent draws, so they are freed before the rule runs, and the zero
-        # indices go before the next chunk is drawn: kept, they add ~5 MB to peak RSS at D = 10.
-        zero_index = zero_parts(_draw_parts(model, m, np.random.default_rng(child)))
-        counts += np.bincount(zero_index + 1, minlength=n_parts + 1)[1:]
-        del zero_index
+        for _, parts in _draw_blocks(model, m, np.random.default_rng(child)):
+            counts += np.bincount(zero_parts(parts) + 1, minlength=n_parts + 1)[1:]
+            del parts  # before the next block is drawn
         remaining -= m
     return counts / float(n_sims)
 

@@ -76,8 +76,11 @@ def project_rows(parts) -> tuple[np.ndarray, np.ndarray]:
     outside, stretch, zero_index = _zero_rule(x)
     out = x.copy()
     centre = 1.0 / x.shape[1]
-    scale = 1.0 / stretch[outside]
-    out[outside] = centre + scale[:, None] * (x[outside] - centre)
+    pulled = x[outside]  # c + (x - c) / stretch, in place on this one copy of the outside rows
+    pulled -= centre
+    pulled *= 1.0 / stretch[outside, None]
+    pulled += centre
+    out[outside] = pulled
     rows = np.flatnonzero(zero_index >= 0)
     out[rows, zero_index[rows]] = 0.0
     return out, zero_index

@@ -175,6 +175,21 @@ def alpha_transform(x, alpha: float) -> np.ndarray:
     return ((n_parts * u - 1.0) / alpha) @ h.T
 
 
+def _inverse_affine(y: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """(alpha H^T y + 1) / D for (..., D-1) coordinates y, computed in place on the product.
+
+    At alpha = 1 these are the parts of the inverse transform; otherwise the
+    power step still has to be inverted.
+    """
+    n_parts = y.shape[-1] + 1
+    u = y @ _helmert_readonly(n_parts)
+    if alpha != 1.0:
+        u *= alpha
+    u += 1.0
+    u /= n_parts
+    return u
+
+
 def inverse_alpha_transform(y, alpha: float) -> tuple[np.ndarray, np.ndarray | bool]:
     """Invert ``alpha_transform``; returns ``(parts, inside)``.
 
@@ -192,9 +207,7 @@ def inverse_alpha_transform(y, alpha: float) -> tuple[np.ndarray, np.ndarray | b
     d = y.shape[-1]
     if d < 1:
         raise ValueError("y must have at least one coordinate")
-    n_parts = d + 1
-    h = _helmert_readonly(n_parts)
-    u = (alpha * (y @ h) + 1.0) / n_parts
+    u = _inverse_affine(y, alpha)
     if alpha == 1.0:
         inside = np.min(u, axis=-1) >= 0.0
         return u, (bool(inside) if np.isscalar(inside) or inside.ndim == 0 else inside)

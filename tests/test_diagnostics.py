@@ -1,7 +1,10 @@
 """Simulation and zero-count diagnostic tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from reference import simulate_compositions_whole, zero_rates_whole
 
 from zerocensored import (
     FittedModel,
@@ -13,7 +16,7 @@ from zerocensored import (
     zero_rates,
 )
 from zerocensored.dataset import CompositionalDataset
-from zerocensored.diagnostics import CHUNK_SIZE
+from zerocensored.diagnostics import BLOCK_ROWS, CHUNK_SIZE
 
 
 def toy_model(mean, cov, n_parts):
@@ -148,6 +151,78 @@ def test_zero_rates_disjoint_streams_agree():
 def test_zero_rates_enforces_minimum_sims():
     with pytest.raises(ValueError):
         zero_rates(BOUNDARY_MODEL, 5000, seed=0)
+
+
+# --- blocked draws ----------------------------------------------------------------
+
+
+def correlated_model(n_parts, scale=0.605):
+    """A fixed correlated normal in n_parts - 1 coordinates; at 10 parts and scale 0.605 it is the
+    censored-d10 benchmark generator (about 35% single-zero rows)."""
+    rng = np.random.default_rng(20220827)
+    d = n_parts - 1
+    a = rng.normal(size=(d, d))
+    cov = a @ a.T / d + 0.5 * np.eye(d)
+    sd = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(sd, sd)
+    mean = 0.1 * rng.normal(size=d)
+    return MvnParams(scale * mean, scale * scale * corr)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+BLOCK_PARTS = (2, 3, 5, 8, 10, 15, 20, 21)
+
+
+@pytest.mark.parametrize("n_parts", BLOCK_PARTS)
+def test_simulate_blocks_give_the_whole_array_bits(n_parts):
+    # Every block length the split can produce, from a lone short block to a long remainder;
+    # blocks of at least BLOCK_ROWS rows keep BLAS off the small-matrix path, which rounds differently.
+    model = correlated_model(n_parts)
+    b = BLOCK_ROWS
+    for n in (0, 1, b - 1, b, b + 1, 2 * b - 1, 2 * b + 1, 200_003):
+        ds = simulate_compositions(n, model, seed=n)
+        parts, zero_index = simulate_compositions_whole(n, model, seed=n)
+        assert_same_bits(ds.parts, parts)
+        np.testing.assert_array_equal(ds.zero_index, zero_index)
+        assert ds.zero_index.dtype == zero_index.dtype
+
+
+@pytest.mark.parametrize("n_parts", BLOCK_PARTS)
+def test_zero_rates_blocks_give_the_whole_chunk_bits(n_parts):
+    model = correlated_model(n_parts)
+    for n_sims in (10_000, CHUNK_SIZE + 1):
+        assert_same_bits(zero_rates(model, n_sims, seed=n_parts), zero_rates_whole(model, n_sims, seed=n_parts))
+
+
+def test_zero_rates_blocks_give_the_whole_chunk_bits_at_a_million_draws():
+    model = correlated_model(10)
+    assert_same_bits(zero_rates(model, 1_000_000, seed=0), zero_rates_whole(model, 1_000_000, seed=0))
+
+
+def traced_peak(fun):
+    """Peak bytes traced by tracemalloc (NumPy buffers included) while fun runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fun()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_zero_rates_holds_one_block():
+    # The whole-chunk draw peaked at 20.1 MiB here; blocked, it reads 2.5 MiB.
+    peak, _ = traced_peak(lambda: zero_rates(correlated_model(10), 1_000_000, seed=0))
+    assert peak < 4 * 2**20
+
+
+def test_simulate_holds_its_result_and_one_block():
+    # The whole-array draw peaked at 103.7 MiB here, for a 32.0 MiB result; blocked, it reads 40.5 MiB.
+    peak, ds = traced_peak(lambda: simulate_compositions(200_000, correlated_model(20), seed=0))
+    assert peak < ds.parts.nbytes + ds.zero_index.nbytes + 12 * 2**20
 
 
 # --- expected table ----------------------------------------------------------------
