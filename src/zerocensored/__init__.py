@@ -10,49 +10,20 @@ ternary SVG plots, plus a command line interface (``zerocensored --help``).
 """
 
 from .dataset import CompositionalDataset, TransformedSample, transform_dataset
-from .diagnostics import (
-    ZeroDiagnostics,
-    chi_square_discrepancy,
-    diagnose,
-    simulate_compositions,
-    zero_rates,
-)
-from .gaussian import (
-    ConditionalSplit,
-    MvnParams,
-    NotPositiveDefiniteError,
-    cholesky,
-    conditional_split,
-    mvn_logpdf,
-    std_normal_log_tail,
-)
-from .geometry import (
-    TiedMinimumError,
-    gram_schmidt_rotation,
-    project_rows,
-    zero_parts,
-)
-from .likelihood import (
-    FittedModel,
-    ParameterBoundError,
-    boundary_term,
-    fit,
-    log_likelihood,
-    pack_params,
-    unpack_params,
-)
+from .diagnostics import ZeroDiagnostics, diagnose, simulate_compositions, zero_rates
+from .gaussian import MvnParams, NotPositiveDefiniteError, cholesky
+from .geometry import TiedMinimumError, gram_schmidt_rotation, project_rows, zero_parts
+from .likelihood import FittedModel, ParameterBoundError, boundary_term, fit, log_likelihood
 from .simplex import (
     MultipleZerosError,
     alpha_transform,
-    alpha_transform_simplex,
-    as_composition,
     closure,
     helmert_submatrix,
     inverse_alpha_transform,
     jacobian_alpha,
     jacobian_simplex,
 )
-from .ternary import ContourLine, density_contours, render_svg, ternary_coordinates
+from .ternary import render_svg
 
 __version__ = "0.1.0"
 
@@ -61,17 +32,12 @@ __all__ = [
     "TransformedSample",
     "transform_dataset",
     "ZeroDiagnostics",
-    "chi_square_discrepancy",
     "diagnose",
     "simulate_compositions",
     "zero_rates",
-    "ConditionalSplit",
     "MvnParams",
     "NotPositiveDefiniteError",
     "cholesky",
-    "conditional_split",
-    "mvn_logpdf",
-    "std_normal_log_tail",
     "TiedMinimumError",
     "gram_schmidt_rotation",
     "project_rows",
@@ -81,20 +47,13 @@ __all__ = [
     "boundary_term",
     "fit",
     "log_likelihood",
-    "pack_params",
-    "unpack_params",
     "MultipleZerosError",
     "alpha_transform",
-    "alpha_transform_simplex",
-    "as_composition",
     "closure",
     "helmert_submatrix",
     "inverse_alpha_transform",
     "jacobian_alpha",
     "jacobian_simplex",
-    "ContourLine",
-    "density_contours",
     "render_svg",
-    "ternary_coordinates",
     "__version__",
 ]

@@ -164,7 +164,7 @@ class ZeroDiagnostics:
         return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
-def chi_square_discrepancy(observed, expected) -> float:
+def _chi_square_discrepancy(observed, expected) -> float:
     """Sum of (obs - exp)^2 / exp over components, pooling sparse cells.
 
     Components with expected count below ``CHI_SQUARE_FLOOR`` are pooled into
@@ -218,12 +218,12 @@ def diagnose(
     n_obs = dataset.n_obs
     expected = n_obs * rates
     observed = dataset.observed_zero_counts()
-    stat = chi_square_discrepancy(observed, expected)
+    stat = _chi_square_discrepancy(observed, expected)
     pvalue = None
     if n_replicates is not None:
         rng = np.random.default_rng(seq.spawn(1)[0])
         replicates = rng.multinomial(n_obs, [*rates, max(0.0, 1.0 - rates.sum())], size=n_replicates)
-        exceed = sum(chi_square_discrepancy(c, expected) >= stat for c in replicates[:, :-1])
+        exceed = sum(_chi_square_discrepancy(c, expected) >= stat for c in replicates[:, :-1])
         pvalue = (1 + exceed) / (n_replicates + 1)
     return ZeroDiagnostics(
         names=dataset.names,

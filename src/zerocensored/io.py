@@ -136,15 +136,29 @@ def read_latent_csv(path) -> tuple[list[str], np.ndarray]:
 
 
 def read_model_json(path) -> FittedModel:
+    """Read a model JSON file and check it before any command uses it.
+
+    ``D`` must be the mean's length plus one, and the mean and covariance
+    must pass ``MvnParams``; each error names the file.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed model JSON ({exc})") from exc
     try:
-        return FittedModel.from_dict(doc)
-    except (KeyError, TypeError) as exc:
+        model = FittedModel.from_dict(doc)
+    except KeyError as exc:
         raise ValueError(f"{path}: model JSON is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: model JSON has a value of the wrong type ({exc})") from exc
+    if model.n_parts != model.dim + 1:
+        raise ValueError(f"{path}: model JSON has D = {model.n_parts} but a mean of length {model.dim}")
+    try:
+        model.params  # noqa: B018  -- validates the mean and covariance
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid model parameters ({exc})") from exc
+    return model
 
 
 def write_model_json(path, model: FittedModel) -> None:

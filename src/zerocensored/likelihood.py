@@ -4,7 +4,8 @@ Interior points contribute ordinary normal log-densities.  A point that was
 pulled to a face enters through its rotated coordinates z = B y: the density
 of the non-first coordinates evaluated at zero, times the upper-tail
 probability of the first coordinate beyond the rotation radius c1.
-``boundary_term`` evaluates exactly that and is kept as the rotated-frame
+``boundary_term`` evaluates exactly that, splitting the rotated normal by the
+Schur complement of its non-first block, and is kept as the rotated-frame
 reference.  The term depends only on the unit direction u = y / c1 and c1, so
 the likelihood itself uses the equivalent direction form in ``_face_frame``,
 which needs no rotation.  The constant Jacobian term (n d + n/2) log D of the
@@ -32,15 +33,7 @@ from scipy.optimize import minimize
 from scipy.special import log_ndtr
 
 from .dataset import TransformedSample
-from .gaussian import (
-    LOG_2PI,
-    MvnParams,
-    NotPositiveDefiniteError,
-    cholesky,
-    conditional_split,
-    mvn_logpdf,
-    std_normal_log_tail,
-)
+from .gaussian import LOG_2PI, MvnParams, NotPositiveDefiniteError, cholesky
 
 #: Safety bound on the log-diagonal coordinates of the packed Cholesky factor.
 LOG_DIAG_BOUND = 30.0
@@ -54,7 +47,7 @@ class ParameterBoundError(RuntimeError):
     """Raised when the optimizer drives a log-diagonal coordinate onto the safety bound."""
 
 
-def pack_params(mean, cov) -> np.ndarray:
+def _pack_params(mean, cov) -> np.ndarray:
     """Pack (mean, SPD cov) into one unconstrained vector of length d + d(d+1)/2.
 
     Layout: mean entries, then the lower triangle of the Cholesky factor in
@@ -67,12 +60,6 @@ def pack_params(mean, cov) -> np.ndarray:
     diag_pos = _diag_positions(d)
     tri[diag_pos] = np.log(tri[diag_pos])
     return np.concatenate([mean, tri])
-
-
-def unpack_params(theta, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert ``pack_params``: returns (mean, cov) with cov SPD by construction."""
-    mean, chol = _unpack_chol(theta, dim)
-    return mean, chol @ chol.T
 
 
 def _diag_positions(d: int) -> np.ndarray:
@@ -99,9 +86,14 @@ def _unpack_chol(theta, dim: int) -> tuple[np.ndarray, np.ndarray]:
 def boundary_term(rotation, radius: float, mean, cov) -> float:
     """Censored log-contribution of one face point with rotation data (B, c1).
 
-    Computes mu_z = B mu and Sigma_z = B Sigma B^T, splits off the first
-    rotated coordinate, and returns the marginal log-density of the remaining
-    coordinates at zero plus log(1 - Phi((c1 - cond_mean) / cond_sd)).
+    With mu_z = B mu and Sigma_z = B Sigma B^T, the term is the log-density of
+    the non-first rotated coordinates at zero plus the log upper tail of the
+    first one beyond c1 given them.  Through L = chol(Sigma_22),
+    half = L^-1 Sigma_21 and m = L^-1 mu_2, the marginal is
+    -1/2 [(d - 1) log 2 pi + log|Sigma_22| + m.m] and the conditional of the
+    first coordinate has mean mu_1 - half.m and variance Sigma_11 - half.half
+    (the Schur complement), so the tail is
+    log(1 - Phi((c1 - cond_mean) / sqrt(cond_var))).
     """
     b = np.asarray(rotation, dtype=float)
     c1 = float(radius)
@@ -115,11 +107,17 @@ def boundary_term(rotation, radius: float, mean, cov) -> float:
     d = mu_z.size
     if d == 1:
         sd = math.sqrt(float(sig_z[0, 0]))
-        return std_normal_log_tail((c1 - float(mu_z[0])) / sd)
-    split = conditional_split(MvnParams(mu_z, sig_z))
-    marginal = mvn_logpdf(np.zeros(d - 1), MvnParams(split.marginal_mean, split.marginal_cov))
-    tail = std_normal_log_tail((c1 - split.cond_mean_at_zero) / math.sqrt(split.cond_var))
-    return float(marginal + tail)
+        return float(log_ndtr(-(c1 - float(mu_z[0])) / sd))
+    chol = cholesky(sig_z[1:, 1:])
+    half = solve_triangular(chol, sig_z[1:, 0], lower=True)
+    m = solve_triangular(chol, mu_z[1:], lower=True)
+    cond_mean = float(mu_z[0] - half @ m)
+    cond_var = float(sig_z[0, 0] - half @ half)
+    if cond_var <= 0.0:
+        raise NotPositiveDefiniteError("conditional variance is not positive")
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m)
+    return float(marginal + log_ndtr(-(c1 - cond_mean) / math.sqrt(cond_var)))
 
 
 @dataclass(frozen=True)
@@ -200,7 +198,7 @@ def _loglik_and_score(sample: TransformedSample, theta: np.ndarray) -> tuple[flo
 
 
 def _score(chol: np.ndarray, resid: np.ndarray | None, frame: _FaceFrame | None) -> np.ndarray:
-    """Gradient of the log-likelihood in the packed coordinates of ``pack_params``.
+    """Gradient of the log-likelihood in the packed coordinates of ``_pack_params``.
 
     Interior points give dl/dmu = L^-T sum z and dl/dL = tril(L^-T Z Z^T) - n1 diag(1/L).
     Face points go through (m, w, a, b): with the inverse Mills ratio
@@ -358,7 +356,7 @@ def fit(
     except NotPositiveDefiniteError:
         cov0 = cov0 + START_RIDGE * np.eye(d)
         cholesky(cov0)  # give up if still singular
-    theta0 = pack_params(mean0, cov0)
+    theta0 = _pack_params(mean0, cov0)
 
     def negloglik_and_score(theta: np.ndarray) -> tuple[float, np.ndarray]:
         value, score = _loglik_and_score(sample, theta)
@@ -414,12 +412,12 @@ def fit(
             "optimum hit the +/-30 log-diagonal bound; the covariance scale is degenerate"
         )
 
-    mean_hat, cov_hat = unpack_params(best_theta, d)
+    mean_hat, chol_hat = _unpack_chol(best_theta, d)
     grad = result.jac if at_result else negloglik_and_score(best_theta)[1]
     grad_norm = float(np.max(np.abs(grad)))
     return FittedModel(
         mean=mean_hat,
-        cov=cov_hat,
+        cov=chol_hat @ chol_hat.T,
         loglik=-best_value,
         iterations=int(result.nit),
         converged=bool(result.success),

@@ -2,9 +2,10 @@
 
 Compositions are plain float arrays with D non-negative parts summing to one,
 of which at most one part may be zero.  The power transformation with exponent
-``alpha`` maps a composition either onto the simplex itself (``alpha_transform_simplex``)
-or, after centring, scaling by D and rotating with the Helmert sub-matrix, onto
-``R^(D-1)`` (``alpha_transform``).  At ``alpha == 1`` the latter is the affine map
+``alpha`` maps a composition onto the simplex itself
+(``_alpha_transform_simplex``) and then, after centring, scaling by D and
+rotating with the Helmert sub-matrix, onto ``R^(D-1)`` (``alpha_transform``).
+At ``alpha == 1`` the latter is the affine map
 
     y = H (D x - 1)
 
@@ -87,14 +88,6 @@ def validate_compositions(rows) -> tuple[np.ndarray, np.ndarray]:
     return x, np.where(counts == 1, x.argmin(axis=1), -1)
 
 
-def as_composition(parts) -> np.ndarray:
-    """Validate one composition vector with ``validate_compositions`` and return it."""
-    x = np.asarray(parts, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError(f"a composition needs at least 2 parts in one vector, got shape {x.shape}")
-    return validate_compositions(x)[0][0]
-
-
 def closure(raw) -> np.ndarray:
     """Normalize non-negative amounts (hours, weights, counts) in one vector or (n, D) rows.
 
@@ -150,7 +143,7 @@ def _check_power_domain(x: np.ndarray, alpha: float) -> None:
         raise ValueError("zero parts require alpha > 0")
 
 
-def alpha_transform_simplex(x, alpha: float) -> np.ndarray:
+def _alpha_transform_simplex(x, alpha: float) -> np.ndarray:
     """Stay-in-the-simplex power transform: u_i = x_i^alpha / sum_j x_j^alpha.
 
     Accepts a single composition or an array of them in the last axis.
@@ -169,7 +162,7 @@ def alpha_transform(x, alpha: float) -> np.ndarray:
     For alpha = 1 this sends the simplex centre to the origin and is affine,
     so it extends to latent points outside the simplex.
     """
-    u = alpha_transform_simplex(x, alpha)
+    u = _alpha_transform_simplex(x, alpha)
     n_parts = u.shape[-1]
     h = _helmert_readonly(n_parts)
     return ((n_parts * u - 1.0) / alpha) @ h.T

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,7 @@ WIDTH = 560
 MARGIN = 48.0
 
 
-def ternary_coordinates(parts) -> np.ndarray:
+def _ternary_coordinates(parts) -> np.ndarray:
     """Map three-part compositions (last axis length 3) to 2-d triangle coordinates."""
     parts = np.asarray(parts, dtype=float)
     if parts.shape[-1] != 3:
@@ -43,22 +42,14 @@ def ternary_coordinates(parts) -> np.ndarray:
     return parts @ TRIANGLE
 
 
-@dataclass(frozen=True)
-class ContourLine:
-    """One model density contour: its log-density level and the polyline in both spaces."""
-
-    log_density: float
-    latent: np.ndarray
-    parts: np.ndarray
-
-
-def density_contours(model: MvnParams) -> list[ContourLine]:
-    """Level sets of the latent normal, mapped to composition coordinates.
+def _density_contours(model: MvnParams) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Level sets of the latent normal as (log_density, latent, parts) polylines.
 
     Levels step the log-density in ``N_LEVELS`` equal decrements from the
     peak down to the density at the Mahalanobis radius covering ``COVERAGE``
     probability mass, so the outermost contour is the coverage ellipse.
-    Each polyline has ``N_POINTS`` points.
+    Each polyline has ``N_POINTS`` points, in latent and in composition
+    coordinates.
     """
     if model.dim != 2:
         raise ValueError("density contours are drawn for 2-d latent models (3 parts) only")
@@ -71,7 +62,7 @@ def density_contours(model: MvnParams) -> list[ContourLine]:
         radius = r_max * math.sqrt(k / N_LEVELS)
         latent = model.mean + radius * circle @ model.chol.T
         parts, _ = inverse_alpha_transform(latent, 1.0)
-        lines.append(ContourLine(log_density=peak - 0.5 * radius**2, latent=latent, parts=parts))
+        lines.append((peak - 0.5 * radius**2, latent, parts))
     return lines
 
 
@@ -104,8 +95,8 @@ def render_svg(dataset: CompositionalDataset | None = None, model: MvnParams | N
     contours = []
     meta: dict = {"vertex_order": list(names)}
     if model is not None:
-        contours = density_contours(model)
-        meta["contour_log_density_levels"] = [round(c.log_density, 6) for c in contours]
+        contours = _density_contours(model)
+        meta["contour_log_density_levels"] = [round(level, 6) for level, _, _ in contours]
         meta["contour_coverage"] = COVERAGE
 
     parts_svg: list[str] = []
@@ -130,18 +121,18 @@ def render_svg(dataset: CompositionalDataset | None = None, model: MvnParams | N
             f'font-family="sans-serif" font-size="13">{names[j]}</text>'
         )
 
-    for line in contours:
-        pts = to_px(ternary_coordinates(line.parts))
+    for _, _, parts in contours:
+        pts = to_px(_ternary_coordinates(parts))
         path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
         parts_svg.append(
             f'<polyline points="{path}" fill="none" stroke="#4878b0" stroke-width="1.0"/>'
         )
 
     if dataset is not None and dataset.n_obs:
-        interior_px = to_px(ternary_coordinates(dataset.interior_parts)) if dataset.n_interior else []
+        interior_px = to_px(_ternary_coordinates(dataset.interior_parts)) if dataset.n_interior else []
         for x, y in interior_px:
             parts_svg.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.2" fill="#303030"/>')
-        face_px = to_px(ternary_coordinates(dataset.face_parts)) if dataset.n_face else []
+        face_px = to_px(_ternary_coordinates(dataset.face_parts)) if dataset.n_face else []
         arm = 3.2
         for x, y in face_px:
             parts_svg.append(

@@ -4,11 +4,30 @@ import csv
 import math
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.linalg import solve_triangular
+from scipy.special import ndtr
 
 from zerocensored.diagnostics import CHUNK_SIZE
+from zerocensored.gaussian import LOG_2PI, MvnParams
 from zerocensored.geometry import project_rows, zero_parts
-from zerocensored.simplex import inverse_alpha_transform
+from zerocensored.simplex import helmert_submatrix, inverse_alpha_transform
 from zerocensored.ternary import TRIANGLE
+
+
+def mvn_logpdf(y, params: MvnParams):
+    """Normal log-density at one point (1-d input) or a stack of points (2-d input)."""
+    y = np.asarray(y, dtype=float)
+    d = params.dim
+    if y.shape[-1] != d:
+        raise ValueError(f"point dimension {y.shape[-1]} does not match parameters ({d})")
+    chol = params.chol
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    resid = np.atleast_2d(y) - params.mean
+    w = solve_triangular(chol, resid.T, lower=True)
+    quad = np.sum(w * w, axis=0)
+    out = -0.5 * (d * LOG_2PI + log_det + quad)
+    return float(out[0]) if y.ndim == 1 else out
 
 
 def numerical_gradient(fun, theta, *, rel_step: float = 1e-6) -> np.ndarray:
@@ -26,7 +45,7 @@ def numerical_gradient(fun, theta, *, rel_step: float = 1e-6) -> np.ndarray:
 
 
 def barycentric_from_xy(xy) -> np.ndarray:
-    """Invert ``ternary_coordinates``; coordinates may lie outside the triangle."""
+    """Invert ``ternary._ternary_coordinates``; coordinates may lie outside the triangle."""
     xy = np.asarray(xy, dtype=float)
     c = xy[..., 1] / TRIANGLE[2, 1]
     b = xy[..., 0] - 0.5 * c
@@ -65,3 +84,41 @@ def zero_rates_whole(model, n_sims, seed) -> np.ndarray:
         counts += np.bincount(zero_index + 1, minlength=n_parts + 1)[1:]
         remaining -= m
     return counts / float(n_sims)
+
+
+def exact_zero_rates_d3(mean, cov) -> np.ndarray:
+    """Exact probability that a 3-part model's draw lands with its zero in each part.
+
+    A latent point t u, with u a unit vector and t > 0, has its zero in part
+    j = argmin_k (H^T u)_k once t passes the edge radius c = -1 / (H^T u)_j.
+    With P = cov^-1, a = u'P u, m = u'P mean / a and s = a^(-1/2), the radial
+    integral of t f(t u) from c to infinity is closed-form:
+    s^2 e^(-(c - m)^2 / 2 s^2) + m s sqrt(2 pi) Phi(-(c - m) / s), times the
+    density's factor along the ray, e^(-(mean'P mean - a m^2) / 2) / (2 pi |cov|^(1/2)).
+    The angle integral runs by quadrature over the three arcs between vertex
+    directions, on each of which j is fixed.
+    """
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    prec = np.linalg.inv(cov)
+    h = helmert_submatrix(3)
+    scale = 2.0 * math.pi * math.sqrt(np.linalg.det(cov))
+    q = float(mean @ prec @ mean)
+
+    def ray_mass(theta, j):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        c = -1.0 / float(u @ h[:, j])
+        pu = prec @ u
+        a = float(u @ pu)
+        m = float(pu @ mean) / a
+        s = 1.0 / math.sqrt(a)
+        radial = s * s * math.exp(-0.5 * ((c - m) / s) ** 2) + m * s * math.sqrt(2.0 * math.pi) * ndtr(-(c - m) / s)
+        return math.exp(-0.5 * (q - a * m * m)) * radial / scale
+
+    vertices = sorted(math.atan2(col[1], col[0]) % (2.0 * math.pi) for col in h.T)
+    rates = np.zeros(3)
+    for lo, hi in zip(vertices, vertices[1:] + [vertices[0] + 2.0 * math.pi]):
+        mid = 0.5 * (lo + hi)
+        j = int(np.argmin(np.array([math.cos(mid), math.sin(mid)]) @ h))
+        rates[j] += quad(ray_mass, lo, hi, args=(j,), epsabs=0.0, epsrel=1e-10, limit=200)[0]
+    return rates

@@ -4,19 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import simulate_compositions_whole, zero_rates_whole
+from reference import exact_zero_rates_d3, simulate_compositions_whole, zero_rates_whole
 
 from zerocensored import (
     FittedModel,
     MvnParams,
     alpha_transform,
-    chi_square_discrepancy,
     diagnose,
     simulate_compositions,
     zero_rates,
 )
 from zerocensored.dataset import CompositionalDataset
-from zerocensored.diagnostics import BLOCK_ROWS, CHUNK_SIZE
+from zerocensored.diagnostics import BLOCK_ROWS, CHUNK_SIZE, _chi_square_discrepancy
 
 
 def toy_model(mean, cov, n_parts):
@@ -148,6 +147,28 @@ def test_zero_rates_disjoint_streams_agree():
     assert np.all(np.abs(r1 - r2) < 4 * np.maximum(se, 1e-4))
 
 
+def test_exact_zero_rates_oracle_is_symmetric_for_a_centred_isotropic_model():
+    rates = exact_zero_rates_d3(np.zeros(2), 0.5 * np.eye(2))
+    assert rates[0] > 0.04
+    np.testing.assert_allclose(rates, rates[0], rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "mean, cov, seed",
+    [
+        ([0.625, 0.821], [[0.149, -0.200], [-0.200, 1.523]], 0),  # the paper's 3-part generator
+        ([0.656, 0.788], [[0.129, -0.132], [-0.132, 1.477]], 400),  # its reported estimates
+    ],
+    ids=["generator", "reported-estimates"],
+)
+def test_zero_rates_match_the_exact_rates(mean, cov, seed):
+    exact = exact_zero_rates_d3(mean, cov)
+    n_sims = 1_000_000
+    rates = zero_rates(MvnParams(np.array(mean), np.array(cov)), n_sims, seed)
+    se = np.sqrt(exact * (1 - exact) / n_sims)
+    assert np.all(np.abs(rates - exact) <= 4 * se), (rates, exact)
+
+
 def test_zero_rates_enforces_minimum_sims():
     with pytest.raises(ValueError):
         zero_rates(BOUNDARY_MODEL, 5000, seed=0)
@@ -251,30 +272,30 @@ def test_expected_table_zero_observations():
 
 
 def test_chi_square_zero_when_equal():
-    assert chi_square_discrepancy([3, 1, 4], [3.0, 1.0, 4.0]) == 0.0
+    assert _chi_square_discrepancy([3, 1, 4], [3.0, 1.0, 4.0]) == 0.0
 
 
 def test_chi_square_direct_arithmetic():
-    assert chi_square_discrepancy([2, 0], [1.0, 1.0]) == pytest.approx(2.0)
+    assert _chi_square_discrepancy([2, 0], [1.0, 1.0]) == pytest.approx(2.0)
 
 
 def test_chi_square_sparse_table_with_pooling():
     observed = [0, 1, 0, 4, 0, 0, 0, 0, 0, 0]
     expected = [0.593, 0.547, 2.106, 2.151, 0.002, 0.0, 0.0, 0.0, 0.137, 0.0]
     # retained cells: the four with expectation >= 0.5; the rest pool to 0.139 vs 0
-    assert chi_square_discrepancy(observed, expected) == pytest.approx(4.802554308739526)
+    assert _chi_square_discrepancy(observed, expected) == pytest.approx(4.802554308739526)
 
 
 def test_chi_square_pooled_zero_expectation():
-    assert chi_square_discrepancy([0, 0, 0], [0.0, 0.0, 0.0]) == 0.0
-    assert chi_square_discrepancy([0, 1, 0], [0.0, 0.0, 0.0]) == np.inf
+    assert _chi_square_discrepancy([0, 0, 0], [0.0, 0.0, 0.0]) == 0.0
+    assert _chi_square_discrepancy([0, 1, 0], [0.0, 0.0, 0.0]) == np.inf
 
 
 def test_chi_square_input_validation():
     with pytest.raises(ValueError):
-        chi_square_discrepancy([1, 2], [1.0])
+        _chi_square_discrepancy([1, 2], [1.0])
     with pytest.raises(ValueError):
-        chi_square_discrepancy([1], [-0.5])
+        _chi_square_discrepancy([1], [-0.5])
 
 
 # --- simulated p-value ------------------------------------------------------------------
@@ -373,7 +394,7 @@ def test_diagnose_pvalue_is_mc_pvalue_with_the_same_seed():
     rng = np.random.default_rng(np.random.SeedSequence(41).spawn(4)[3])
     rates = result.expected_rates
     replicates = rng.multinomial(200, [*rates, 1.0 - rates.sum()], size=199)[:, :-1]
-    exceed = sum(chi_square_discrepancy(c, result.expected_counts) >= result.chi_square for c in replicates)
+    exceed = sum(_chi_square_discrepancy(c, result.expected_counts) >= result.chi_square for c in replicates)
     assert result.mc_pvalue == (1 + exceed) / 200
 
 

@@ -1,8 +1,12 @@
-"""Multivariate normal kernel tests.
+"""Normal tests: parameter checks, the reference log-density, and the boundary term's split and tail.
 
-The log-density is checked against a naive inverse/determinant evaluation and
-against grid quadrature; the tail function against an arbitrary-precision
-complementary error function.
+``MvnParams`` and ``cholesky`` must refuse what LAPACK would pass through.
+The reference log-density (``tests/reference.py``) that other tests build on
+is checked against a naive inverse/determinant evaluation and against grid
+quadrature.  The conditional split of the rotated normal and its normal tail
+now live only inside ``boundary_term``; they are checked through it with the
+identity rotation, against closed forms, the joint density and an
+arbitrary-precision complementary error function.
 """
 
 import math
@@ -10,16 +14,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
+from scipy.integrate import quad, trapezoid
 
-from zerocensored import (
-    MvnParams,
-    NotPositiveDefiniteError,
-    cholesky,
-    conditional_split,
-    mvn_logpdf,
-    std_normal_log_tail,
-)
+from zerocensored import MvnParams, NotPositiveDefiniteError, boundary_term, cholesky
+
+from reference import mvn_logpdf
 
 
 def random_spd(rng, d, jitter=0.3):
@@ -65,6 +64,15 @@ def test_mvn_params_validates():
         MvnParams(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         MvnParams(np.zeros(3), np.eye(2))
+    # np.linalg.cholesky returns NaN for a NaN entry instead of raising, so the checks come first
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="mean has non-finite"):
+            MvnParams(np.array([bad, 0.1]), np.eye(2))
+        cov = np.eye(2)
+        cov[0, 1] = cov[1, 0] = bad
+        with pytest.raises(ValueError, match="covariance has non-finite") as excinfo:
+            MvnParams(np.zeros(2), cov)
+        assert not isinstance(excinfo.value, NotPositiveDefiniteError)
 
 
 # --- log-density ----------------------------------------------------------------
@@ -117,85 +125,85 @@ def test_logpdf_dimension_mismatch():
         mvn_logpdf(np.zeros(3), MvnParams(np.zeros(2), np.eye(2)))
 
 
-# --- conditional split -------------------------------------------------------------
+# --- conditional split, inside boundary_term ------------------------------------------
+
+
+def log_sf(x):
+    return math.log(0.5 * math.erfc(x / math.sqrt(2.0)))
 
 
 def test_conditional_split_independent_case():
-    split = conditional_split(MvnParams(np.array([0.7, -1.2, 0.4]), np.eye(3)))
-    assert split.cond_mean_at_zero == pytest.approx(0.7)
-    assert split.cond_var == pytest.approx(1.0)
-    np.testing.assert_allclose(split.marginal_mean, [-1.2, 0.4])
-    np.testing.assert_allclose(split.marginal_cov, np.eye(2))
+    # cond mean 0.7 and cond var 1; the others' marginal is N((-1.2, 0.4), I) at zero
+    mean = np.array([0.7, -1.2, 0.4])
+    for c1 in (0.3, 1.0, 2.5):
+        expected = mvn_logpdf(np.zeros(2), MvnParams(mean[1:], np.eye(2))) + log_sf(c1 - 0.7)
+        assert boundary_term(np.eye(3), c1, mean, np.eye(3)) == pytest.approx(expected, rel=1e-13)
 
 
 def test_conditional_split_hand_example():
-    split = conditional_split(MvnParams(np.array([1.0, 2.0]), np.array([[2.0, 1.0], [1.0, 4.0]])))
-    assert split.cond_mean_at_zero == pytest.approx(0.5)
-    assert split.cond_var == pytest.approx(1.75)
-    np.testing.assert_allclose(split.marginal_mean, [2.0])
-    np.testing.assert_allclose(split.marginal_cov, [[4.0]])
+    # cond mean 1 - (1/4) 2 = 0.5 and cond var 2 - 1/4 = 1.75; the marginal is N(2, 4) at zero
+    mean = np.array([1.0, 2.0])
+    cov = np.array([[2.0, 1.0], [1.0, 4.0]])
+    for c1 in (0.3, 1.0, 2.5):
+        expected = -0.5 * math.log(2 * math.pi * 4.0) - 0.5 * 2.0**2 / 4.0 + log_sf((c1 - 0.5) / math.sqrt(1.75))
+        assert boundary_term(np.eye(2), c1, mean, cov) == pytest.approx(expected, rel=1e-13)
 
 
 def test_factorization_identity_at_zero_tail_coordinates():
-    # joint density at (z1, 0, ..., 0) must equal marginal at 0 times the conditional at z1
+    # the term is the joint density at (z1, 0, ..., 0) integrated over z1 > c1
     rng = np.random.default_rng(22)
-    for _ in range(100):
+    for _ in range(50):
         d = int(rng.integers(2, 7))
         params = MvnParams(rng.normal(size=d), random_spd(rng, d))
-        split = conditional_split(params)
-        z1 = rng.normal(scale=2.0)
-        z = np.zeros(d)
-        z[0] = z1
-        joint = mvn_logpdf(z, params)
-        marginal = mvn_logpdf(np.zeros(d - 1), MvnParams(split.marginal_mean, split.marginal_cov))
-        conditional = (
-            -0.5 * math.log(2 * math.pi * split.cond_var)
-            - 0.5 * (z1 - split.cond_mean_at_zero) ** 2 / split.cond_var
-        )
-        assert joint == pytest.approx(marginal + conditional, abs=1e-9)
+        c1 = float(rng.uniform(0.1, 2.0))
+
+        def joint(z1):
+            z = np.zeros(d)
+            z[0] = z1
+            return math.exp(mvn_logpdf(z, params))
+
+        exact = quad(joint, c1, np.inf, epsabs=0.0, epsrel=1e-11)[0]
+        term = boundary_term(np.eye(d), c1, params.mean, params.cov)
+        assert term == pytest.approx(math.log(exact), abs=1e-8)
 
 
-def test_conditioning_reduces_variance():
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        d = int(rng.integers(2, 6))
-        params = MvnParams(rng.normal(size=d), random_spd(rng, d, jitter=0.1))
-        split = conditional_split(params)
-        assert split.cond_var <= params.cov[0, 0] + 1e-12
+def test_conditional_split_rejects_a_singular_covariance():
+    # the Schur complement 1 - 1 * 1 is exactly zero
+    with pytest.raises(NotPositiveDefiniteError, match="conditional variance"):
+        boundary_term(np.eye(2), 1.0, np.zeros(2), np.ones((2, 2)))
 
 
-def test_conditional_split_needs_two_dims():
-    with pytest.raises(ValueError):
-        conditional_split(MvnParams(np.zeros(1), np.eye(1)))
+# --- normal tail, as the one-coordinate boundary term -------------------------------------
 
 
-# --- normal tail ---------------------------------------------------------------------
+def log_tail(a: float) -> float:
+    """log(1 - Phi(a)), as the d = 1 boundary term at radius 1 with mean 1 - a."""
+    return boundary_term(np.eye(1), 1.0, np.array([1.0 - a]), np.eye(1))
 
 
 def test_log_tail_at_zero():
-    assert std_normal_log_tail(0.0) == pytest.approx(math.log(0.5), rel=1e-14)
+    assert log_tail(0.0) == pytest.approx(math.log(0.5), rel=1e-14)
 
 
 def test_log_tail_limits():
-    assert std_normal_log_tail(-np.inf) == 0.0
-    assert std_normal_log_tail(np.inf) == -np.inf
+    assert log_tail(-np.inf) == 0.0
+    assert log_tail(np.inf) == -np.inf
 
 
 def test_log_tail_deep_tail_matches_mpmath():
-    mp.mp.dps = 40
     for a in (4.0, 8.0, 15.0, 30.0):
-        exact = float(mp.log(mp.erfc(a / mp.sqrt(2)) / 2))
-        assert std_normal_log_tail(a) == pytest.approx(exact, rel=1e-10)
-    assert std_normal_log_tail(8.0) == pytest.approx(-35.013437159914550, rel=1e-12)
+        with mp.workdps(40):
+            exact = float(mp.log(mp.erfc(a / mp.sqrt(2)) / 2))
+        assert log_tail(a) == pytest.approx(exact, rel=1e-10)
+    assert log_tail(8.0) == pytest.approx(-35.013437159914550, rel=1e-12)
 
 
 def test_log_tail_monotone_decreasing():
-    grid = np.linspace(-10, 10, 401)
-    vals = std_normal_log_tail(grid)
+    vals = [log_tail(a) for a in np.linspace(-10, 10, 401)]
     assert np.all(np.diff(vals) < 0)
 
 
 def test_log_tail_complementarity():
     for a in np.linspace(-6, 6, 25):
-        total = math.exp(std_normal_log_tail(a)) + math.exp(std_normal_log_tail(-a))
+        total = math.exp(log_tail(a)) + math.exp(log_tail(-a))
         assert total == pytest.approx(1.0, abs=1e-12)

@@ -403,6 +403,36 @@ def test_cli_simulate_header_only_for_zero_count(tmp_path):
     assert out.read_text().splitlines() == ["comp1,comp2,comp3"]
 
 
+def _null_mean(doc):
+    doc["mean"][0] = None
+
+
+def _null_cov(doc):
+    doc["cov"][1][0] = doc["cov"][0][1] = None
+
+
+def _wrong_d(doc):
+    doc["mean"].append(0.1)  # D stays 3
+
+
+def _text_mean(doc):
+    doc["mean"][0] = "x"
+
+
+@pytest.mark.parametrize(
+    "spoil", [_null_mean, _null_cov, _wrong_d, _text_mean], ids=["null-mean", "null-cov", "wrong-D", "text-mean"]
+)
+def test_cli_simulate_refuses_an_invalid_model(tmp_path, capsys, spoil):
+    doc = BOUNDARY_MODEL.to_dict()
+    spoil(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "sims.csv"
+    assert main(["simulate", str(model), "-n", "10", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {model}: ")
+    assert not out.exists()
+
+
 # --- CLI: diagnose -----------------------------------------------------------------------
 
 

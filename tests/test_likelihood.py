@@ -21,11 +21,8 @@ from zerocensored import (
     fit,
     gram_schmidt_rotation,
     log_likelihood,
-    mvn_logpdf,
-    pack_params,
     simulate_compositions,
     transform_dataset,
-    unpack_params,
     MvnParams,
 )
 import zerocensored.likelihood as likelihood_module
@@ -35,10 +32,11 @@ from zerocensored.likelihood import (
     _face_frame,
     _log_likelihood_frame,
     _loglik_and_score,
+    _pack_params,
     _unpack_chol,
 )
 
-from reference import numerical_gradient
+from reference import mvn_logpdf, numerical_gradient
 
 
 def random_spd(rng, d, jitter=0.3):
@@ -94,12 +92,18 @@ def build_sample(interior, face_vectors, n_parts):
 # --- parameter packing -----------------------------------------------------------
 
 
+def unpack(theta, d):
+    """(mean, cov) at packed coordinates."""
+    mean, chol = _unpack_chol(theta, d)
+    return mean, chol @ chol.T
+
+
 def test_pack_unpack_round_trip():
     rng = np.random.default_rng(30)
     for d in (1, 2, 5, 9):
         mean = rng.normal(size=d)
         cov = random_spd(rng, d)
-        mean2, cov2 = unpack_params(pack_params(mean, cov), d)
+        mean2, cov2 = unpack(_pack_params(mean, cov), d)
         np.testing.assert_allclose(mean2, mean, atol=1e-12)
         np.testing.assert_allclose(cov2, cov, atol=1e-12)
 
@@ -109,7 +113,7 @@ def test_any_packed_vector_gives_spd():
     for _ in range(25):
         d = int(rng.integers(1, 6))
         theta = rng.normal(scale=2.0, size=d + d * (d + 1) // 2)
-        _, cov = unpack_params(theta, d)
+        _, cov = unpack(theta, d)
         assert np.linalg.eigvalsh(cov).min() > 0
 
 
@@ -117,7 +121,7 @@ def test_unpack_rejects_log_diag_beyond_bound():
     theta = np.zeros(2 + 3)
     theta[2 + _diag_positions(2)[0]] = 31.0
     with pytest.raises(ParameterBoundError):
-        unpack_params(theta, 2)
+        _unpack_chol(theta, 2)
 
 
 # --- boundary term ----------------------------------------------------------------
@@ -329,7 +333,7 @@ def test_gradient_matches_higher_order_stencil():
     sample = build_sample(interior, faces, 3)
 
     def negloglik(theta):
-        mean, cov = unpack_params(theta, 2)
+        mean, cov = unpack(theta, 2)
         return -log_likelihood(sample, mean, cov)
 
     def stencil_gradient(fun, theta, rel_step=1e-4):
@@ -347,7 +351,7 @@ def test_gradient_matches_higher_order_stencil():
         return grad
 
     for _ in range(20):
-        theta = pack_params(rng.normal(size=2), random_spd(rng, 2))
+        theta = _pack_params(rng.normal(size=2), random_spd(rng, 2))
         g_fast = numerical_gradient(negloglik, theta)
         g_ref = stencil_gradient(negloglik, theta)
         assert np.linalg.norm(g_fast - g_ref) <= 1e-4 * max(np.linalg.norm(g_ref), 1.0)
@@ -368,7 +372,7 @@ def four_point_stencil(fun, theta, rel_step=1e-4):
 
 
 def packed_loglik(sample):
-    return lambda theta: log_likelihood(sample, *unpack_params(theta, sample.dim))
+    return lambda theta: log_likelihood(sample, *unpack(theta, sample.dim))
 
 
 def assert_score_matches(sample, theta, rtol, rel_step=1e-4):
@@ -387,7 +391,7 @@ def test_score_matches_finite_differences(d, kind):
     n2 = 0 if kind == "interior" else 12
     sample = build_sample(rng.normal(size=(n1, d)), rng.normal(size=(n2, d)) + 0.5, d + 1)
     for _ in range(3):
-        theta = pack_params(rng.normal(size=d), random_spd(rng, d))
+        theta = _pack_params(rng.normal(size=d), random_spd(rng, d))
         assert_score_matches(sample, theta, rtol=1e-9)
         score = _loglik_and_score(sample, theta)[1]
         oracle = numerical_gradient(packed_loglik(sample), theta)
@@ -402,9 +406,9 @@ def test_score_finite_deep_in_the_tail(d):
     face = np.outer([10.0, 30.0, 50.0], direction) * 0.1  # c / sigma = 10, 30, 50
     sample = build_sample(0.1 * rng.normal(size=(20, d)), face, d + 1)
     cov = 0.01 * np.eye(d)
-    assert_score_matches(sample, pack_params(np.zeros(d), cov), rtol=1e-8)
+    assert_score_matches(sample, _pack_params(np.zeros(d), cov), rtol=1e-8)
     # The mean far beyond every face point along its ray: z = (c - b/a) sqrt(a) << 0.
-    assert_score_matches(sample, pack_params(8.0 * direction, cov), rtol=1e-8)
+    assert_score_matches(sample, _pack_params(8.0 * direction, cov), rtol=1e-8)
 
 
 @pytest.mark.parametrize("d", [3, 9])
@@ -418,7 +422,7 @@ def test_score_near_singular_cov(d):
     face = np.vstack([mean / 3.0, draws[20:]])  # the first on the mean's ray, where ||m||^2 - b^2/a cancels
     sample = build_sample(draws[:20], face, d + 1)
     # Cholesky entries down to 1e-4 need a stencil step well below the default.
-    assert_score_matches(sample, pack_params(mean, cov), rtol=1e-6, rel_step=1e-6)
+    assert_score_matches(sample, _pack_params(mean, cov), rtol=1e-6, rel_step=1e-6)
 
 
 def test_fit_uses_the_score_and_reports_its_calls():

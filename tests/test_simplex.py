@@ -10,14 +10,13 @@ import pytest
 from zerocensored import (
     MultipleZerosError,
     alpha_transform,
-    alpha_transform_simplex,
-    as_composition,
     closure,
     helmert_submatrix,
     inverse_alpha_transform,
     jacobian_alpha,
     jacobian_simplex,
 )
+from zerocensored.simplex import _alpha_transform_simplex
 
 ALPHAS = (-1.0, -0.5, 0.5, 1.0, 2.0)
 
@@ -62,22 +61,6 @@ def test_closure_rejects_bad_input():
     assert excinfo.value.rows == (2,)
 
 
-def test_as_composition_recloses_small_violations():
-    with pytest.warns(UserWarning):
-        x = as_composition([0.5, 0.3, 0.2 + 5e-8])
-    assert abs(x.sum() - 1.0) < 1e-15
-
-
-def test_as_composition_rejects_large_violations():
-    with pytest.raises(ValueError):
-        as_composition([0.5, 0.3, 0.3])
-
-
-def test_as_composition_rejects_two_zeros():
-    with pytest.raises(MultipleZerosError):
-        as_composition([0.0, 0.0, 1.0])
-
-
 # --- Helmert sub-matrix ------------------------------------------------------
 
 
@@ -115,17 +98,17 @@ def test_helmert_returns_fresh_copy():
 def test_simplex_transform_uniform_fixed_point():
     x = np.full(4, 0.25)
     for alpha in ALPHAS:
-        np.testing.assert_allclose(alpha_transform_simplex(x, alpha), x, atol=1e-15)
+        np.testing.assert_allclose(_alpha_transform_simplex(x, alpha), x, atol=1e-15)
 
 
 def test_simplex_transform_identity_at_one():
     rng = np.random.default_rng(0)
     x = random_interior(rng, 5)
-    np.testing.assert_allclose(alpha_transform_simplex(x, 1.0), x, atol=1e-15)
+    np.testing.assert_allclose(_alpha_transform_simplex(x, 1.0), x, atol=1e-15)
 
 
 def test_simplex_transform_two_parts():
-    u = alpha_transform_simplex(np.array([0.2, 0.8]), 2.0)
+    u = _alpha_transform_simplex(np.array([0.2, 0.8]), 2.0)
     np.testing.assert_allclose(u, [0.04 / 0.68, 0.64 / 0.68])
 
 
@@ -133,23 +116,23 @@ def test_simplex_transform_sums_to_one_and_positive():
     rng = np.random.default_rng(1)
     for alpha in ALPHAS:
         for _ in range(20):
-            u = alpha_transform_simplex(random_interior(rng, 4), alpha)
+            u = _alpha_transform_simplex(random_interior(rng, 4), alpha)
             assert abs(u.sum() - 1.0) < 1e-12
             assert u.min() > 0
 
 
 def test_alpha_zero_rejected():
     x = np.array([0.5, 0.5])
-    for fn in (alpha_transform_simplex, alpha_transform, jacobian_simplex, jacobian_alpha):
+    for fn in (_alpha_transform_simplex, alpha_transform, jacobian_simplex, jacobian_alpha):
         with pytest.raises(ValueError):
             fn(x, 0.0)
 
 
 def test_zero_part_requires_positive_alpha():
     x = np.array([0.0, 0.5, 0.5])
-    np.testing.assert_allclose(alpha_transform_simplex(x, 2.0), [0.0, 0.5, 0.5])
+    np.testing.assert_allclose(_alpha_transform_simplex(x, 2.0), [0.0, 0.5, 0.5])
     with pytest.raises(ValueError):
-        alpha_transform_simplex(x, -1.0)
+        _alpha_transform_simplex(x, -1.0)
 
 
 # --- centred transform and inverse -------------------------------------------

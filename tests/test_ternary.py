@@ -6,69 +6,62 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from zerocensored import (
-    CompositionalDataset,
-    MvnParams,
-    density_contours,
-    mvn_logpdf,
-    render_svg,
-    ternary_coordinates,
-)
-from zerocensored.ternary import N_LEVELS, TRIANGLE
+from zerocensored import CompositionalDataset, MvnParams, render_svg
+from zerocensored.ternary import N_LEVELS, TRIANGLE, _density_contours, _ternary_coordinates
 
-from reference import barycentric_from_xy
+from reference import barycentric_from_xy, mvn_logpdf
 
 MODEL = MvnParams(np.array([0.6, 0.8]), np.array([[0.15, -0.2], [-0.2, 1.5]]))
 
 
 def test_vertices_map_to_triangle_corners():
-    np.testing.assert_allclose(ternary_coordinates(np.eye(3)), TRIANGLE)
+    np.testing.assert_allclose(_ternary_coordinates(np.eye(3)), TRIANGLE)
 
 
 def test_centre_maps_to_centroid():
     np.testing.assert_allclose(
-        ternary_coordinates(np.full(3, 1 / 3)), TRIANGLE.mean(axis=0), atol=1e-15
+        _ternary_coordinates(np.full(3, 1 / 3)), TRIANGLE.mean(axis=0), atol=1e-15
     )
 
 
 def test_barycentric_round_trip():
     rng = np.random.default_rng(60)
     parts = rng.dirichlet(np.ones(3), size=50)
-    np.testing.assert_allclose(barycentric_from_xy(ternary_coordinates(parts)), parts, atol=1e-12)
+    np.testing.assert_allclose(barycentric_from_xy(_ternary_coordinates(parts)), parts, atol=1e-12)
 
 
 def test_contours_lie_on_level_sets():
     from zerocensored import helmert_submatrix
 
     h = helmert_submatrix(3)
-    contours = density_contours(MODEL)
+    contours = _density_contours(MODEL)
     assert len(contours) == 6
-    for line in contours:
+    for log_density, latent, parts in contours:
         # map drawn points back through the affine extension of the unit-exponent
         # transform (contours may leave the simplex) and check the density level
-        latent_back = 3.0 * line.parts @ h.T
+        latent_back = 3.0 * parts @ h.T
         levels = mvn_logpdf(latent_back, MODEL)
-        assert np.abs(levels - line.log_density).max() < 1e-3
-        np.testing.assert_allclose(latent_back, line.latent, atol=1e-10)
+        assert np.abs(levels - log_density).max() < 1e-3
+        np.testing.assert_allclose(latent_back, latent, atol=1e-10)
 
 
 def test_outermost_contour_is_the_99_percent_ellipse():
     # squared Mahalanobis radius of the N_LEVELS-th (outermost) contour
-    outer = density_contours(MODEL)[N_LEVELS - 1]
-    resid = outer.latent - MODEL.mean
+    _, latent, _ = _density_contours(MODEL)[N_LEVELS - 1]
+    resid = latent - MODEL.mean
     radius2 = np.einsum("ij,ij->i", resid @ np.linalg.inv(MODEL.cov), resid)
     np.testing.assert_allclose(radius2, chi2.ppf(0.99, df=2), rtol=0, atol=1e-12)
 
 
 def test_contour_levels_decrease_outward():
-    contours = density_contours(MODEL)
-    levels = [c.log_density for c in contours]
+    contours = _density_contours(MODEL)
+    levels = [level for level, _, _ in contours]
     assert np.all(np.diff(levels) < 0)
 
 
 def test_contours_need_two_dimensional_model():
     with pytest.raises(ValueError):
-        density_contours(MvnParams(np.zeros(3), np.eye(3)))
+        _density_contours(MvnParams(np.zeros(3), np.eye(3)))
 
 
 def dataset_with_faces():
@@ -98,7 +91,7 @@ def test_svg_metadata_records_levels():
     meta = json.loads(desc)
     assert meta["vertex_order"] == ["a", "b", "c"]
     assert len(meta["contour_log_density_levels"]) == 6
-    expected = [c.log_density for c in density_contours(MODEL)]
+    expected = [level for level, _, _ in _density_contours(MODEL)]
     np.testing.assert_allclose(meta["contour_log_density_levels"], expected, atol=1e-6)
 
 
