@@ -19,8 +19,11 @@ without changing them); the p-value replicates use child n_chunks.  Each
 stream, a rate chunk's or a simulation's, is drawn in consecutive blocks of
 ``BLOCK_ROWS`` rows, and a remainder shorter than one block joins the last
 block.  This changes no value: the output is bit-for-bit that of one
-whole-stream draw.  So ``simulate_compositions`` holds its result plus one
-block and ``zero_rates`` one block, and a tie or two-zero error names row
+whole-stream draw.  Every block of a call is drawn into the same two block
+buffers, reused across blocks and chunks and sized to the longest block the
+call draws, so a block is overwritten by the next one.  So
+``simulate_compositions`` holds its result plus two block buffers and
+``zero_rates`` two block buffers, and a tie or two-zero error names row
 numbers within the block.
 """
 
@@ -48,25 +51,38 @@ CHI_SQUARE_FLOOR = 0.5
 MIN_RATE_SIMS = 10_000
 
 
-def _draw_parts(model: MvnParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n latent normal draws mapped back to unit-sum parts, before any boundary rule."""
-    latent = rng.standard_normal((n, model.dim)) @ model.chol.T
-    latent += model.mean
-    return _inverse_affine(latent)
+def _longest_block(n: int) -> int:
+    """Rows in the longest block of a stream of n draws: the last one, which takes the remainder."""
+    return n if n < BLOCK_ROWS else BLOCK_ROWS + n % BLOCK_ROWS
 
 
-def _draw_blocks(model: MvnParams, n: int, rng: np.random.Generator):
-    """Yield (rows, parts) for consecutive blocks of n draws; together they are ``_draw_parts(model, n, rng)``.
+def _draw_blocks(model: MvnParams, sizes, seeds):
+    """Yield (rows, parts) block by block for each stream of sizes[i] draws from ``default_rng(seeds[i])``:
+    latent normal draws mapped back to unit-sum parts, before any boundary rule.
 
-    Blocks have ``BLOCK_ROWS`` rows and the remainder joins the last one, so
-    no block but a lone one is shorter than that: BLAS rounds some small
-    products differently, and blocks this long give the whole-array values.
+    A stream's blocks have ``BLOCK_ROWS`` rows and the remainder joins the
+    last one, so no block but a lone one is shorter than that: BLAS rounds
+    some small products differently, and blocks this long give the
+    whole-stream values.  Every block is drawn into the same two buffers,
+    sized to the longest block of all the streams, so a yielded block is
+    overwritten by the next one.
     """
-    n_blocks = max(1, n // BLOCK_ROWS)
-    for i in range(n_blocks):
-        start = i * BLOCK_ROWS
-        stop = n if i == n_blocks - 1 else start + BLOCK_ROWS
-        yield slice(start, stop), _draw_parts(model, stop - start, rng)
+    d = model.dim
+    rows_max = max(map(_longest_block, sizes), default=0)
+    flat = np.empty(rows_max * (d + 1))  # the block's normal draws, then its parts
+    latent = np.empty((rows_max, d))
+    for n, seed in zip(sizes, seeds):
+        rng = np.random.default_rng(seed)
+        n_blocks = max(1, n // BLOCK_ROWS)
+        for i in range(n_blocks):
+            start = i * BLOCK_ROWS
+            stop = n if i == n_blocks - 1 else start + BLOCK_ROWS
+            m = stop - start
+            normal = flat[: m * d].reshape(m, d)
+            rng.standard_normal(out=normal)
+            block = np.matmul(normal, model.chol.T, out=latent[:m])
+            block += model.mean
+            yield slice(start, stop), _inverse_affine(block, out=flat[: m * (d + 1)].reshape(m, d + 1))
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -84,9 +100,8 @@ def simulate_compositions(n: int, model: MvnParams, seed) -> CompositionalDatase
     n = int(n)
     parts = np.empty((n, model.dim + 1))
     zero_index = np.empty(n, dtype=np.intp)
-    for rows, block in _draw_blocks(model, n, np.random.default_rng(seed)):
+    for rows, block in _draw_blocks(model, [n], [seed]):
         parts[rows], zero_index[rows] = project_rows(block)
-        del block  # before the next block is drawn
     return CompositionalDataset(parts=parts, zero_index=zero_index)
 
 
@@ -94,23 +109,18 @@ def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
     """Monte Carlo probability that a draw lands with its zero in part j, for each of ``model.dim + 1`` parts.
 
     The draws run in chunks of ``CHUNK_SIZE``, each drawn and counted in
-    blocks of ``BLOCK_ROWS`` rows, so one block is held at a time and a tied
-    or two-zero draw raises with its row number within its block.  The rates
+    blocks of ``BLOCK_ROWS`` rows into two reused buffers, and a tied or
+    two-zero draw raises with its row number within its block.  The rates
     sum to the overall boundary probability, which is at most 1.
     """
     if n_sims < MIN_RATE_SIMS:
         raise ValueError(f"need at least {MIN_RATE_SIMS} simulations, got {n_sims}")
     n_parts = model.dim + 1
     n_chunks = math.ceil(n_sims / CHUNK_SIZE)
-    children = _seed_sequence(seed).spawn(n_chunks)
+    sizes = [CHUNK_SIZE] * (n_chunks - 1) + [int(n_sims) - CHUNK_SIZE * (n_chunks - 1)]
     counts = np.zeros(n_parts, dtype=np.int64)
-    remaining = int(n_sims)
-    for child in children:
-        m = min(CHUNK_SIZE, remaining)
-        for _, parts in _draw_blocks(model, m, np.random.default_rng(child)):
-            counts += np.bincount(zero_parts(parts) + 1, minlength=n_parts + 1)[1:]
-            del parts  # before the next block is drawn
-        remaining -= m
+    for _, parts in _draw_blocks(model, sizes, _seed_sequence(seed).spawn(n_chunks)):
+        counts += np.bincount(zero_parts(parts) + 1, minlength=n_parts + 1)[1:]
     return counts / float(n_sims)
 
 
@@ -164,30 +174,33 @@ class ZeroDiagnostics:
         return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
-def _chi_square_discrepancy(observed, expected) -> float:
+def _chi_square_discrepancy(observed, expected):
     """Sum of (obs - exp)^2 / exp over components, pooling sparse cells.
 
     Components with expected count below ``CHI_SQUARE_FLOOR`` are pooled into
     a single leftover cell so the statistic stays defined for sparse tables.
     A leftover cell with zero expectation contributes 0 when its observed
     count is also zero and +inf otherwise (an observation the model calls
-    impossible).
+    impossible).  ``observed`` is one table, scored as a float, or a stack of
+    tables in its rows, scored as an array.
     """
     obs = np.asarray(observed, dtype=float)
     exp = np.asarray(expected, dtype=float)
-    if obs.shape != exp.shape or obs.ndim != 1 or obs.size == 0:
+    if obs.shape[-1:] != exp.shape or obs.ndim not in (1, 2) or exp.size == 0:
         raise ValueError("observed and expected must be equal-length non-empty vectors")
     if np.any(exp < 0.0):
         raise ValueError("expected counts must be non-negative")
+    tables = np.atleast_2d(obs)
     keep = exp >= CHI_SQUARE_FLOOR
-    stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
-    pooled_obs = float(obs[~keep].sum())
+    stats = np.sum((tables[:, keep] - exp[keep]) ** 2 / exp[keep], axis=1)
+    pooled_obs = tables[:, ~keep].sum(axis=1)
     pooled_exp = float(exp[~keep].sum())
     if pooled_exp > 0.0:
-        stat += (pooled_obs - pooled_exp) ** 2 / pooled_exp
-    elif pooled_obs > 0.0:
-        return math.inf
-    return stat
+        # Python's float power, not NumPy's square, which rounds some values differently: the statistic keeps its bits.
+        stats += [(p - pooled_exp) ** 2 / pooled_exp for p in pooled_obs.tolist()]
+    else:
+        stats[pooled_obs > 0.0] = math.inf
+    return float(stats[0]) if obs.ndim == 1 else stats
 
 
 def diagnose(
@@ -223,7 +236,7 @@ def diagnose(
     if n_replicates is not None:
         rng = np.random.default_rng(seq.spawn(1)[0])
         replicates = rng.multinomial(n_obs, [*rates, max(0.0, 1.0 - rates.sum())], size=n_replicates)
-        exceed = sum(_chi_square_discrepancy(c, expected) >= stat for c in replicates[:, :-1])
+        exceed = int(np.count_nonzero(_chi_square_discrepancy(replicates[:, :-1], expected) >= stat))
         pvalue = (1 + exceed) / (n_replicates + 1)
     return ZeroDiagnostics(
         names=dataset.names,

@@ -22,6 +22,8 @@ rotation (see ``likelihood``).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .simplex import ZERO_TOL, format_rows, reject_multiple_zeros
@@ -45,17 +47,20 @@ def _as_rows(parts) -> np.ndarray:
 
 def _zero_rule(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of an (n, D) array: (outside, stretch 1 - D min, zero_index)."""
-    zero_index = x.argmin(axis=1)
-    mins = x[np.arange(x.shape[0]), zero_index]  # a few times faster than x.min(axis=1) for few parts
+    n_parts = x.shape[1]
+    mins = functools.reduce(np.minimum, x.T)  # column by column: faster than per-row reductions for few parts
     outside = mins < -ZERO_TOL
-    stretch = 1.0 - x.shape[1] * mins
+    stretch = 1.0 - n_parts * mins
     # Part j of an outside row is at most ZERO_TOL after the pull iff x_j - min <= ZERO_TOL * stretch.
-    counts = np.count_nonzero(x <= np.where(outside, mins + ZERO_TOL * stretch, ZERO_TOL)[:, None], axis=1)
+    zeros = x <= np.where(outside, mins + ZERO_TOL * stretch, ZERO_TOL)[:, None]
+    # One product gives each row's zero count and the sum of its zero indices, both exact small
+    # integers in float32; where the count is 1 the sum is the one zero part, the row's argmin.
+    counts, index_sums = (zeros @ np.stack([np.ones(n_parts), np.arange(n_parts)], axis=1).astype(np.float32)).T
     tied = np.flatnonzero(outside & (counts > 1)) + 1
     if tied.size:
         raise TiedMinimumError(f"rows with a tied minimum, which the pull would turn into two zeros: {format_rows(tied)}")
     reject_multiple_zeros(counts)
-    return outside, stretch, np.where(counts == 1, zero_index, -1)
+    return outside, stretch, np.where(counts == 1, index_sums, -1).astype(np.intp)
 
 
 def zero_parts(parts) -> np.ndarray:

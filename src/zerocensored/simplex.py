@@ -168,14 +168,15 @@ def alpha_transform(x, alpha: float) -> np.ndarray:
     return ((n_parts * u - 1.0) / alpha) @ h.T
 
 
-def _inverse_affine(y: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+def _inverse_affine(y: np.ndarray, alpha: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """(alpha H^T y + 1) / D for (..., D-1) coordinates y, computed in place on the product.
 
     At alpha = 1 these are the parts of the inverse transform; otherwise the
-    power step still has to be inverted.
+    power step still has to be inverted.  The product goes into ``out`` when
+    one is given.
     """
     n_parts = y.shape[-1] + 1
-    u = y @ _helmert_readonly(n_parts)
+    u = np.matmul(y, _helmert_readonly(n_parts), out=out)
     if alpha != 1.0:
         u *= alpha
     u += 1.0

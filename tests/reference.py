@@ -10,8 +10,8 @@ from scipy.special import ndtr
 
 from zerocensored.diagnostics import CHUNK_SIZE
 from zerocensored.gaussian import LOG_2PI, MvnParams
-from zerocensored.geometry import project_rows, zero_parts
-from zerocensored.simplex import helmert_submatrix, inverse_alpha_transform
+from zerocensored.geometry import TiedMinimumError
+from zerocensored.simplex import ZERO_TOL, format_rows, helmert_submatrix, inverse_alpha_transform, reject_multiple_zeros
 from zerocensored.ternary import TRIANGLE
 
 
@@ -63,24 +63,67 @@ def write_compositions_csv_rowwise(path, dataset) -> None:
             writer.writerow(["0" if v == 0.0 else repr(float(v)) for v in row])
 
 
+#: Part counts at which the bit-for-bit tests run, from the smallest model to past the D = 20 target.
+BLOCK_PARTS = (2, 3, 5, 8, 10, 15, 20, 21)
+
+
+def _zero_rule_argmin(x):
+    """The boundary rule of ``geometry`` row by row, from each row's argmin and a per-row zero count.
+
+    Returns (outside, stretch 1 - D min, zero_index) of an (n, D) array and
+    raises as the package does.
+    """
+    zero_index = x.argmin(axis=1)
+    mins = x[np.arange(x.shape[0]), zero_index]
+    outside = mins < -ZERO_TOL
+    stretch = 1.0 - x.shape[1] * mins
+    counts = np.count_nonzero(x <= np.where(outside, mins + ZERO_TOL * stretch, ZERO_TOL)[:, None], axis=1)
+    tied = np.flatnonzero(outside & (counts > 1)) + 1
+    if tied.size:
+        raise TiedMinimumError(f"rows with a tied minimum, which the pull would turn into two zeros: {format_rows(tied)}")
+    reject_multiple_zeros(counts)
+    return outside, stretch, np.where(counts == 1, zero_index, -1)
+
+
+def zero_parts_argmin(parts) -> np.ndarray:
+    """``geometry.zero_parts`` through ``_zero_rule_argmin``."""
+    return _zero_rule_argmin(np.asarray(parts, dtype=float))[2]
+
+
+def project_rows_argmin(parts) -> tuple[np.ndarray, np.ndarray]:
+    """``geometry.project_rows`` through ``_zero_rule_argmin``: the same pull, step by step."""
+    x = np.asarray(parts, dtype=float)
+    outside, stretch, zero_index = _zero_rule_argmin(x)
+    out = x.copy()
+    centre = 1.0 / x.shape[1]
+    pulled = x[outside]
+    pulled -= centre
+    pulled *= 1.0 / stretch[outside, None]
+    pulled += centre
+    out[outside] = pulled
+    rows = np.flatnonzero(zero_index >= 0)
+    out[rows, zero_index[rows]] = 0.0
+    return out, zero_index
+
+
 def _draw_parts_whole(model, n, rng) -> np.ndarray:
     latent = model.mean + rng.standard_normal((n, model.dim)) @ model.chol.T
     return inverse_alpha_transform(latent, 1.0)[0]
 
 
 def simulate_compositions_whole(n, model, seed) -> tuple[np.ndarray, np.ndarray]:
-    """``simulate_compositions`` as one whole-array draw and pull; returns (parts, zero_index)."""
-    return project_rows(_draw_parts_whole(model, n, np.random.default_rng(seed)))
+    """``simulate_compositions`` as one whole-array draw and row-wise pull; returns (parts, zero_index)."""
+    return project_rows_argmin(_draw_parts_whole(model, n, np.random.default_rng(seed)))
 
 
 def zero_rates_whole(model, n_sims, seed) -> np.ndarray:
-    """``zero_rates`` with each ``CHUNK_SIZE`` chunk drawn and counted as one array."""
+    """``zero_rates`` with each ``CHUNK_SIZE`` chunk drawn and counted row-wise as one array."""
     n_parts = model.dim + 1
     counts = np.zeros(n_parts, dtype=np.int64)
     remaining = n_sims
     for child in np.random.SeedSequence(seed).spawn(math.ceil(n_sims / CHUNK_SIZE)):
         m = min(CHUNK_SIZE, remaining)
-        zero_index = zero_parts(_draw_parts_whole(model, m, np.random.default_rng(child)))
+        zero_index = zero_parts_argmin(_draw_parts_whole(model, m, np.random.default_rng(child)))
         counts += np.bincount(zero_index + 1, minlength=n_parts + 1)[1:]
         remaining -= m
     return counts / float(n_sims)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import exact_zero_rates_d3, simulate_compositions_whole, zero_rates_whole
+from reference import BLOCK_PARTS, exact_zero_rates_d3, simulate_compositions_whole, zero_rates_whole
 
 from zerocensored import (
     FittedModel,
@@ -195,9 +195,6 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
-BLOCK_PARTS = (2, 3, 5, 8, 10, 15, 20, 21)
-
-
 @pytest.mark.parametrize("n_parts", BLOCK_PARTS)
 def test_simulate_blocks_give_the_whole_array_bits(n_parts):
     # Every block length the split can produce, from a lone short block to a long remainder;
@@ -215,7 +212,8 @@ def test_simulate_blocks_give_the_whole_array_bits(n_parts):
 @pytest.mark.parametrize("n_parts", BLOCK_PARTS)
 def test_zero_rates_blocks_give_the_whole_chunk_bits(n_parts):
     model = correlated_model(n_parts)
-    for n_sims in (10_000, CHUNK_SIZE + 1):
+    # The last two end on a block longer than BLOCK_ROWS, which a buffer sized by the first chunk could not hold.
+    for n_sims in (10_000, CHUNK_SIZE + 1, CHUNK_SIZE + BLOCK_ROWS + 5, 2 * CHUNK_SIZE - 1):
         assert_same_bits(zero_rates(model, n_sims, seed=n_parts), zero_rates_whole(model, n_sims, seed=n_parts))
 
 
@@ -235,13 +233,14 @@ def traced_peak(fun):
 
 
 def test_zero_rates_holds_one_block():
-    # The whole-chunk draw peaked at 20.1 MiB here; blocked, it reads 2.5 MiB.
+    # The whole-chunk draw peaked at 20.1 MiB here; blocked into two reused buffers, it reads 3.7 MiB.
     peak, _ = traced_peak(lambda: zero_rates(correlated_model(10), 1_000_000, seed=0))
     assert peak < 4 * 2**20
 
 
 def test_simulate_holds_its_result_and_one_block():
-    # The whole-array draw peaked at 103.7 MiB here, for a 32.0 MiB result; blocked, it reads 40.5 MiB.
+    # The whole-array draw peaked at 103.7 MiB here, for a 32.0 MiB result; blocked into two reused buffers,
+    # it reads 43.4 MiB.
     peak, ds = traced_peak(lambda: simulate_compositions(200_000, correlated_model(20), seed=0))
     assert peak < ds.parts.nbytes + ds.zero_index.nbytes + 12 * 2**20
 
@@ -289,6 +288,21 @@ def test_chi_square_sparse_table_with_pooling():
 def test_chi_square_pooled_zero_expectation():
     assert _chi_square_discrepancy([0, 0, 0], [0.0, 0.0, 0.0]) == 0.0
     assert _chi_square_discrepancy([0, 1, 0], [0.0, 0.0, 0.0]) == np.inf
+
+
+@pytest.mark.parametrize(
+    "expected",
+    [[0.593, 0.547, 2.106, 2.151, 0.002, 0.0, 0.0, 0.0, 0.137, 0.0], [0.0] * 10, [3.3, 1.7, 0.25, 4.75] * 2 + [0.4, 0.6]],
+    ids=["pooled", "all-pooled-zero", "mixed"],
+)
+def test_chi_square_scores_a_stack_of_tables_as_each_table(expected):
+    # diagnose scores its replicates as one stack; each must get the bits of its own one-table score.
+    tables = np.random.default_rng(7).integers(0, 6, size=(200, 10))
+    tables[0] = 0
+    stacked = _chi_square_discrepancy(tables, expected)
+    assert stacked.shape == (200,)
+    np.testing.assert_array_equal(stacked, [_chi_square_discrepancy(t, expected) for t in tables])
+    assert np.isfinite(stacked).any() and (np.isinf(stacked).any() == (sum(expected) == 0.0))
 
 
 def test_chi_square_input_validation():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import BLOCK_PARTS, project_rows_argmin, zero_parts_argmin
 
 from zerocensored import (
     MultipleZerosError,
@@ -11,6 +12,7 @@ from zerocensored import (
     project_rows,
     zero_parts,
 )
+from zerocensored.simplex import ZERO_TOL
 
 
 def pull_one(x):
@@ -170,6 +172,75 @@ def test_near_tie_limit_is_zero_tol_after_the_pull():
     # the second part lands at 1e-10 / 1.75 after the pull, above ZERO_TOL: not a tie
     parts, zero_index = project_rows(np.array([[-0.25, -0.25 + 1e-10, 1.5 - 1e-10]]))
     assert zero_index[0] == 0 and parts[0, 1] == pytest.approx(1e-10 / 1.75, rel=1e-5)
+
+
+def rule_outcome(apply, x):
+    """The arrays a boundary-rule function returns for x, or the type, text and rows of the error it raises."""
+    try:
+        result = apply(x)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "rows", None)
+    return result if isinstance(result, tuple) else (result,)
+
+
+def assert_rule_matches_the_argmin_oracle(x):
+    """``zero_parts`` and ``project_rows`` give the row-wise oracle's bits, dtypes and errors on x;
+    returns ``zero_parts``' outcome."""
+    for apply, oracle in ((zero_parts, zero_parts_argmin), (project_rows, project_rows_argmin)):
+        got, want = rule_outcome(apply, x), rule_outcome(oracle, x)
+        if isinstance(want[0], type):
+            assert got == want
+            continue
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+    return rule_outcome(zero_parts, x)
+
+
+def escaping_rows(n_parts, n, seed):
+    x, _ = inverse_alpha_transform(np.random.default_rng(seed).normal(scale=0.6, size=(n, n_parts - 1)), 1.0)
+    return x
+
+
+@pytest.mark.parametrize("n_parts", BLOCK_PARTS)
+def test_rule_matches_the_argmin_oracle_on_random_and_face_rows(n_parts):
+    x = escaping_rows(n_parts, 5000, seed=70 + n_parts)
+    escaped = zero_parts_argmin(x) >= 0
+    assert escaped.any() and not escaped.all()
+    faces = project_rows_argmin(x[escaped])[0]  # the same rows, already on a face
+    (zero_index,) = assert_rule_matches_the_argmin_oracle(np.concatenate([x, faces]))
+    np.testing.assert_array_equal(zero_index[x.shape[0] :], zero_index[: x.shape[0]][escaped])
+
+
+@pytest.mark.parametrize("n_parts", BLOCK_PARTS)
+def test_rule_matches_the_argmin_oracle_on_ties_and_near_ties(n_parts):
+    # Each case row sits at rows 3 and 6 of nine escaping rows, so errors must name "3, 6".
+    good = escaping_rows(n_parts, 1000, seed=90 + n_parts)
+    good = good[zero_parts_argmin(good) >= 0][:9]
+    base = good[0]
+    j0 = int(np.argmin(base))
+    j1 = (j0 + 1) % n_parts
+    limit = base[j0] + ZERO_TOL * (1.0 - n_parts * base[j0])  # largest second part the pull calls a zero
+    cases = [base[j0]] + [np.nextafter(limit, side) for side in (-np.inf, np.inf)] + [limit]
+    rows = []
+    for value in cases:
+        row = base.copy()
+        row[j1] = value
+        rows.append(row)
+    for first in (0.0, -ZERO_TOL, ZERO_TOL):  # a face row with a second part on either side of ZERO_TOL
+        for second in (ZERO_TOL, np.nextafter(ZERO_TOL, np.inf), np.nextafter(ZERO_TOL, -np.inf), 0.0):
+            row = np.full(n_parts, 1.0 / (n_parts - 1))
+            row[j0], row[j1] = first, second
+            rows.append(row)
+    raised = 0
+    for row in rows:
+        x = good.copy()
+        x[[2, 5]] = row
+        outcome = assert_rule_matches_the_argmin_oracle(x)
+        if isinstance(outcome[0], type):
+            raised += 1
+            assert outcome[1].endswith(": 3, 6")
+    assert 0 < raised < len(rows)
 
 
 def test_project_rows_empty_and_shape_check():
