@@ -9,6 +9,7 @@ the clock.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import CompositionalDataset, transform_dataset
-from .diagnostics import diagnose, simulate_compositions
+from .diagnostics import _simulated_blocks, diagnose
 from .geometry import TiedMinimumError, project_rows
 from .io import (
     read_compositions_csv,
@@ -110,14 +111,36 @@ def _cmd_simulate(args) -> int:
     if args.count < 0:
         print("error: -n must be non-negative", file=sys.stderr)
         return EXIT_INPUT
-    dataset = simulate_compositions(args.count, model.params, args.seed)
-    write_compositions_csv(args.output, dataset)
-    print(f"wrote {dataset.n_obs} compositions ({dataset.n_face} on the boundary) to {args.output}")
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_INPUT
+    n_face = 0
+
+    def blocks():
+        nonlocal n_face
+        for parts, zero_index in _simulated_blocks(args.count, model.params, args.seed):
+            n_face += int(np.count_nonzero(zero_index >= 0))
+            yield parts
+            del parts, zero_index  # not alive while the next block is drawn and pulled
+
+    # The pulled blocks are written as they come, so a block that raises leaves a partial file:
+    # delete it if this call made it, but never a file or device (say /dev/stdout) that was there.
+    created = not os.path.lexists(args.output)
+    try:
+        write_compositions_csv(args.output, blocks(), n_parts=model.n_parts)
+    except BaseException:
+        if created:
+            args.output.unlink(missing_ok=True)
+        raise
+    print(f"wrote {args.count} compositions ({n_face} on the boundary) to {args.output}")
     return EXIT_OK
 
 
 def _cmd_diagnose(args) -> int:
     model = read_model_json(args.model_json)
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_INPUT
     dataset = read_compositions_csv(args.data_csv, apply_closure=args.closure)
     result = diagnose(
         model,

@@ -22,9 +22,12 @@ block.  This changes no value: the output is bit-for-bit that of one
 whole-stream draw.  Every block of a call is drawn into the same two block
 buffers, reused across blocks and chunks and sized to the longest block the
 call draws, so a block is overwritten by the next one.  So
-``simulate_compositions`` holds its result plus two block buffers and
-``zero_rates`` two block buffers, and a tie or two-zero error names row
-numbers within the block.
+``simulate_compositions`` holds its result plus two block buffers and one
+pulled block, ``zero_rates`` two block buffers (the boundary rule's float32
+mask copy goes into the latent one, dead once the parts are mapped), and a
+tie or two-zero error names row numbers within the block.  The CLI's
+``simulate`` writes each pulled block to its file as it comes, so it holds
+the two buffers and one pulled block, never the n-row result.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from .dataset import CompositionalDataset, part_names
 from .gaussian import MvnParams
-from .geometry import project_rows, zero_parts
+from .geometry import _zero_rule, project_rows
 from .likelihood import FittedModel, json_float
 from .simplex import _inverse_affine
 
@@ -57,7 +60,7 @@ def _longest_block(n: int) -> int:
 
 
 def _draw_blocks(model: MvnParams, sizes, seeds):
-    """Yield (rows, parts) block by block for each stream of sizes[i] draws from ``default_rng(seeds[i])``:
+    """Yield (parts, spent) block by block for each stream of sizes[i] draws from ``default_rng(seeds[i])``:
     latent normal draws mapped back to unit-sum parts, before any boundary rule.
 
     A stream's blocks have ``BLOCK_ROWS`` rows and the remainder joins the
@@ -65,7 +68,9 @@ def _draw_blocks(model: MvnParams, sizes, seeds):
     some small products differently, and blocks this long give the
     whole-stream values.  Every block is drawn into the same two buffers,
     sized to the longest block of all the streams, so a yielded block is
-    overwritten by the next one.
+    overwritten by the next one.  ``spent`` is the block's latent rows, an
+    (m, dim) float64 array whose values are dead once the parts are mapped:
+    scratch space until the next block.
     """
     d = model.dim
     rows_max = max(map(_longest_block, sizes), default=0)
@@ -82,11 +87,18 @@ def _draw_blocks(model: MvnParams, sizes, seeds):
             rng.standard_normal(out=normal)
             block = np.matmul(normal, model.chol.T, out=latent[:m])
             block += model.mean
-            yield slice(start, stop), _inverse_affine(block, out=flat[: m * (d + 1)].reshape(m, d + 1))
+            yield _inverse_affine(block, out=flat[: m * (d + 1)].reshape(m, d + 1)), block
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+def _simulated_blocks(n: int, model: MvnParams, seed):
+    """Yield (parts, zero_index) for each block of n draws, in order: the rows of
+    ``simulate_compositions(n, model, seed)``, one pulled block at a time."""
+    for parts, _ in _draw_blocks(model, [n], [seed]):
+        yield project_rows(parts)
 
 
 def simulate_compositions(n: int, model: MvnParams, seed) -> CompositionalDataset:
@@ -100,8 +112,12 @@ def simulate_compositions(n: int, model: MvnParams, seed) -> CompositionalDatase
     n = int(n)
     parts = np.empty((n, model.dim + 1))
     zero_index = np.empty(n, dtype=np.intp)
-    for rows, block in _draw_blocks(model, [n], [seed]):
-        parts[rows], zero_index[rows] = project_rows(block)
+    start = 0
+    for pulled in _simulated_blocks(n, model, seed):
+        stop = start + len(pulled[1])
+        parts[start:stop], zero_index[start:stop] = pulled
+        start = stop
+        del pulled  # not alive while the next block is drawn and pulled
     return CompositionalDataset(parts=parts, zero_index=zero_index)
 
 
@@ -110,8 +126,10 @@ def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
 
     The draws run in chunks of ``CHUNK_SIZE``, each drawn and counted in
     blocks of ``BLOCK_ROWS`` rows into two reused buffers, and a tied or
-    two-zero draw raises with its row number within its block.  The rates
-    sum to the overall boundary probability, which is at most 1.
+    two-zero draw raises with its row number within its block.  The zero
+    rule of ``zero_parts`` counts each block, with its float32 mask copy in
+    the block's spent latent rows.  The rates sum to the overall boundary
+    probability, which is at most 1.
     """
     if n_sims < MIN_RATE_SIMS:
         raise ValueError(f"need at least {MIN_RATE_SIMS} simulations, got {n_sims}")
@@ -119,8 +137,8 @@ def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
     n_chunks = math.ceil(n_sims / CHUNK_SIZE)
     sizes = [CHUNK_SIZE] * (n_chunks - 1) + [int(n_sims) - CHUNK_SIZE * (n_chunks - 1)]
     counts = np.zeros(n_parts, dtype=np.int64)
-    for _, parts in _draw_blocks(model, sizes, _seed_sequence(seed).spawn(n_chunks)):
-        counts += np.bincount(zero_parts(parts) + 1, minlength=n_parts + 1)[1:]
+    for parts, spent in _draw_blocks(model, sizes, _seed_sequence(seed).spawn(n_chunks)):
+        counts += np.bincount(_zero_rule(parts, scratch=spent)[2] + 1, minlength=n_parts + 1)[1:]
     return counts / float(n_sims)
 
 

@@ -45,8 +45,13 @@ def _as_rows(parts) -> np.ndarray:
     return x
 
 
-def _zero_rule(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of an (n, D) array: (outside, stretch 1 - D min, zero_index)."""
+def _zero_rule(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of an (n, D) array: (outside, stretch 1 - D min, zero_index).
+
+    ``scratch``, a C-contiguous float64 array of at least n * D / 2 values
+    whose contents are dead, takes the float32 copy of the zero mask instead
+    of a new allocation; the results are the same.
+    """
     n_parts = x.shape[1]
     mins = functools.reduce(np.minimum, x.T)  # column by column: faster than per-row reductions for few parts
     outside = mins < -ZERO_TOL
@@ -55,6 +60,10 @@ def _zero_rule(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     zeros = x <= np.where(outside, mins + ZERO_TOL * stretch, ZERO_TOL)[:, None]
     # One product gives each row's zero count and the sum of its zero indices, both exact small
     # integers in float32; where the count is 1 the sum is the one zero part, the row's argmin.
+    if scratch is not None:
+        mask = scratch.reshape(-1).view(np.float32)[: zeros.size].reshape(zeros.shape)
+        np.copyto(mask, zeros)
+        zeros = mask
     counts, index_sums = (zeros @ np.stack([np.ones(n_parts), np.arange(n_parts)], axis=1).astype(np.float32)).T
     tied = np.flatnonzero(outside & (counts > 1)) + 1
     if tied.size:

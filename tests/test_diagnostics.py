@@ -14,8 +14,10 @@ from zerocensored import (
     simulate_compositions,
     zero_rates,
 )
+from zerocensored.cli import main
 from zerocensored.dataset import CompositionalDataset
 from zerocensored.diagnostics import BLOCK_ROWS, CHUNK_SIZE, _chi_square_discrepancy
+from zerocensored.io import write_model_json
 
 
 def toy_model(mean, cov, n_parts):
@@ -233,7 +235,8 @@ def traced_peak(fun):
 
 
 def test_zero_rates_holds_one_block():
-    # The whole-chunk draw peaked at 20.1 MiB here; blocked into two reused buffers, it reads 3.7 MiB.
+    # The whole-chunk draw peaked at 20.1 MiB here; blocked into two reused buffers, it read 3.7 MiB, and with
+    # the zero rule's float32 mask copy in the spent latent buffer it reads 3.1 MiB.
     peak, _ = traced_peak(lambda: zero_rates(correlated_model(10), 1_000_000, seed=0))
     assert peak < 4 * 2**20
 
@@ -243,6 +246,18 @@ def test_simulate_holds_its_result_and_one_block():
     # it reads 43.4 MiB.
     peak, ds = traced_peak(lambda: simulate_compositions(200_000, correlated_model(20), seed=0))
     assert peak < ds.parts.nbytes + ds.zero_index.nbytes + 12 * 2**20
+
+
+def test_cli_simulate_holds_one_block_not_its_result(tmp_path):
+    # Writing simulate_compositions' 32.0 MB result, the command peaked at 46.4 MiB here; writing each pulled
+    # block as it comes, it reads 11.4 MiB, and the peak no longer grows with n.
+    model = correlated_model(20)
+    path = tmp_path / "model.json"
+    write_model_json(path, toy_model(model.mean, model.cov, 20))
+    argv = ["simulate", str(path), "-n", "200000", "-o", str(tmp_path / "sims.csv")]
+    peak, code = traced_peak(lambda: main(argv))
+    assert code == 0
+    assert peak < 16 * 2**20
 
 
 # --- expected table ----------------------------------------------------------------

@@ -14,8 +14,11 @@ from zerocensored import (
     diagnose,
     simulate_compositions,
 )
+import zerocensored.diagnostics as diagnostics_module
 import zerocensored.io as io_module
 from zerocensored.cli import main
+from zerocensored.diagnostics import BLOCK_ROWS
+from zerocensored.geometry import TiedMinimumError
 from zerocensored.io import (
     WRITE_BLOCK,
     read_compositions_csv,
@@ -401,6 +404,73 @@ def test_cli_simulate_header_only_for_zero_count(tmp_path):
     out = tmp_path / "empty.csv"
     assert main(["simulate", str(model), "-n", "0", "-o", str(out)]) == 0
     assert out.read_text().splitlines() == ["comp1,comp2,comp3"]
+
+
+def correlated_model_json(tmp_path, n_parts):
+    """A correlated model of n_parts parts with 30-40% of its draws on the boundary, as a JSON file."""
+    rng = np.random.default_rng(n_parts)
+    d = n_parts - 1
+    a = rng.normal(size=(d, d))
+    cov = a @ a.T / d + 0.5 * np.eye(d)
+    sd = np.sqrt(np.diag(cov))
+    model = FittedModel(
+        mean=0.1 * rng.normal(size=d), cov=4.0 / n_parts * cov / np.outer(sd, sd), loglik=0.0, iterations=0,
+        converged=True, gradient_norm=0.0, n_parts=n_parts, n_interior=0, n_face=0,
+    )
+    path = tmp_path / "model.json"
+    write_model_json(path, model)
+    return path, model
+
+
+@pytest.mark.parametrize("n_parts", [2, 3, 10])
+def test_cli_simulate_streams_the_bytes_of_the_dataset_writer(tmp_path, capsys, n_parts):
+    path, model = correlated_model_json(tmp_path, n_parts)
+    streamed, whole = tmp_path / "streamed.csv", tmp_path / "whole.csv"
+    for n in (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1, 50_000):
+        assert main(["simulate", str(path), "-n", str(n), "--seed", str(n), "-o", str(streamed)]) == 0
+        ds = simulate_compositions(n, model.params, n)
+        write_compositions_csv(whole, ds)
+        assert streamed.read_bytes() == whole.read_bytes()
+        assert capsys.readouterr().out == f"wrote {n} compositions ({ds.n_face} on the boundary) to {streamed}\n"
+
+
+def test_cli_simulate_deletes_only_a_partial_file_it_created(tmp_path, capsys, monkeypatch):
+    project_rows = diagnostics_module.project_rows
+    pulled = []
+
+    def fail_on_the_second_block(parts):
+        pulled.append(len(parts))
+        if len(pulled) == 2:
+            raise TiedMinimumError("rows with a tied minimum, which the pull would turn into two zeros: 7")
+        return project_rows(parts)
+
+    monkeypatch.setattr(diagnostics_module, "project_rows", fail_on_the_second_block)
+    model = model_json_path(tmp_path)
+    argv = ["simulate", str(model), "-n", str(2 * BLOCK_ROWS), "-o"]
+    out = tmp_path / "sims.csv"
+    assert main([*argv, str(out)]) == 4
+    assert pulled == [BLOCK_ROWS, BLOCK_ROWS]
+    assert capsys.readouterr().err == "error: rows with a tied minimum, which the pull would turn into two zeros: 7\n"
+    assert not out.exists()
+
+    pulled.clear()
+    older = tmp_path / "older.csv"
+    older.write_text("an older file\n", encoding="utf-8")
+    assert main([*argv, str(older)]) == 4
+    assert older.exists()  # rewritten up to the failing block, but not deleted
+
+
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_cli_negative_seed_is_an_input_error_naming_the_flag(tmp_path, capsys, command):
+    model = model_json_path(tmp_path)
+    data = tmp_path / "data.csv"
+    write_csv(data, ["a", "b", "c"], [[0.2, 0.3, 0.5], [0.0, 0.5, 0.5]])
+    out = tmp_path / "out"
+    inputs = [str(model)] if command == "simulate" else [str(model), str(data)]
+    count = ["-n", "10"] if command == "simulate" else []
+    assert main([command, *inputs, *count, "--seed", "-1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 def _null_mean(doc):
