@@ -9,7 +9,6 @@ the clock.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -123,15 +122,7 @@ def _cmd_simulate(args) -> int:
             yield parts
             del parts, zero_index  # not alive while the next block is drawn and pulled
 
-    # The pulled blocks are written as they come, so a block that raises leaves a partial file:
-    # delete it if this call made it, but never a file or device (say /dev/stdout) that was there.
-    created = not os.path.lexists(args.output)
-    try:
-        write_compositions_csv(args.output, blocks(), n_parts=model.n_parts)
-    except BaseException:
-        if created:
-            args.output.unlink(missing_ok=True)
-        raise
+    write_compositions_csv(args.output, blocks(), n_parts=model.n_parts)
     print(f"wrote {args.count} compositions ({n_face} on the boundary) to {args.output}")
     return EXIT_OK
 

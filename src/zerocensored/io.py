@@ -6,7 +6,9 @@ decimal-point reals, no thousands separators.  Zeros are written literally as
 Written rows end in CRLF, as ``csv.writer`` ends them.  The writer takes a
 dataset or an iterable of row blocks, each written as it is pulled and
 formatted ``WRITE_BLOCK`` rows at a time, so a streamed file is never whole
-in memory, and both forms give the same bytes.
+in memory, and both forms give the same bytes.  A new path or an existing
+regular file is written through a hidden temporary file in its directory and
+renamed into place on success, so a write that fails leaves what was there.
 
 Reading is one bulk ``np.loadtxt`` parse of the rows after the header.  A file
 it does not accept with the header's column count (no data rows, a blank-cell
@@ -20,6 +22,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -114,20 +118,60 @@ def write_compositions_csv(path, data, *, n_parts: int | None = None) -> None:
     """Write a ``CompositionalDataset``, or an iterable of (m, ``n_parts``) row blocks under the default names.
 
     Blocks are pulled one at a time and each is written before the next is
-    pulled; a block the iterable raises on leaves the rows before it in the
-    file.
+    pulled.  A new path, or an existing regular file that is not a symlink,
+    is written through ``_temporary_beside`` and replaced only once every
+    block is written, so a block the iterable raises on leaves no file or the
+    older one.  Any other target (``/dev/stdout``, a FIFO, a symlink) is
+    written in place and keeps the rows before the failing block.
     """
     if isinstance(data, CompositionalDataset):
         names, n_parts, blocks = data.names, data.n_parts, [data.parts]
     else:
         names, blocks = None, data
     row_format = ",".join(["{}"] * n_parts) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+
+    def write(fh) -> None:
         csv.writer(fh).writerow(part_names(names, n_parts))
         for block in blocks:
             for start in range(0, len(block), WRITE_BLOCK):
                 fh.write(_format_rows(row_format, block[start : start + WRITE_BLOCK]))
             del block  # not alive while the next block is pulled
+
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+        return
+    fh, temporary = _temporary_beside(path)
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(mode))
+            write(fh)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def _temporary_beside(path):
+    """A new hidden text file in ``path``'s directory, created as ``open(path, "w")`` would create ``path``.
+
+    An error names ``path``, not the temporary name.
+    """
+    path = Path(path)
+    for attempt in itertools.count():
+        temporary = path.with_name(f".{path.name}.{os.getpid()}-{attempt}.tmp")
+        try:
+            return open(temporary, "x", newline="", encoding="utf-8"), temporary
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            exc.filename = os.fspath(path)
+            raise
 
 
 def _format_rows(row_format: str, rows: np.ndarray) -> str:

@@ -17,7 +17,10 @@ The covariance is optimized through its Cholesky factor with log-transformed
 diagonal, so every parameter vector maps to an SPD matrix and the search is
 unconstrained apart from a +/-30 safety bound on the log-diagonal entries.
 ``_score`` is the exact gradient in those coordinates, built from the
-quantities the likelihood has already computed.
+quantities the likelihood has already computed.  A fit computes the face
+points' radii and unit directions once, and each evaluation checks its
+parameters for finiteness once and then calls LAPACK's ``dtrtrs`` as
+``solve_triangular`` would, so its bits are those of that route.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize
 from scipy.special import log_ndtr
 
@@ -55,16 +60,20 @@ def _pack_params(mean, cov) -> np.ndarray:
     """
     mean = np.asarray(mean, dtype=float)
     chol = cholesky(cov)
-    d = mean.size
-    tri = chol[np.tril_indices(d)].copy()
-    diag_pos = _diag_positions(d)
+    tril, diag_pos = _tri_layout(mean.size)
+    tri = chol[tril]
     tri[diag_pos] = np.log(tri[diag_pos])
     return np.concatenate([mean, tri])
 
 
-def _diag_positions(d: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _tri_layout(d: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Row-major lower-triangle (rows, cols) of a d x d factor and the diagonal's positions in it; read-only."""
     rows, cols = np.tril_indices(d)
-    return np.flatnonzero(rows == cols)
+    diag_pos = np.flatnonzero(rows == cols)
+    for index in (rows, cols, diag_pos):
+        index.setflags(write=False)
+    return (rows, cols), diag_pos
 
 
 def _unpack_chol(theta, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,14 +82,36 @@ def _unpack_chol(theta, dim: int) -> tuple[np.ndarray, np.ndarray]:
     if theta.shape != (expected,):
         raise ValueError(f"packed vector must have length {expected}, got shape {theta.shape}")
     tri = theta[dim:].copy()
-    diag_pos = _diag_positions(dim)
+    tril, diag_pos = _tri_layout(dim)
     # Allow finite-difference checks of the score to peek just past the optimizer bound.
     if np.any(np.abs(tri[diag_pos]) > LOG_DIAG_BOUND + 1e-3):
         raise ParameterBoundError("log-diagonal coordinate beyond the +/-30 safety bound")
     tri[diag_pos] = np.exp(tri[diag_pos])
     chol = np.zeros((dim, dim))
-    chol[np.tril_indices(dim)] = tri
+    chol[tril] = tri
     return theta[:dim].copy(), chol
+
+
+def _solve_chol(chol: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+    """``solve_triangular(chol, rhs, lower=True, trans=trans)`` with the same LAPACK call and no input scans.
+
+    The caller checks finiteness (``_require_finite``).  A C-ordered factor is
+    solved as its transpose, as SciPy does; a 1 x 1 factor is also F-ordered
+    and goes the other way, as there.
+    """
+    if chol.flags.f_contiguous:
+        x, info = dtrtrs(chol, rhs, lower=1, trans=trans)
+    else:
+        x, info = dtrtrs(chol.T, rhs, lower=0, trans=1 - trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
+    return x
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    """The ``check_finite`` scan of ``solve_triangular``, once for the parameters of an evaluation."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def boundary_term(rotation, radius: float, mean, cov) -> float:
@@ -120,20 +151,30 @@ def boundary_term(rotation, radius: float, mean, cov) -> float:
     return float(marginal + log_ndtr(-(c1 - cond_mean) / math.sqrt(cond_var)))
 
 
+def _face_rays(face: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The face points' radii c1 and unit directions u = y / c1 as a (d, n2) array; data only, so once per fit."""
+    radii = np.linalg.norm(face, axis=1)
+    return radii, (face / radii[:, None]).T
+
+
 @dataclass(frozen=True)
 class _FaceFrame:
-    """The face points' quantities that the score reuses: radii c1, w (d, n2), m, a, b and z."""
+    """The face points' quantities that the score reuses: radii c1, w (d, n2), m, a, sqrt(a), b, z and log(1 - Phi(z))."""
 
     radii: np.ndarray
     w: np.ndarray
     m: np.ndarray
     a: np.ndarray
+    root_a: np.ndarray
     b: np.ndarray
     z: np.ndarray
+    log_tail: np.ndarray
 
 
-def _face_frame(face: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> tuple[np.ndarray, _FaceFrame]:
-    """Vectorized ``boundary_term`` over a stack of face points, and the frame it was computed in.
+def _face_frame(
+    rays: tuple[np.ndarray, np.ndarray], mean: np.ndarray, chol: np.ndarray, log_det: float
+) -> tuple[np.ndarray, _FaceFrame]:
+    """Vectorized ``boundary_term`` over the face points' ``_face_rays``, and the frame it was computed in.
 
     With u = y / c1, L = chol(Sigma), w = L^-1 u, m = L^-1 mu, a = ||w||^2 and
     b = w . m, the rotated first coordinate has conditional precision a and
@@ -141,16 +182,17 @@ def _face_frame(face: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> tuple[n
     -1/2 [(d - 1) log 2 pi + log|Sigma| + ||m||^2 - b^2/a + log a]
     + log(1 - Phi((c1 - b/a) sqrt(a))).  No rotation is built.
     """
-    radii = np.linalg.norm(face, axis=1)
-    w = solve_triangular(chol, (face / radii[:, None]).T, lower=True)  # (d, n2)
-    m = solve_triangular(chol, mean, lower=True)
+    radii, units = rays
+    w = _solve_chol(chol, units)  # (d, n2)
+    m = _solve_chol(chol, mean)
     a = np.sum(w * w, axis=0)
+    root_a = np.sqrt(a)
     b = m @ w
-    z = (radii - b / a) * np.sqrt(a)
+    z = (radii - b / a) * root_a
+    log_tail = log_ndtr(-z)
     d = mean.size
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m - b * b / a + np.log(a))
-    return marginal + log_ndtr(-z), _FaceFrame(radii, w, m, a, b, z)
+    return marginal + log_tail, _FaceFrame(radii, w, m, a, root_a, b, z, log_tail)
 
 
 def log_likelihood(sample: TransformedSample, mean, cov) -> float:
@@ -167,33 +209,36 @@ def log_likelihood(sample: TransformedSample, mean, cov) -> float:
         raise ValueError("empty sample")
     if mean.shape != (sample.dim,) or cov.shape != (sample.dim, sample.dim):
         raise ValueError("parameter dimensions do not match the sample")
-    return _log_likelihood_frame(sample, mean, cholesky(cov))[0]
+    return _log_likelihood_frame(sample, mean, cholesky(cov), _face_rays(sample.face))[0]
 
 
 def _log_likelihood_frame(
-    sample: TransformedSample, mean: np.ndarray, chol: np.ndarray
+    sample: TransformedSample, mean: np.ndarray, chol: np.ndarray, rays: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, np.ndarray | None, _FaceFrame | None]:
     """The log-likelihood, the whitened interior residuals (d, n1) and the face frame."""
+    _require_finite(mean, chol)
     d = sample.dim
     n1 = sample.n_interior
     n2 = sample.n_face
     n = n1 + n2
     total = (n * d + 0.5 * n) * math.log(sample.n_parts)
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     resid = frame = None
     if n1:
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        resid = solve_triangular(chol, (sample.interior - mean).T, lower=True)
+        resid = _solve_chol(chol, (sample.interior - mean).T)
         total += -0.5 * n1 * (d * LOG_2PI + log_det) - 0.5 * float(np.sum(resid * resid))
     if n2:
-        terms, frame = _face_frame(sample.face, mean, chol)
+        terms, frame = _face_frame(rays, mean, chol, log_det)
         total += float(np.sum(terms))
     return total, resid, frame
 
 
-def _loglik_and_score(sample: TransformedSample, theta: np.ndarray) -> tuple[float, np.ndarray]:
+def _loglik_and_score(
+    sample: TransformedSample, theta: np.ndarray, rays: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, np.ndarray]:
     """The log-likelihood at packed parameters and its gradient in those coordinates."""
     mean, chol = _unpack_chol(theta, sample.dim)
-    value, resid, frame = _log_likelihood_frame(sample, mean, chol)
+    value, resid, frame = _log_likelihood_frame(sample, mean, chol, rays)
     return value, _score(chol, resid, frame)
 
 
@@ -217,9 +262,8 @@ def _score(chol: np.ndarray, resid: np.ndarray | None, frame: _FaceFrame | None)
         g_chol += resid @ resid.T
         count += resid.shape[1]
     if frame is not None:
-        w, m, a, b = frame.w, frame.m, frame.a, frame.b
-        root_a = np.sqrt(a)
-        lam = np.exp(-0.5 * (frame.z * frame.z + LOG_2PI) - log_ndtr(-frame.z))
+        w, m, a, b, root_a = frame.w, frame.m, frame.a, frame.b, frame.root_a
+        lam = np.exp(-0.5 * (frame.z * frame.z + LOG_2PI) - frame.log_tail)
         g_b = b / a + lam / root_a
         g_a = -0.5 * (b * b / (a * a) + 1.0 / a) - 0.5 * lam * (frame.radii / root_a + b / (a * root_a))
         w_gb = w @ g_b
@@ -227,11 +271,14 @@ def _score(chol: np.ndarray, resid: np.ndarray | None, frame: _FaceFrame | None)
         g_mean += g_m
         g_chol -= np.outer(g_m, m) + np.outer(m, w_gb) + 2.0 * (w * g_a) @ w.T
         count += a.size
-    solved = solve_triangular(chol, np.column_stack([g_mean, g_chol]), lower=True, trans="T")
+    rhs = np.column_stack([g_mean, g_chol])
+    # Finite parameters can still overflow w = L^-1 u; this is a ValueError, not a NaN step for the optimizer.
+    _require_finite(rhs)
+    solved = _solve_chol(chol, rhs, trans=1)
     g_tri = np.tril(solved[:, 1:])
     diag = np.arange(d)
     g_tri[diag, diag] = g_tri[diag, diag] * chol[diag, diag] - count
-    return np.concatenate([solved[:, 0], g_tri[np.tril_indices(d)]])
+    return np.concatenate([solved[:, 0], g_tri[_tri_layout(d)[0]]])
 
 
 def json_float(value) -> float | None:
@@ -335,8 +382,13 @@ def fit(
     Convergence means the projected gradient inf-norm fell below
     ``gradient_tol`` or the relative log-likelihood change fell below
     ``LOGLIK_REL_TOL``; hitting ``max_iter`` returns ``converged=False``
-    rather than raising.
+    rather than raising.  ``max_iter`` below 1, or a ``gradient_tol`` that
+    is negative or not finite, is a ``ValueError``.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter (--max-iter) must be at least 1, got {max_iter}")
+    if not (0.0 <= gradient_tol < math.inf):  # NaN fails too
+        raise ValueError(f"gradient_tol (--tol) must be finite and non-negative, got {gradient_tol}")
     d = sample.dim
     n1 = sample.n_interior
     if sample.n_obs == 0:
@@ -358,8 +410,10 @@ def fit(
         cholesky(cov0)  # give up if still singular
     theta0 = _pack_params(mean0, cov0)
 
+    rays = _face_rays(sample.face)
+
     def negloglik_and_score(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, score = _loglik_and_score(sample, theta)
+        value, score = _loglik_and_score(sample, theta, rays)
         return -value, -score
 
     best_theta, best_value = theta0, math.inf
@@ -380,10 +434,11 @@ def fit(
     def record(theta: np.ndarray) -> None:
         # L-BFGS-B reports an iterate right after evaluating it.
         same = np.array_equal(theta, last_theta)
-        trace.append(-last_value if same else _log_likelihood_frame(sample, *_unpack_chol(theta, d))[0])
+        trace.append(-last_value if same else _log_likelihood_frame(sample, *_unpack_chol(theta, d), rays)[0])
 
+    diag_pos = _tri_layout(d)[1]
     bounds = [(None, None)] * theta0.size
-    for pos in _diag_positions(d):
+    for pos in diag_pos:
         bounds[d + pos] = (-LOG_DIAG_BOUND, LOG_DIAG_BOUND)
 
     result = minimize(
@@ -407,7 +462,7 @@ def fit(
         best_theta = np.array(result.x)
 
     tri = best_theta[d:]
-    if np.any(np.abs(tri[_diag_positions(d)]) >= LOG_DIAG_BOUND - 1e-6):
+    if np.any(np.abs(tri[diag_pos]) >= LOG_DIAG_BOUND - 1e-6):
         raise ParameterBoundError(
             "optimum hit the +/-30 log-diagonal bound; the covariance scale is degenerate"
         )

@@ -6,11 +6,12 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_triangular
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from zerocensored.diagnostics import CHUNK_SIZE
 from zerocensored.gaussian import LOG_2PI, MvnParams
 from zerocensored.geometry import TiedMinimumError
+from zerocensored.likelihood import LOG_DIAG_BOUND, ParameterBoundError
 from zerocensored.simplex import ZERO_TOL, format_rows, helmert_submatrix, inverse_alpha_transform, reject_multiple_zeros
 from zerocensored.ternary import TRIANGLE
 
@@ -165,3 +166,77 @@ def exact_zero_rates_d3(mean, cov) -> np.ndarray:
         j = int(np.argmin(np.array([math.cos(mid), math.sin(mid)]) @ h))
         rates[j] += quad(ray_mass, lo, hi, args=(j,), epsabs=0.0, epsrel=1e-10, limit=200)[0]
     return rates
+
+
+def loglik_and_score_solve_triangular(sample, theta) -> tuple[float, np.ndarray]:
+    """``likelihood._loglik_and_score`` as one self-contained pass per call.
+
+    Unpacks the factor with fresh ``np.tril_indices``, rebuilds the face radii
+    and unit directions, computes log|Sigma|, sqrt(a) and log(1 - Phi(z)) where
+    each is used, and solves with ``solve_triangular`` and its finiteness scans.
+    Every expression has the package's operands and order, so the two agree
+    bit for bit.
+    """
+    d = sample.dim
+    theta = np.asarray(theta, dtype=float)
+    rows, cols = np.tril_indices(d)
+    diag_pos = np.flatnonzero(rows == cols)
+    tri = theta[d:].copy()
+    if np.any(np.abs(tri[diag_pos]) > LOG_DIAG_BOUND + 1e-3):
+        raise ParameterBoundError("log-diagonal coordinate beyond the +/-30 safety bound")
+    tri[diag_pos] = np.exp(tri[diag_pos])
+    chol = np.zeros((d, d))
+    chol[np.tril_indices(d)] = tri
+    mean = theta[:d].copy()
+    value, resid, face = loglik_frame_solve_triangular(sample, mean, chol)
+
+    g_mean = np.zeros(d)
+    g_chol = np.zeros((d, d))
+    count = 0
+    if resid is not None:
+        g_mean += resid.sum(axis=1)
+        g_chol += resid @ resid.T
+        count += resid.shape[1]
+    if face is not None:
+        radii, w, m, a, b, z = face
+        root_a = np.sqrt(a)
+        lam = np.exp(-0.5 * (z * z + LOG_2PI) - log_ndtr(-z))
+        g_b = b / a + lam / root_a
+        g_a = -0.5 * (b * b / (a * a) + 1.0 / a) - 0.5 * lam * (radii / root_a + b / (a * root_a))
+        w_gb = w @ g_b
+        g_m = w_gb - a.size * m
+        g_mean += g_m
+        g_chol -= np.outer(g_m, m) + np.outer(m, w_gb) + 2.0 * (w * g_a) @ w.T
+        count += a.size
+    solved = solve_triangular(chol, np.column_stack([g_mean, g_chol]), lower=True, trans="T")
+    g_tri = np.tril(solved[:, 1:])
+    diag = np.arange(d)
+    g_tri[diag, diag] = g_tri[diag, diag] * chol[diag, diag] - count
+    return value, np.concatenate([solved[:, 0], g_tri[np.tril_indices(d)]])
+
+
+def loglik_frame_solve_triangular(sample, mean, chol):
+    """The value of ``loglik_and_score_solve_triangular`` at (mean, L), its whitened interior residuals
+    and its face frame (radii, w, m, a, b, z)."""
+    d = sample.dim
+    n1 = sample.n_interior
+    n2 = sample.n_face
+    n = n1 + n2
+    total = (n * d + 0.5 * n) * math.log(sample.n_parts)
+    resid = face = None
+    if n1:
+        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        resid = solve_triangular(chol, (sample.interior - mean).T, lower=True)
+        total += -0.5 * n1 * (d * LOG_2PI + log_det) - 0.5 * float(np.sum(resid * resid))
+    if n2:
+        radii = np.linalg.norm(sample.face, axis=1)
+        w = solve_triangular(chol, (sample.face / radii[:, None]).T, lower=True)
+        m = solve_triangular(chol, mean, lower=True)
+        a = np.sum(w * w, axis=0)
+        b = m @ w
+        z = (radii - b / a) * np.sqrt(a)
+        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m - b * b / a + np.log(a))
+        total += float(np.sum(marginal + log_ndtr(-z)))
+        face = (radii, w, m, a, b, z)
+    return total, resid, face

@@ -249,12 +249,13 @@ def test_simulate_holds_its_result_and_one_block():
 
 
 def test_cli_simulate_holds_one_block_not_its_result(tmp_path):
-    # Writing simulate_compositions' 32.0 MB result, the command peaked at 46.4 MiB here; writing each pulled
-    # block as it comes, it reads 11.4 MiB, and the peak no longer grows with n.
+    # Writing simulate_compositions' 7.9 MB result for 3 blocks, the command peaked at 17.3 MiB here (2 blocks:
+    # 14.7 MiB, under the bound); writing each pulled block as it comes, it reads 9.7 MiB, and 11.4 MiB at
+    # 200 000 rows, where the remainder joins the last block.
     model = correlated_model(20)
     path = tmp_path / "model.json"
     write_model_json(path, toy_model(model.mean, model.cov, 20))
-    argv = ["simulate", str(path), "-n", "200000", "-o", str(tmp_path / "sims.csv")]
+    argv = ["simulate", str(path), "-n", str(3 * BLOCK_ROWS), "-o", str(tmp_path / "sims.csv")]
     peak, code = traced_peak(lambda: main(argv))
     assert code == 0
     assert peak < 16 * 2**20

@@ -354,6 +354,26 @@ def test_cli_fit_missing_file(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--max-iter", "0", "max_iter (--max-iter) must be at least 1, got 0"),
+        ("--max-iter", "-5", "max_iter (--max-iter) must be at least 1, got -5"),
+        ("--tol", "inf", "gradient_tol (--tol) must be finite and non-negative, got inf"),
+        ("--tol", "nan", "gradient_tol (--tol) must be finite and non-negative, got nan"),
+        ("--tol", "-1", "gradient_tol (--tol) must be finite and non-negative, got -1.0"),
+    ],
+    ids=["max-iter=0", "max-iter=-5", "tol=inf", "tol=nan", "tol=-1"],
+)
+def test_cli_fit_refuses_settings_it_cannot_honour(tmp_path, capsys, flag, value, message):
+    # Before, --tol inf wrote the start point as converged, --tol nan was ignored and --max-iter 0 ran one step.
+    path, _ = make_zero_free_csv(tmp_path)
+    out = tmp_path / "model.json"
+    assert main(["fit", str(path), "-o", str(out), flag, value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 # Each file has one cell over the csv module's 131 072-character field limit; the
 # jagged last row sends the first file past the bulk parse to the row-by-row checker.
 OVERSIZED_CELL_FILES = {
@@ -451,13 +471,35 @@ def test_cli_simulate_deletes_only_a_partial_file_it_created(tmp_path, capsys, m
     assert main([*argv, str(out)]) == 4
     assert pulled == [BLOCK_ROWS, BLOCK_ROWS]
     assert capsys.readouterr().err == "error: rows with a tied minimum, which the pull would turn into two zeros: 7\n"
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]  # no file, and no temporary one
 
     pulled.clear()
     older = tmp_path / "older.csv"
     older.write_text("an older file\n", encoding="utf-8")
     assert main([*argv, str(older)]) == 4
-    assert older.exists()  # rewritten up to the failing block, but not deleted
+    assert older.read_bytes() == b"an older file\n"  # written beside it, so never truncated
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "older.csv"]
+
+
+def test_cli_simulate_writes_a_file_as_a_direct_write_would(tmp_path, capsys):
+    model = model_json_path(tmp_path)
+    argv = ["simulate", str(model), "-n", "5", "-o"]
+    direct = tmp_path / "direct.csv"
+    direct.write_text("", encoding="utf-8")
+    new = tmp_path / "new.csv"
+    assert main([*argv, str(new)]) == 0
+    assert new.stat().st_mode == direct.stat().st_mode
+    older = tmp_path / "older.csv"
+    older.write_text("an older file\n", encoding="utf-8")
+    older.chmod(0o640)
+    assert main([*argv, str(older)]) == 0
+    assert older.read_bytes() == new.read_bytes() and older.stat().st_mode & 0o777 == 0o640
+    # A symlink is written through in place and stays a link.
+    link = tmp_path / "link.csv"
+    link.symlink_to(direct)
+    assert main([*argv, str(link)]) == 0
+    assert link.is_symlink() and direct.read_bytes() == new.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.csv", "link.csv", "model.json", "new.csv", "older.csv"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "diagnose"])

@@ -28,15 +28,17 @@ from zerocensored import (
 import zerocensored.likelihood as likelihood_module
 from zerocensored.dataset import TransformedSample
 from zerocensored.likelihood import (
-    _diag_positions,
+    LOG_DIAG_BOUND,
     _face_frame,
+    _face_rays,
     _log_likelihood_frame,
     _loglik_and_score,
     _pack_params,
+    _tri_layout,
     _unpack_chol,
 )
 
-from reference import mvn_logpdf, numerical_gradient
+from reference import loglik_and_score_solve_triangular, loglik_frame_solve_triangular, mvn_logpdf, numerical_gradient
 
 
 def random_spd(rng, d, jitter=0.3):
@@ -119,9 +121,19 @@ def test_any_packed_vector_gives_spd():
 
 def test_unpack_rejects_log_diag_beyond_bound():
     theta = np.zeros(2 + 3)
-    theta[2 + _diag_positions(2)[0]] = 31.0
+    theta[2 + _tri_layout(2)[1][0]] = 31.0
     with pytest.raises(ParameterBoundError):
         _unpack_chol(theta, 2)
+
+
+def test_tri_layout_is_cached_and_read_only():
+    tril, diag_pos = _tri_layout(4)
+    assert _tri_layout(4)[1] is diag_pos
+    np.testing.assert_array_equal(diag_pos, [0, 2, 5, 9])
+    for index in (*tril, diag_pos):
+        assert not index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 1
 
 
 # --- boundary term ----------------------------------------------------------------
@@ -196,7 +208,7 @@ def test_vectorized_boundary_terms_match_scalar_route(d):
     face = rng.normal(size=(n2, d))
     mean = rng.normal(size=d)
     cov = random_spd(rng, d)
-    batch = _face_frame(face, mean, np.linalg.cholesky(cov))[0]
+    batch = face_terms(face, mean, np.linalg.cholesky(cov))
     scalar = [boundary_term(gram_schmidt_rotation(y), np.linalg.norm(y), mean, cov) for y in face]
     np.testing.assert_allclose(batch, scalar, atol=1e-12)
 
@@ -209,10 +221,16 @@ def test_vectorized_boundary_terms_finite_deep_in_the_tail(d):
     direction = rng.normal(size=d)
     direction /= np.linalg.norm(direction)
     face = np.outer([10.0, 30.0, 50.0], direction) * 0.1  # c / sigma = 10, 30, 50
-    batch = _face_frame(face, mean, np.linalg.cholesky(cov))[0]
+    batch = face_terms(face, mean, np.linalg.cholesky(cov))
     scalar = [boundary_term(gram_schmidt_rotation(y), np.linalg.norm(y), mean, cov) for y in face]
     assert np.all(np.isfinite(batch))
     np.testing.assert_allclose(batch, scalar, rtol=1e-12)
+
+
+def face_terms(face, mean, chol):
+    """The boundary terms of ``_face_frame`` for a stack of face points at (mean, L)."""
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return _face_frame(_face_rays(face), mean, chol, log_det)[0]
 
 
 def direction_form_mp(y, mean, cov):
@@ -243,7 +261,7 @@ def test_vectorized_boundary_terms_near_singular_cov(d):
     cov = 0.5 * (cov + cov.T)
     face = rng.normal(size=(6, d))
     mean = 3.0 * face[0]  # on the first ray, where ||m||^2 - b^2/a cancels
-    batch = _face_frame(face, mean, np.linalg.cholesky(cov))[0]
+    batch = face_terms(face, mean, np.linalg.cholesky(cov))
     reference = [direction_form_mp(y, mean, cov) for y in face]
     np.testing.assert_allclose(batch, reference, rtol=1e-7)
 
@@ -361,10 +379,14 @@ def packed_loglik(sample):
     return lambda theta: log_likelihood(sample, *unpack(theta, sample.dim))
 
 
+def loglik_and_score(sample, theta):
+    return _loglik_and_score(sample, theta, _face_rays(sample.face))
+
+
 def assert_score_matches(sample, theta, rtol, rel_step=1e-4):
-    value, score = _loglik_and_score(sample, theta)
+    value, score = loglik_and_score(sample, theta)
     assert np.all(np.isfinite(score))
-    assert value == _log_likelihood_frame(sample, *_unpack_chol(theta, sample.dim))[0]
+    assert value == _log_likelihood_frame(sample, *_unpack_chol(theta, sample.dim), _face_rays(sample.face))[0]
     ref = four_point_stencil(packed_loglik(sample), theta, rel_step)
     assert np.linalg.norm(score - ref) <= rtol * max(np.linalg.norm(ref), 1.0)
 
@@ -379,9 +401,68 @@ def test_score_matches_finite_differences(d, kind):
     for _ in range(3):
         theta = _pack_params(rng.normal(size=d), random_spd(rng, d))
         assert_score_matches(sample, theta, rtol=1e-9)
-        score = _loglik_and_score(sample, theta)[1]
+        score = loglik_and_score(sample, theta)[1]
         oracle = numerical_gradient(packed_loglik(sample), theta)
         assert np.linalg.norm(score - oracle) <= 1e-6 * max(np.linalg.norm(oracle), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["interior", "face", "mixed"])
+@pytest.mark.parametrize("n_parts", [3, 10, 20])
+def test_value_and_score_bit_equal_the_solve_triangular_pass(n_parts, kind):
+    # The package computes the data-only rays once and solves through LAPACK directly; the reference
+    # rebuilds everything per call through solve_triangular, with the same operands in the same order.
+    d = n_parts - 1
+    rng = np.random.default_rng(70 + n_parts)
+    n1 = 0 if kind == "face" else 400
+    n2 = 0 if kind == "interior" else 150
+    sample = build_sample(rng.normal(size=(n1, d)), rng.normal(size=(n2, d)) + 0.5, n_parts)
+    rays = _face_rays(sample.face)
+    for _ in range(10):
+        mean, cov = rng.normal(size=d), random_spd(rng, d)
+        theta = _pack_params(mean, cov) + 0.2 * rng.normal(size=d + d * (d + 1) // 2)
+        value, score = _loglik_and_score(sample, theta, rays)
+        ref_value, ref_score = loglik_and_score_solve_triangular(sample, theta)
+        assert value == ref_value
+        assert np.array_equal(score, ref_score)
+        assert log_likelihood(sample, mean, cov) == loglik_frame_solve_triangular(sample, mean, np.linalg.cholesky(cov))[0]
+
+
+@pytest.mark.parametrize("kind", ["interior", "face", "mixed"])
+@pytest.mark.parametrize("where", ["mean", "off-diagonal", "log-diagonal"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_parameters_raise_the_solve_error(kind, where, bad):
+    rng = np.random.default_rng(75)
+    d = 3
+    n1 = 0 if kind == "face" else 20
+    n2 = 0 if kind == "interior" else 8
+    sample = build_sample(rng.normal(size=(n1, d)), rng.normal(size=(n2, d)) + 0.5, d + 1)
+    theta = _pack_params(rng.normal(size=d), random_spd(rng, d))
+    theta[{"mean": 1, "off-diagonal": d + 1, "log-diagonal": d + 2}[where]] = bad
+    # An infinite log-diagonal coordinate is past the safety bound; a NaN one is not.
+    expected = ParameterBoundError if (where, bad) == ("log-diagonal", math.inf) else ValueError
+    match = "safety bound" if expected is ParameterBoundError else "^array must not contain infs or NaNs$"
+    with pytest.raises(expected, match=match):
+        loglik_and_score_solve_triangular(sample, theta)
+    with pytest.raises(expected, match=match):
+        loglik_and_score(sample, theta)
+    if where == "mean":
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            log_likelihood(sample, theta[:d], random_spd(rng, d))
+
+
+def test_finite_parameters_that_overflow_raise_the_solve_error():
+    # Off-diagonal entries of 1e30 over a log-diagonal of -30 overflow L^-1: the value is not finite, and
+    # the score's right-hand side is refused as solve_triangular refused it, not handed on as NaN.
+    rng = np.random.default_rng(76)
+    d = 9
+    sample = build_sample(rng.normal(size=(5, d)), rng.normal(size=(4, d)) + 0.5, d + 1)
+    theta = np.zeros(d + d * (d + 1) // 2)
+    theta[d:] = 1e30
+    theta[d + _tri_layout(d)[1]] = -LOG_DIAG_BOUND
+    with np.errstate(all="ignore"):
+        for evaluate in (loglik_and_score_solve_triangular, loglik_and_score):
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                evaluate(sample, theta)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
