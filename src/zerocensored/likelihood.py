@@ -20,7 +20,9 @@ unconstrained apart from a +/-30 safety bound on the log-diagonal entries.
 quantities the likelihood has already computed.  A fit computes the face
 points' radii and unit directions once, and each evaluation checks its
 parameters for finiteness once and then calls LAPACK's ``dtrtrs`` as
-``solve_triangular`` would, so its bits are those of that route.
+``solve_triangular`` would, so its bits are those of that route.  ``fit``
+maximizes with the module's own L-BFGS (``_lbfgs``) under L-BFGS-B's stop
+tests, so the package needs no ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -28,21 +30,21 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
-from scipy.optimize import minimize
-from scipy.special import log_ndtr
+from scipy.special import erfcx, log_ndtr
 
 from .dataset import TransformedSample
 from .gaussian import LOG_2PI, MvnParams, NotPositiveDefiniteError, cholesky
 
 #: Safety bound on the log-diagonal coordinates of the packed Cholesky factor.
 LOG_DIAG_BOUND = 30.0
-#: The fit stops once the relative log-likelihood change falls below this (L-BFGS-B ``ftol``).
+#: The fit stops once an iteration's relative log-likelihood gain is at most this (L-BFGS-B's ``ftol``).
 LOGLIK_REL_TOL = 1e-10
 #: Added to the diagonal of a numerically singular start covariance.
 START_RIDGE = 1e-8
@@ -247,8 +249,9 @@ def _score(chol: np.ndarray, resid: np.ndarray | None, frame: _FaceFrame | None)
 
     Interior points give dl/dmu = L^-T sum z and dl/dL = tril(L^-T Z Z^T) - n1 diag(1/L).
     Face points go through (m, w, a, b): with the inverse Mills ratio
-    lam = phi(z) / (1 - Phi(z)), computed in logs so it stays finite deep in the
-    tail, g_b = b/a + lam/sqrt(a), g_a = -(b^2/a^2 + 1/a)/2 - lam (c1/sqrt(a) +
+    lam = phi(z) / (1 - Phi(z)), computed in logs up to z = 30 and as
+    sqrt(2/pi) / erfcx(z/sqrt(2)) beyond, where the logs cancel,
+    g_b = b/a + lam/sqrt(a), g_a = -(b^2/a^2 + 1/a)/2 - lam (c1/sqrt(a) +
     b/a^(3/2))/2 and g_m = -n2 m + W g_b; then dl/dmu = L^-T g_m and
     dl/dL = -tril(L^-T [g_m m^T + m (W g_b)^T + 2 W diag(g_a) W^T]) - n2 diag(1/L).
     The log-diagonal coordinates take dl/dL_jj * L_jj.
@@ -263,7 +266,11 @@ def _score(chol: np.ndarray, resid: np.ndarray | None, frame: _FaceFrame | None)
         count += resid.shape[1]
     if frame is not None:
         w, m, a, b, root_a = frame.w, frame.m, frame.a, frame.b, frame.root_a
-        lam = np.exp(-0.5 * (frame.z * frame.z + LOG_2PI) - frame.log_tail)
+        z = frame.z
+        with np.errstate(over="ignore", invalid="ignore"):  # past z = 30 the ratio is replaced below
+            lam = np.exp(-0.5 * (z * z + LOG_2PI) - frame.log_tail)
+        deep = z > 30.0
+        lam[deep] = math.sqrt(2.0 / math.pi) / erfcx(z[deep] / math.sqrt(2.0))
         g_b = b / a + lam / root_a
         g_a = -0.5 * (b * b / (a * a) + 1.0 / a) - 0.5 * lam * (frame.radii / root_a + b / (a * root_a))
         w_gb = w @ g_b
@@ -296,9 +303,9 @@ class FittedModel:
 
     ``trace`` holds the log-likelihood at the initial point and after each
     optimizer iteration.  ``evaluations`` counts the optimizer's combined
-    value-and-score calls and ``message`` is its exit message.  ``seed``
-    records data provenance when the fitted sample was simulated; it is None
-    for real data.  The JSON form writes a non-finite ``loglik`` or
+    value-and-score calls and ``message`` names the test that stopped it.
+    ``seed`` records data provenance when the fitted sample was simulated;
+    it is None for real data.  The JSON form writes a non-finite ``loglik`` or
     ``gradient_norm`` as null and reads null, or a missing ``gradient_norm``,
     back as NaN; a missing ``evaluations`` or ``message`` reads back as None.
     """
@@ -366,6 +373,107 @@ class FittedModel:
         return cls.from_dict(json.loads(text))
 
 
+def _lbfgs(fun, x: np.ndarray, box: np.ndarray, *, max_iter: int, gradient_tol: float):
+    """Minimize ``fun`` (value and gradient) from x inside [-box, box] by L-BFGS.
+
+    The direction comes from the two-loop recursion over the last 10 (s, y)
+    pairs with H0 = s.y / y.y (Liu and Nocedal 1989); a pair whose s.y is not
+    positive is skipped.  The first trial step is the gradient step shortened
+    to length at most 1, as in L-BFGS-B; later ones start at the full
+    quasi-Newton step.  The stop tests are L-BFGS-B's: projected
+    gradient, relative reduction, iteration limit.  Returns (x, gradient,
+    start and accepted values, evaluations, converged, message), where the
+    message names the test that stopped the search.
+    """
+    f, g = fun(x)
+    evaluations, values = 1, [f]
+    pairs: deque = deque(maxlen=10)
+    while True:
+        if np.max(np.abs(np.clip(x - g, -box, box) - x)) <= gradient_tol:
+            return x, g, values, evaluations, True, "converged: projected gradient inf-norm <= tol"
+        if len(values) > 1 and values[-2] - f <= LOGLIK_REL_TOL * max(abs(values[-2]), abs(f), 1.0):
+            return x, g, values, evaluations, True, "converged: relative reduction <= LOGLIK_REL_TOL"
+        if len(values) > max_iter:
+            return x, g, values, evaluations, False, f"stopped: max_iter ({max_iter}) iterations"
+        q = g.copy()
+        alphas = []
+        for s, y in reversed(pairs):
+            alphas.append(s @ q / (s @ y))
+            q -= alphas[-1] * y
+        if pairs:
+            s, y = pairs[-1]
+            q *= (s @ y) / (y @ y)
+        for (s, y), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - y @ q / (s @ y)) * s
+        step = 1.0 if len(values) > 1 else min(1.0, 1.0 / float(np.linalg.norm(q)))
+        found, trials = _wolfe_step(fun, x, f, g, -q, step, box)
+        evaluations += trials
+        if found is None:
+            return x, g, values, evaluations, False, f"stopped: no line-search step in {trials} trials"
+        s, y = found[0] - x, found[2] - g
+        if s @ y > 0.0:
+            pairs.append((s, y))
+        x, f, g = found
+        values.append(f)
+
+
+def _wolfe_step(fun, x, f0, g0, p, step, box):
+    """A point x + t p, clipped to the box, with sufficient decrease (c1 = 1e-3) and curvature (c2 = 0.9).
+
+    A trial that fails the decrease test, or whose value is not finite,
+    bounds t from above; one that passes it but is still steep bounds t from
+    below, and t grows fourfold until an upper bound is found.  Then each
+    trial comes from ``_bracket_step``, or halves the bracket if the last two
+    shrank it by less than a third (More and Thuente's safeguard); once it is
+    narrower than a tenth of its upper end, rounding noise rules and its
+    lower end is taken.  Returns ((x, f, g), trials), or (None, 60) when no
+    trial is accepted.
+    """
+    slope0 = g0 @ p
+    lo, hi, best = (0.0, f0, slope0), None, None
+    widths = [math.inf, math.inf]
+    for trial in range(1, 61):
+        point = np.clip(x + step * p, -box, box)
+        f, g = fun(point)
+        slope = g @ p
+        if not (math.isfinite(f) and f <= min(f0 + 1e-3 * step * slope0, lo[1])):
+            hi = (step, f, slope)
+        elif slope >= 0.9 * slope0:
+            return (point, f, g), trial
+        else:
+            lo, best = (step, f, slope), (point, f, g)
+        if hi is None:
+            step *= 4.0
+            continue
+        width = hi[0] - lo[0]
+        if best is not None and width <= 0.1 * hi[0]:
+            return best, trial
+        step = lo[0] + 0.5 * width if width > 0.66 * widths[-2] else _bracket_step(lo, hi)
+        widths.append(width)
+    return None, 60
+
+
+def _bracket_step(lo, hi) -> float:
+    """The minimizer of the cubic through the bracket's ends (t, f, slope), else of the quadratic without hi's slope.
+
+    The midpoint stands in when neither has a finite minimizer or hi's value
+    is not finite; the result is kept from 0.1% to 90% of the way to hi.
+    """
+    (a, fa, da), (b, fb, db) = lo, hi
+    width = b - a
+    t = a + 0.5 * width
+    if math.isfinite(fb):
+        d1 = da + db - 3.0 * (fb - fa) / width
+        radicand = d1 * d1 - da * db
+        denominator = db - da + 2.0 * math.sqrt(radicand) if radicand >= 0.0 else 0.0
+        curvature = fb - fa - da * width
+        if denominator != 0.0:
+            t = b - width * (db + math.sqrt(radicand) - d1) / denominator
+        elif curvature > 0.0:
+            t = a - da * width * width / (2.0 * curvature)
+    return min(max(t, a + 1e-3 * width), b - 0.1 * width) if math.isfinite(t) else a + 0.5 * width
+
+
 def fit(
     sample: TransformedSample,
     *,
@@ -373,16 +481,18 @@ def fit(
     gradient_tol: float = 1e-6,
     seed: int | None = None,
 ) -> FittedModel:
-    """Maximize the censored log-likelihood over (mean, cov) by L-BFGS-B.
+    """Maximize the censored log-likelihood over (mean, cov) by L-BFGS (``_lbfgs``).
 
     The optimizer gets the value and the exact score from one call per
-    point (``_score``).  The start point is the sample mean and covariance
-    (1/n convention) of all transformed points, face vectors included as-is;
-    the covariance gets a +START_RIDGE * I bump if it is numerically singular.
-    Convergence means the projected gradient inf-norm fell below
-    ``gradient_tol`` or the relative log-likelihood change fell below
-    ``LOGLIK_REL_TOL``; hitting ``max_iter`` returns ``converged=False``
-    rather than raising.  ``max_iter`` below 1, or a ``gradient_tol`` that
+    point (``_score``), and every accepted iterate raises the value.  The
+    start point is the sample mean and covariance (1/n convention) of all
+    transformed points, face vectors included as-is; the covariance gets a
+    +START_RIDGE * I bump if it is numerically singular.  Convergence means
+    the projected gradient inf-norm fell below ``gradient_tol`` or the
+    relative log-likelihood change fell below ``LOGLIK_REL_TOL``; hitting
+    ``max_iter``, or a line search that finds no step, returns
+    ``converged=False`` rather than raising, and ``message`` names the test
+    that stopped the fit.  ``max_iter`` below 1, or a ``gradient_tol`` that
     is negative or not finite, is a ``ValueError``.
     """
     if max_iter < 1:
@@ -416,72 +526,31 @@ def fit(
         value, score = _loglik_and_score(sample, theta, rays)
         return -value, -score
 
-    best_theta, best_value = theta0, math.inf
-    last_theta, last_value = theta0, math.inf
-    trace: list[float] = []
-
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal best_theta, best_value, last_theta, last_value
-        value, score = negloglik_and_score(theta)
-        last_theta, last_value = np.array(theta), value
-        if not trace:  # L-BFGS-B's first call is at theta0
-            trace.append(-value)
-        if value < best_value:
-            best_value = value
-            best_theta = last_theta
-        return value, score
-
-    def record(theta: np.ndarray) -> None:
-        # L-BFGS-B reports an iterate right after evaluating it.
-        same = np.array_equal(theta, last_theta)
-        trace.append(-last_value if same else _log_likelihood_frame(sample, *_unpack_chol(theta, d), rays)[0])
-
     diag_pos = _tri_layout(d)[1]
-    bounds = [(None, None)] * theta0.size
-    for pos in diag_pos:
-        bounds[d + pos] = (-LOG_DIAG_BOUND, LOG_DIAG_BOUND)
-
-    result = minimize(
-        objective,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        callback=record,
-        options={
-            "maxiter": max_iter,
-            "maxfun": 50 * max_iter,
-            "ftol": LOGLIK_REL_TOL,
-            "gtol": gradient_tol,
-            "maxls": 60,
-        },
+    box = np.full(theta0.size, math.inf)
+    box[d + diag_pos] = LOG_DIAG_BOUND
+    theta, grad, values, evaluations, converged, message = _lbfgs(
+        negloglik_and_score, theta0, box, max_iter=max_iter, gradient_tol=gradient_tol
     )
-    at_result = result.fun <= best_value
-    if at_result:
-        best_value = float(result.fun)
-        best_theta = np.array(result.x)
 
-    tri = best_theta[d:]
-    if np.any(np.abs(tri[diag_pos]) >= LOG_DIAG_BOUND - 1e-6):
+    if np.any(np.abs(theta[d + diag_pos]) >= LOG_DIAG_BOUND - 1e-6):
         raise ParameterBoundError(
             "optimum hit the +/-30 log-diagonal bound; the covariance scale is degenerate"
         )
 
-    mean_hat, chol_hat = _unpack_chol(best_theta, d)
-    grad = result.jac if at_result else negloglik_and_score(best_theta)[1]
-    grad_norm = float(np.max(np.abs(grad)))
+    mean_hat, chol_hat = _unpack_chol(theta, d)
     return FittedModel(
         mean=mean_hat,
         cov=chol_hat @ chol_hat.T,
-        loglik=-best_value,
-        iterations=int(result.nit),
-        converged=bool(result.success),
-        gradient_norm=grad_norm,
+        loglik=-values[-1],
+        iterations=len(values) - 1,
+        converged=converged,
+        gradient_norm=float(np.max(np.abs(grad))),
         n_parts=sample.n_parts,
         n_interior=n1,
         n_face=sample.n_face,
-        trace=tuple(trace),
+        trace=tuple(-v for v in values),
         seed=seed,
-        evaluations=int(result.nfev),
-        message=str(result.message),
+        evaluations=evaluations,
+        message=message,
     )

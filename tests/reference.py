@@ -2,16 +2,30 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_triangular
+from scipy.optimize import minimize
 from scipy.special import log_ndtr, ndtr
 
 from zerocensored.diagnostics import CHUNK_SIZE
-from zerocensored.gaussian import LOG_2PI, MvnParams
+from zerocensored.gaussian import LOG_2PI, MvnParams, NotPositiveDefiniteError, cholesky
 from zerocensored.geometry import TiedMinimumError
-from zerocensored.likelihood import LOG_DIAG_BOUND, ParameterBoundError
+from zerocensored.likelihood import (
+    LOG_DIAG_BOUND,
+    LOGLIK_REL_TOL,
+    START_RIDGE,
+    FittedModel,
+    ParameterBoundError,
+    _face_rays,
+    _log_likelihood_frame,
+    _loglik_and_score,
+    _pack_params,
+    _tri_layout,
+    _unpack_chol,
+)
 from zerocensored.simplex import ZERO_TOL, format_rows, helmert_submatrix, inverse_alpha_transform, reject_multiple_zeros
 from zerocensored.ternary import TRIANGLE
 
@@ -175,7 +189,8 @@ def loglik_and_score_solve_triangular(sample, theta) -> tuple[float, np.ndarray]
     and unit directions, computes log|Sigma|, sqrt(a) and log(1 - Phi(z)) where
     each is used, and solves with ``solve_triangular`` and its finiteness scans.
     Every expression has the package's operands and order, so the two agree
-    bit for bit.
+    bit for bit while every z is at most 30; beyond, the package takes the
+    Mills ratio from ``erfcx``.
     """
     d = sample.dim
     theta = np.asarray(theta, dtype=float)
@@ -240,3 +255,108 @@ def loglik_frame_solve_triangular(sample, mean, chol):
         total += float(np.sum(marginal + log_ndtr(-z)))
         face = (radii, w, m, a, b, z)
     return total, resid, face
+
+
+def fit_lbfgsb(sample, *, max_iter=5000, gradient_tol=1e-6, seed=None) -> FittedModel:
+    """``likelihood.fit`` through SciPy's L-BFGS-B, as the package fitted before it had its own L-BFGS.
+
+    Same start point, objective, bound and stop tests (``ftol`` is
+    ``LOGLIK_REL_TOL``); it returns the best point evaluated, and its trace
+    records each iterate the optimizer reports.
+    """
+    d = sample.dim
+    n1 = sample.n_interior
+    if sample.n_obs == 0:
+        raise ValueError("empty sample")
+    if n1 < d + 1:
+        warnings.warn(
+            f"only {n1} interior points for dimension {d}; covariance may be unidentifiable",
+            stacklevel=2,
+        )
+
+    points = np.vstack([sample.interior, sample.face])
+    mean0 = points.mean(axis=0)
+    resid = points - mean0
+    cov0 = resid.T @ resid / points.shape[0]
+    try:
+        cholesky(cov0)
+    except NotPositiveDefiniteError:
+        cov0 = cov0 + START_RIDGE * np.eye(d)
+        cholesky(cov0)  # give up if still singular
+    theta0 = _pack_params(mean0, cov0)
+
+    rays = _face_rays(sample.face)
+
+    def negloglik_and_score(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        value, score = _loglik_and_score(sample, theta, rays)
+        return -value, -score
+
+    best_theta, best_value = theta0, math.inf
+    last_theta, last_value = theta0, math.inf
+    trace: list[float] = []
+
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal best_theta, best_value, last_theta, last_value
+        value, score = negloglik_and_score(theta)
+        last_theta, last_value = np.array(theta), value
+        if not trace:  # L-BFGS-B's first call is at theta0
+            trace.append(-value)
+        if value < best_value:
+            best_value = value
+            best_theta = last_theta
+        return value, score
+
+    def record(theta: np.ndarray) -> None:
+        # L-BFGS-B reports an iterate right after evaluating it.
+        same = np.array_equal(theta, last_theta)
+        trace.append(-last_value if same else _log_likelihood_frame(sample, *_unpack_chol(theta, d), rays)[0])
+
+    diag_pos = _tri_layout(d)[1]
+    bounds = [(None, None)] * theta0.size
+    for pos in diag_pos:
+        bounds[d + pos] = (-LOG_DIAG_BOUND, LOG_DIAG_BOUND)
+
+    result = minimize(
+        objective,
+        theta0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds,
+        callback=record,
+        options={
+            "maxiter": max_iter,
+            "maxfun": 50 * max_iter,
+            "ftol": LOGLIK_REL_TOL,
+            "gtol": gradient_tol,
+            "maxls": 60,
+        },
+    )
+    at_result = result.fun <= best_value
+    if at_result:
+        best_value = float(result.fun)
+        best_theta = np.array(result.x)
+
+    tri = best_theta[d:]
+    if np.any(np.abs(tri[diag_pos]) >= LOG_DIAG_BOUND - 1e-6):
+        raise ParameterBoundError(
+            "optimum hit the +/-30 log-diagonal bound; the covariance scale is degenerate"
+        )
+
+    mean_hat, chol_hat = _unpack_chol(best_theta, d)
+    grad = result.jac if at_result else negloglik_and_score(best_theta)[1]
+    grad_norm = float(np.max(np.abs(grad)))
+    return FittedModel(
+        mean=mean_hat,
+        cov=chol_hat @ chol_hat.T,
+        loglik=-best_value,
+        iterations=int(result.nit),
+        converged=bool(result.success),
+        gradient_norm=grad_norm,
+        n_parts=sample.n_parts,
+        n_interior=n1,
+        n_face=sample.n_face,
+        trace=tuple(trace),
+        seed=seed,
+        evaluations=int(result.nfev),
+        message=str(result.message),
+    )

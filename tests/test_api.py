@@ -113,3 +113,16 @@ def test_cli_import_does_not_load_scipy_stats():
     code = "import sys, zerocensored.cli; assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_loads_only_the_scipy_subpackages_it_uses():
+    # scipy.optimize would bring in sparse, spatial, fft and constants, about 215 modules, at every start.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = (
+        "import sys, zerocensored.cli\n"
+        "print(' '.join(sorted(name for name, module in sys.modules.items() if name.count('.') == 1\n"
+        "    and name.startswith('scipy.') and not name[6:].startswith('_') and hasattr(module, '__path__'))))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["scipy.linalg", "scipy.special"]

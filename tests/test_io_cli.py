@@ -1,6 +1,7 @@
 """CSV/JSON interchange and command-line workflow tests."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -372,6 +373,20 @@ def test_cli_fit_refuses_settings_it_cannot_honour(tmp_path, capsys, flag, value
     assert main(["fit", str(path), "-o", str(out), flag, value]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+def test_cli_fit_on_near_singular_data_is_not_an_input_error(tmp_path, capsys):
+    # Covariance eigenvalues over ten decades (0.25 down to 2.5e-11): line-search trials put face points
+    # a billion standard deviations out, where the Mills ratio taken in logs overflows.
+    rng = np.random.default_rng(2)
+    basis, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+    cov = basis @ np.diag(np.logspace(math.log10(0.25), math.log10(2.5e-11), 9)) @ basis.T
+    dataset = simulate_compositions(5000, MvnParams(np.zeros(9), 0.5 * (cov + cov.T)), 2)
+    assert dataset.n_face > 0
+    path = tmp_path / "near_singular.csv"
+    write_compositions_csv(path, dataset)
+    assert main(["fit", str(path), "-o", str(tmp_path / "model.json")]) in (0, 3)
+    assert capsys.readouterr().err == ""
 
 
 # Each file has one cell over the csv module's 131 072-character field limit; the

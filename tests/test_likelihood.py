@@ -29,6 +29,7 @@ import zerocensored.likelihood as likelihood_module
 from zerocensored.dataset import TransformedSample
 from zerocensored.likelihood import (
     LOG_DIAG_BOUND,
+    LOGLIK_REL_TOL,
     _face_frame,
     _face_rays,
     _log_likelihood_frame,
@@ -38,7 +39,13 @@ from zerocensored.likelihood import (
     _unpack_chol,
 )
 
-from reference import loglik_and_score_solve_triangular, loglik_frame_solve_triangular, mvn_logpdf, numerical_gradient
+from reference import (
+    fit_lbfgsb,
+    loglik_and_score_solve_triangular,
+    loglik_frame_solve_triangular,
+    mvn_logpdf,
+    numerical_gradient,
+)
 
 
 def random_spd(rng, d, jitter=0.3):
@@ -478,6 +485,19 @@ def test_score_finite_deep_in_the_tail(d):
     assert_score_matches(sample, _pack_params(8.0 * direction, cov), rtol=1e-8)
 
 
+@pytest.mark.parametrize("z", [0.5, 6.0, 29.9, 30.1, 1e2, 1e4, 1e6, 1e8, 1e9])
+def test_score_matches_mpmath_at_any_tail_depth(z):
+    # One face point at y = c on the line, mean mu and sd sigma: the term is log(1 - Phi(z)) with
+    # z = (c - mu) / sigma, so the score is lam (1 / sigma, z) with lam = phi(z) / (1 - Phi(z)).
+    mu, sigma = 0.25, 0.5
+    sample = build_sample(np.empty((0, 1)), [mu + z * sigma], 2)
+    score = loglik_and_score(sample, np.array([mu, math.log(sigma)]))[1]
+    with mp.workdps(40):
+        lam = mp.npdf(z) / mp.ncdf(-z)
+        exact = [float(lam / sigma), float(lam * z)]
+    np.testing.assert_allclose(score, exact, rtol=1e-12)
+
+
 @pytest.mark.parametrize("d", [3, 9])
 def test_score_near_singular_cov(d):
     rng = np.random.default_rng(62)
@@ -571,6 +591,88 @@ def test_fit_warns_with_too_few_interior_points():
     sample = build_sample(rng.normal(size=(2, 2)), faces, 3)
     with pytest.warns(UserWarning, match="unidentifiable"):
         fit(sample, max_iter=50)
+
+
+def oracle_case(kind, n_parts, seed):
+    """A sample for comparing ``fit`` with the L-BFGS-B oracle: 1 000 simulated rows, or 300 interior ones."""
+    d = n_parts - 1
+    rng = np.random.default_rng(seed)
+    if kind == "cond 1e6":
+        basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        cov = 0.09 * basis @ np.diag(np.logspace(0, -6, d)) @ basis.T
+        params = MvnParams(0.05 * rng.normal(size=d), 0.5 * (cov + cov.T))
+    else:
+        a = rng.normal(size=(d, d))
+        cov = a @ a.T / d + 0.5 * np.eye(d)
+        sd = np.sqrt(np.diag(cov))
+        corr = cov / np.outer(sd, sd)
+        if kind == "interior":
+            return interior_only_sample(0.1 + rng.normal(size=(300, d)) @ np.linalg.cholesky(0.25 * corr).T, n_parts)
+        if kind == "face-heavy":
+            direction = rng.normal(size=d)
+            params = MvnParams(1.2 * direction / np.linalg.norm(direction), 0.36 * corr)
+        else:
+            params = MvnParams(0.05 * rng.normal(size=d), 0.36 * corr)
+    return transform_dataset(simulate_compositions(1000, params, seed))
+
+
+ORACLE_CASES = [("censored", n_parts) for n_parts in (2, 3, 5, 10, 20)] + [
+    ("interior", 3), ("interior", 10), ("face-heavy", 3), ("face-heavy", 10), ("cond 1e6", 5), ("cond 1e6", 10),
+]
+
+
+@pytest.mark.parametrize("kind, n_parts", ORACLE_CASES)
+def test_fit_reaches_the_lbfgsb_oracle(kind, n_parts):
+    sample = oracle_case(kind, n_parts, seed=80 + n_parts)
+    if kind == "face-heavy":
+        assert sample.n_face > 0.3 * sample.n_obs
+    model, oracle = fit(sample), fit_lbfgsb(sample)
+    assert model.converged and model.message.startswith("converged: ")
+    assert model.loglik >= oracle.loglik - LOGLIK_REL_TOL * abs(oracle.loglik)
+    assert model.trace[-1] == model.loglik and np.all(np.diff(model.trace) >= 0.0)
+
+
+def test_fit_line_search_ends_in_rounding_noise():
+    # Zero-free rows under a covariance with condition number 1e6 start at the closed-form maximum, where the
+    # score (about 5e-6) is rounding noise above tol and trial values differ from the start's by one ulp.
+    # Without bisection and the narrow-bracket exit the line search spends all 60 trials here.
+    rng = np.random.default_rng(3)
+    d = 9
+    mean = 0.05 * rng.normal(size=d)
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    cov = 0.25 * basis @ np.diag(np.logspace(0, -6, d)) @ basis.T
+    sample = transform_dataset(simulate_compositions(1000, MvnParams(mean, 0.5 * (cov + cov.T)), 3))
+    assert sample.n_face == 0
+    model = fit(sample)
+    assert model.converged and model.evaluations < 20
+    assert model.loglik >= fit_lbfgsb(sample).loglik
+
+
+def test_fit_raises_at_the_bound_where_the_oracle_does():
+    # Identical rows: the likelihood grows without bound as the variance shrinks to zero.
+    sample = interior_only_sample(np.full((5, 1), 0.2), 2)
+    for fitter in (fit, fit_lbfgsb):
+        with pytest.raises(ParameterBoundError, match="degenerate"):
+            fitter(sample)
+
+
+def test_fit_stopped_by_max_iter_is_not_converged():
+    rng = np.random.default_rng(58)
+    sample = build_sample(rng.normal(size=(60, 2)), rng.normal(size=(20, 2)) + 1.0, 3)
+    model = fit(sample, max_iter=1)
+    assert not model.converged and model.iterations == 1
+    assert model.message == "stopped: max_iter (1) iterations"
+    assert len(model.trace) == 2
+
+
+def test_fit_names_the_stop_test():
+    rng = np.random.default_rng(59)
+    sample = build_sample(rng.normal(size=(60, 2)), rng.normal(size=(20, 2)) + 1.0, 3)
+    assert fit(sample).message == "converged: relative reduction <= LOGLIK_REL_TOL"
+    # Zero-free data start at the closed-form maximum, so the start point passes the gradient test.
+    closed_form = fit(interior_only_sample(rng.normal(size=(50, 2)), 3), gradient_tol=1e-3)
+    assert closed_form.message == "converged: projected gradient inf-norm <= tol"
+    assert closed_form.iterations == 0 and closed_form.evaluations == 1
 
 
 def test_fit_records_seed_provenance():
