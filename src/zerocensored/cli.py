@@ -9,6 +9,7 @@ the clock.
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401  argparse's gettext imports it when each command builds its parser
 import sys
 from pathlib import Path
 
@@ -99,8 +100,8 @@ def _cmd_fit(args) -> int:
     print(f"observations: {model.n_interior + model.n_face} "
           f"(interior n1={model.n_interior}, boundary n2={model.n_face})")
     print(f"log-likelihood: {model.loglik:.6f}")
-    print(f"converged: {'yes' if model.converged else 'NO'} "
-          f"({model.iterations} iterations, gradient inf-norm {model.gradient_norm:.3e})")
+    print(f"converged: {'yes' if model.converged else 'NO'} ({model.iterations} iterations, "
+          f"gradient inf-norm {model.gradient_norm:.3e}; stop test: {model.message.partition(': ')[2]})")
     print(f"wrote {args.output}")
     return EXIT_OK if model.converged else EXIT_NO_CONVERGENCE
 

@@ -38,6 +38,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # NumPy loads it, and about 20 modules with it, only on first use
 
 from .dataset import CompositionalDataset, part_names
 from .gaussian import MvnParams

@@ -17,12 +17,14 @@ The covariance is optimized through its Cholesky factor with log-transformed
 diagonal, so every parameter vector maps to an SPD matrix and the search is
 unconstrained apart from a +/-30 safety bound on the log-diagonal entries.
 ``_score`` is the exact gradient in those coordinates, built from the
-quantities the likelihood has already computed.  A fit computes the face
-points' radii and unit directions once, and each evaluation checks its
-parameters for finiteness once and then calls LAPACK's ``dtrtrs`` as
-``solve_triangular`` would, so its bits are those of that route.  ``fit``
-maximizes with the module's own L-BFGS (``_lbfgs``) under L-BFGS-B's stop
-tests, so the package needs no ``scipy.optimize``.
+quantities the likelihood has already computed.  A fit lays out its data
+once, the interior points and the face points' unit directions as the
+columns of one array (``_sample_columns``), and each evaluation checks its
+parameters for finiteness once and solves those columns, the mean and the
+identity in one forward substitution (``_solve_chol``).  The normal tail
+comes from the module's erfcx kernel (``_erfcx``, ``_log_ndtr_erfcx``), and
+``fit`` maximizes with the module's own L-BFGS (``_lbfgs``) under L-BFGS-B's
+stop tests, so the package needs only NumPy.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtrs
-from scipy.special import erfcx, log_ndtr
 
 from .dataset import TransformedSample
 from .gaussian import LOG_2PI, MvnParams, NotPositiveDefiniteError, cholesky
@@ -48,6 +47,44 @@ LOG_DIAG_BOUND = 30.0
 LOGLIK_REL_TOL = 1e-10
 #: Added to the diagonal of a numerically singular start covariance.
 START_RIDGE = 1e-8
+
+#: (1 + 2t) erfcx(t) = sum_j a_j s^j with s = (t - K) / (t + K), K = 3.75, for t >= 0: Shepherd and
+#: Laframboise's Chebyshev series (Math. Comp. 36 (1981) 249-253), cut at 25 terms (2.2e-16 relative) and
+#: rewritten in powers of s, so Horner's rule takes two array passes a term where Clenshaw's takes three.
+#: The |a_j| sum to 1.76 against values of at least 1, so little cancels.  Generated with mpmath by
+#: ``tests/reference.py::erfcx_power_series``.
+_ERFCX_K = 3.75
+_ERFCX_POWERS = (
+    1.2375126308378275,
+    -0.14024059858554697,
+    0.0035854154854644293,
+    0.0822767384901452,
+    -0.10880393014174886,
+    0.09230432116037748,
+    -0.05869339858963677,
+    0.028362277418956406,
+    -0.009746579558029276,
+    0.0017556258528952954,
+    0.0002937136655913448,
+    -0.0002901540805408417,
+    5.164909889268241e-05,
+    2.238423915508223e-05,
+    -1.1444146237700524e-05,
+    -9.73559896736775e-07,
+    1.751637648849062e-06,
+    -5.7218230603224086e-08,
+    -2.5866850716155884e-07,
+    2.3263508708859124e-08,
+    3.8675334242222354e-08,
+    -3.744210080962018e-09,
+    -5.1739902140113095e-09,
+    3.1114333809799254e-10,
+    4.25147144479639e-10,
+)
+# 0-d arrays: NumPy adds one to an array faster than it adds a Python float.
+_ERFCX_HORNER = tuple(np.array(a) for a in reversed(_ERFCX_POWERS[:-1]))
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class ParameterBoundError(RuntimeError):
@@ -94,24 +131,66 @@ def _unpack_chol(theta, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return theta[:dim].copy(), chol
 
 
-def _solve_chol(chol: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-    """``solve_triangular(chol, rhs, lower=True, trans=trans)`` with the same LAPACK call and no input scans.
+def _erfcx(t: np.ndarray) -> np.ndarray:
+    """exp(t^2) erfc(t) elementwise for t >= 0 by Horner's rule on ``_ERFCX_POWERS``; erfcx(inf) = 0, NaN stays NaN."""
+    s = 2.0 * _ERFCX_K / (t + _ERFCX_K)
+    np.subtract(1.0, s, out=s)  # (t - K) / (t + K), and 1 at t = inf
+    y = np.full_like(s, _ERFCX_POWERS[-1])
+    for a in _ERFCX_HORNER:
+        y *= s
+        y += a
+    y /= 2.0 * t + 1.0
+    return y
 
-    The caller checks finiteness (``_require_finite``).  A C-ordered factor is
-    solved as its transpose, as SciPy does; a 1 x 1 factor is also F-ordered
-    and goes the other way, as there.
+
+def _log_ndtr_erfcx(x) -> tuple[np.ndarray, np.ndarray]:
+    """log Phi(x) and erfcx(|x| / sqrt 2), elementwise over an array of any shape.
+
+    Below zero log Phi(x) = log(erfcx(t) / 2) - x^2/2 with t = -x / sqrt 2,
+    which holds to the far tail.  From zero up it is log1p(-erfc(t) / 2) with
+    t = x / sqrt 2, where exp(-x^2/2) in erfc(t) = exp(-t^2) erfcx(t) takes x
+    split into a float32 part hi, whose square is exact, and the rest, so the
+    exponent carries no rounding of x^2.  log Phi(-inf) = -inf, log Phi(inf)
+    = 0 and NaN stays NaN, without warnings.
     """
-    if chol.flags.f_contiguous:
-        x, info = dtrtrs(chol, rhs, lower=1, trans=trans)
-    else:
-        x, info = dtrtrs(chol.T, rhs, lower=0, trans=1 - trans)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    ex = _erfcx(np.abs(flat) * _SQRT_HALF)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.log(0.5 * ex) - 0.5 * flat * flat
+    upper = flat >= 0.0
+    if upper.any():
+        xu = np.minimum(flat[upper], 40.0)  # Phi(-40) is below the smallest double
+        hi = xu.astype(np.float32).astype(float)
+        tail = np.exp(-0.5 * hi * hi) * np.exp(-0.5 * (xu - hi) * (xu + hi)) * ex[upper]
+        out[upper] = np.log1p(-0.5 * tail)
+    return out.reshape(x.shape), ex.reshape(x.shape)
+
+
+def _log_ndtr(x) -> np.ndarray:
+    """log Phi(x), the log standard normal distribution function, elementwise (``_log_ndtr_erfcx``)."""
+    return _log_ndtr_erfcx(x)[0]
+
+
+def _solve_chol(chol: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Overwrite x, a C-ordered float (d,) or (d, k) array, with L^-1 x for a lower-triangular L; return x.
+
+    Forward substitution one row at a time: row i of the solution is row i
+    of x, less one dot of L's row i with the rows already solved, divided by
+    L_ii, over all columns at once.  The caller checks finiteness
+    (``_require_finite``).
+    """
+    d = chol.shape[0]
+    rows = x.reshape(d, -1)
+    rows[0] /= chol[0, 0]
+    for i in range(1, d):
+        rows[i] -= np.dot(chol[i, :i], rows[:i])
+        rows[i] /= chol[i, i]
     return x
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
-    """The ``check_finite`` scan of ``solve_triangular``, once for the parameters of an evaluation."""
+    """Refuse infs and NaNs, with the error SciPy's solves gave, once for the parameters of an evaluation."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("array must not contain infs or NaNs")
 
@@ -140,28 +219,39 @@ def boundary_term(rotation, radius: float, mean, cov) -> float:
     d = mu_z.size
     if d == 1:
         sd = math.sqrt(float(sig_z[0, 0]))
-        return float(log_ndtr(-(c1 - float(mu_z[0])) / sd))
+        return float(_log_ndtr(-(c1 - float(mu_z[0])) / sd))
     chol = cholesky(sig_z[1:, 1:])
-    half = solve_triangular(chol, sig_z[1:, 0], lower=True)
-    m = solve_triangular(chol, mu_z[1:], lower=True)
+    half = _solve_chol(chol, sig_z[1:, 0].copy())
+    m = _solve_chol(chol, mu_z[1:].copy())
     cond_mean = float(mu_z[0] - half @ m)
     cond_var = float(sig_z[0, 0] - half @ half)
     if cond_var <= 0.0:
         raise NotPositiveDefiniteError("conditional variance is not positive")
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m)
-    return float(marginal + log_ndtr(-(c1 - cond_mean) / math.sqrt(cond_var)))
+    return float(marginal + _log_ndtr(-(c1 - cond_mean) / math.sqrt(cond_var)))
 
 
-def _face_rays(face: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The face points' radii c1 and unit directions u = y / c1 as a (d, n2) array; data only, so once per fit."""
-    radii = np.linalg.norm(face, axis=1)
-    return radii, (face / radii[:, None]).T
+def _sample_columns(sample: TransformedSample) -> tuple[np.ndarray, np.ndarray]:
+    """The data-only part of every evaluation's solve, built once per fit: the face radii c1 and the columns.
+
+    The columns are one C-ordered (d, n1 + n2 + 1 + d) array [Y^T | U | 0 | I]:
+    the interior points, the face points' unit directions u = y / c1, a slot
+    for the mean and the identity.
+    """
+    d, n1, n2 = sample.dim, sample.n_interior, sample.n_face
+    radii = np.linalg.norm(sample.face, axis=1)
+    columns = np.zeros((d, n1 + n2 + 1 + d))
+    columns[:, :n1] = sample.interior.T
+    columns[:, n1 : n1 + n2] = (sample.face / radii[:, None]).T
+    columns[:, n1 + n2 + 1 :] = np.eye(d)
+    return radii, columns
 
 
 @dataclass(frozen=True)
 class _FaceFrame:
-    """The face points' quantities that the score reuses: radii c1, w (d, n2), m, a, sqrt(a), b, z and log(1 - Phi(z))."""
+    """The face points' quantities that the score reuses: radii c1, w (d, n2), m, a, sqrt(a), b, z, log(1 - Phi(z))
+    and erfcx(|z| / sqrt 2)."""
 
     radii: np.ndarray
     w: np.ndarray
@@ -171,30 +261,26 @@ class _FaceFrame:
     b: np.ndarray
     z: np.ndarray
     log_tail: np.ndarray
+    erfcx: np.ndarray
 
 
-def _face_frame(
-    rays: tuple[np.ndarray, np.ndarray], mean: np.ndarray, chol: np.ndarray, log_det: float
-) -> tuple[np.ndarray, _FaceFrame]:
-    """Vectorized ``boundary_term`` over the face points' ``_face_rays``, and the frame it was computed in.
+def _face_frame(radii: np.ndarray, w: np.ndarray, m: np.ndarray, log_det: float) -> tuple[np.ndarray, _FaceFrame]:
+    """Vectorized ``boundary_term`` over face points with radii c1 and w = L^-1 u, and the frame it was computed in.
 
-    With u = y / c1, L = chol(Sigma), w = L^-1 u, m = L^-1 mu, a = ||w||^2 and
-    b = w . m, the rotated first coordinate has conditional precision a and
-    conditional mean b / a given the others at zero, so the term is
+    With u = y / c1, L = chol(Sigma), m = L^-1 mu, a = ||w||^2 and b = w . m,
+    the rotated first coordinate has conditional precision a and conditional
+    mean b / a given the others at zero, so the term is
     -1/2 [(d - 1) log 2 pi + log|Sigma| + ||m||^2 - b^2/a + log a]
     + log(1 - Phi((c1 - b/a) sqrt(a))).  No rotation is built.
     """
-    radii, units = rays
-    w = _solve_chol(chol, units)  # (d, n2)
-    m = _solve_chol(chol, mean)
     a = np.sum(w * w, axis=0)
     root_a = np.sqrt(a)
     b = m @ w
     z = (radii - b / a) * root_a
-    log_tail = log_ndtr(-z)
-    d = mean.size
+    log_tail, erfcx = _log_ndtr_erfcx(-z)
+    d = m.size
     marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m - b * b / a + np.log(a))
-    return marginal + log_tail, _FaceFrame(radii, w, m, a, root_a, b, z, log_tail)
+    return marginal + log_tail, _FaceFrame(radii, w, m, a, root_a, b, z, log_tail, erfcx)
 
 
 def log_likelihood(sample: TransformedSample, mean, cov) -> float:
@@ -211,50 +297,63 @@ def log_likelihood(sample: TransformedSample, mean, cov) -> float:
         raise ValueError("empty sample")
     if mean.shape != (sample.dim,) or cov.shape != (sample.dim, sample.dim):
         raise ValueError("parameter dimensions do not match the sample")
-    return _log_likelihood_frame(sample, mean, cholesky(cov), _face_rays(sample.face))[0]
+    return _log_likelihood_frame(sample, mean, cholesky(cov), _sample_columns(sample))[0]
 
 
 def _log_likelihood_frame(
-    sample: TransformedSample, mean: np.ndarray, chol: np.ndarray, rays: tuple[np.ndarray, np.ndarray]
-) -> tuple[float, np.ndarray | None, _FaceFrame | None]:
-    """The log-likelihood, the whitened interior residuals (d, n1) and the face frame."""
+    sample: TransformedSample, mean: np.ndarray, chol: np.ndarray, columns: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, np.ndarray, np.ndarray | None, _FaceFrame | None]:
+    """The log-likelihood, L^-1, the whitened interior residuals (d, n1) and the face frame.
+
+    One substitution pass over the ``_sample_columns`` with the mean filled
+    in solves the residuals, the face directions, the mean and L^-1 together.
+    """
     _require_finite(mean, chol)
     d = sample.dim
     n1 = sample.n_interior
     n2 = sample.n_face
     n = n1 + n2
+    radii, data = columns
+    x = data.copy()
+    x[:, :n1] -= mean[:, None]
+    x[:, n] = mean
+    _solve_chol(chol, x)
     total = (n * d + 0.5 * n) * math.log(sample.n_parts)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     resid = frame = None
     if n1:
-        resid = _solve_chol(chol, (sample.interior - mean).T)
+        resid = x[:, :n1]
         total += -0.5 * n1 * (d * LOG_2PI + log_det) - 0.5 * float(np.sum(resid * resid))
     if n2:
-        terms, frame = _face_frame(rays, mean, chol, log_det)
+        terms, frame = _face_frame(radii, x[:, n1:n], x[:, n].copy(), log_det)
         total += float(np.sum(terms))
-    return total, resid, frame
+    return total, x[:, n + 1 :], resid, frame
 
 
 def _loglik_and_score(
-    sample: TransformedSample, theta: np.ndarray, rays: tuple[np.ndarray, np.ndarray]
+    sample: TransformedSample, theta: np.ndarray, columns: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, np.ndarray]:
     """The log-likelihood at packed parameters and its gradient in those coordinates."""
     mean, chol = _unpack_chol(theta, sample.dim)
-    value, resid, frame = _log_likelihood_frame(sample, mean, chol, rays)
-    return value, _score(chol, resid, frame)
+    value, inverse, resid, frame = _log_likelihood_frame(sample, mean, chol, columns)
+    return value, _score(chol, inverse, resid, frame)
 
 
-def _score(chol: np.ndarray, resid: np.ndarray | None, frame: _FaceFrame | None) -> np.ndarray:
+def _score(
+    chol: np.ndarray, inverse: np.ndarray, resid: np.ndarray | None, frame: _FaceFrame | None
+) -> np.ndarray:
     """Gradient of the log-likelihood in the packed coordinates of ``_pack_params``.
 
     Interior points give dl/dmu = L^-T sum z and dl/dL = tril(L^-T Z Z^T) - n1 diag(1/L).
     Face points go through (m, w, a, b): with the inverse Mills ratio
-    lam = phi(z) / (1 - Phi(z)), computed in logs up to z = 30 and as
-    sqrt(2/pi) / erfcx(z/sqrt(2)) beyond, where the logs cancel,
+    lam = phi(z) / (1 - Phi(z)), which is sqrt(2/pi) / erfcx(z/sqrt(2)) for
+    z >= 0 from the value's own erfcx, to any tail depth, and is computed in
+    logs below zero, where 1 - Phi(z) > 1/2,
     g_b = b/a + lam/sqrt(a), g_a = -(b^2/a^2 + 1/a)/2 - lam (c1/sqrt(a) +
     b/a^(3/2))/2 and g_m = -n2 m + W g_b; then dl/dmu = L^-T g_m and
     dl/dL = -tril(L^-T [g_m m^T + m (W g_b)^T + 2 W diag(g_a) W^T]) - n2 diag(1/L).
-    The log-diagonal coordinates take dl/dL_jj * L_jj.
+    The log-diagonal coordinates take dl/dL_jj * L_jj.  L^-T is the transpose
+    of ``inverse``, which the value's substitution pass solved.
     """
     d = chol.shape[0]
     g_mean = np.zeros(d)
@@ -267,10 +366,11 @@ def _score(chol: np.ndarray, resid: np.ndarray | None, frame: _FaceFrame | None)
     if frame is not None:
         w, m, a, b, root_a = frame.w, frame.m, frame.a, frame.b, frame.root_a
         z = frame.z
-        with np.errstate(over="ignore", invalid="ignore"):  # past z = 30 the ratio is replaced below
-            lam = np.exp(-0.5 * (z * z + LOG_2PI) - frame.log_tail)
-        deep = z > 30.0
-        lam[deep] = math.sqrt(2.0 / math.pi) / erfcx(z[deep] / math.sqrt(2.0))
+        with np.errstate(divide="ignore", over="ignore"):  # an infinite z is refused with the score below
+            lam = _SQRT_2_OVER_PI / frame.erfcx
+            below = z < 0.0
+            if below.any():
+                lam[below] = np.exp(-0.5 * (z[below] ** 2 + LOG_2PI) - frame.log_tail[below])
         g_b = b / a + lam / root_a
         g_a = -0.5 * (b * b / (a * a) + 1.0 / a) - 0.5 * lam * (frame.radii / root_a + b / (a * root_a))
         w_gb = w @ g_b
@@ -281,11 +381,11 @@ def _score(chol: np.ndarray, resid: np.ndarray | None, frame: _FaceFrame | None)
     rhs = np.column_stack([g_mean, g_chol])
     # Finite parameters can still overflow w = L^-1 u; this is a ValueError, not a NaN step for the optimizer.
     _require_finite(rhs)
-    solved = _solve_chol(chol, rhs, trans=1)
-    g_tri = np.tril(solved[:, 1:])
-    diag = np.arange(d)
-    g_tri[diag, diag] = g_tri[diag, diag] * chol[diag, diag] - count
-    return np.concatenate([solved[:, 0], g_tri[_tri_layout(d)[0]]])
+    solved = inverse.T @ rhs
+    tril, diag_pos = _tri_layout(d)
+    g_tri = solved[:, 1:][tril]
+    g_tri[diag_pos] = g_tri[diag_pos] * np.diagonal(chol) - count
+    return np.concatenate([solved[:, 0], g_tri])
 
 
 def json_float(value) -> float | None:
@@ -520,10 +620,10 @@ def fit(
         cholesky(cov0)  # give up if still singular
     theta0 = _pack_params(mean0, cov0)
 
-    rays = _face_rays(sample.face)
+    columns = _sample_columns(sample)
 
     def negloglik_and_score(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, score = _loglik_and_score(sample, theta, rays)
+        value, score = _loglik_and_score(sample, theta, columns)
         return -value, -score
 
     diag_pos = _tri_layout(d)[1]

@@ -4,6 +4,7 @@ import csv
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_triangular
@@ -19,10 +20,12 @@ from zerocensored.likelihood import (
     START_RIDGE,
     FittedModel,
     ParameterBoundError,
-    _face_rays,
     _log_likelihood_frame,
+    _log_ndtr_erfcx,
     _loglik_and_score,
     _pack_params,
+    _sample_columns,
+    _solve_chol,
     _tri_layout,
     _unpack_chol,
 )
@@ -182,15 +185,14 @@ def exact_zero_rates_d3(mean, cov) -> np.ndarray:
     return rates
 
 
-def loglik_and_score_solve_triangular(sample, theta) -> tuple[float, np.ndarray]:
+def loglik_and_score_per_call(sample, theta) -> tuple[float, np.ndarray]:
     """``likelihood._loglik_and_score`` as one self-contained pass per call.
 
-    Unpacks the factor with fresh ``np.tril_indices``, rebuilds the face radii
-    and unit directions, computes log|Sigma|, sqrt(a) and log(1 - Phi(z)) where
-    each is used, and solves with ``solve_triangular`` and its finiteness scans.
-    Every expression has the package's operands and order, so the two agree
-    bit for bit while every z is at most 30; beyond, the package takes the
-    Mills ratio from ``erfcx``.
+    Unpacks the factor with fresh ``np.tril_indices``, rebuilds the face radii,
+    unit directions and solve columns, and computes log|Sigma|, sqrt(a) and
+    log(1 - Phi(z)) where each is used, with the package's substitution and
+    normal-tail kernels.  Every expression has the package's operands and
+    order, so the two agree bit for bit.
     """
     d = sample.dim
     theta = np.asarray(theta, dtype=float)
@@ -203,7 +205,116 @@ def loglik_and_score_solve_triangular(sample, theta) -> tuple[float, np.ndarray]
     chol = np.zeros((d, d))
     chol[np.tril_indices(d)] = tri
     mean = theta[:d].copy()
-    value, resid, face = loglik_frame_solve_triangular(sample, mean, chol)
+    value, inverse, resid, face = loglik_frame_per_call(sample, mean, chol)
+
+    g_mean = np.zeros(d)
+    g_chol = np.zeros((d, d))
+    count = 0
+    if resid is not None:
+        g_mean += resid.sum(axis=1)
+        g_chol += resid @ resid.T
+        count += resid.shape[1]
+    if face is not None:
+        radii, w, m, a, b, z, log_tail, erfcx = face
+        root_a = np.sqrt(a)
+        lam = math.sqrt(2.0 / math.pi) / erfcx
+        below = z < 0.0
+        lam[below] = np.exp(-0.5 * (z[below] ** 2 + LOG_2PI) - log_tail[below])
+        g_b = b / a + lam / root_a
+        g_a = -0.5 * (b * b / (a * a) + 1.0 / a) - 0.5 * lam * (radii / root_a + b / (a * root_a))
+        w_gb = w @ g_b
+        g_m = w_gb - a.size * m
+        g_mean += g_m
+        g_chol -= np.outer(g_m, m) + np.outer(m, w_gb) + 2.0 * (w * g_a) @ w.T
+        count += a.size
+    solved = inverse.T @ np.column_stack([g_mean, g_chol])
+    g_tri = np.tril(solved[:, 1:])
+    diag = np.arange(d)
+    g_tri[diag, diag] = g_tri[diag, diag] * chol[diag, diag] - count
+    return value, np.concatenate([solved[:, 0], g_tri[np.tril_indices(d)]])
+
+
+def loglik_frame_per_call(sample, mean, chol):
+    """The value of ``loglik_and_score_per_call`` at (mean, L), L^-1, its whitened interior residuals and its
+    face frame (radii, w, m, a, b, z, log(1 - Phi(z)), erfcx(|z| / sqrt 2))."""
+    d = sample.dim
+    n1 = sample.n_interior
+    n2 = sample.n_face
+    n = n1 + n2
+    radii = np.linalg.norm(sample.face, axis=1)
+    x = np.zeros((d, n + 1 + d))
+    x[:, :n1] = sample.interior.T - mean[:, None]
+    x[:, n1:n] = (sample.face / radii[:, None]).T
+    x[:, n] = mean
+    x[:, n + 1 :] = np.eye(d)
+    _solve_chol(chol, x)
+    total = (n * d + 0.5 * n) * math.log(sample.n_parts)
+    resid = face = None
+    if n1:
+        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        resid = x[:, :n1]
+        total += -0.5 * n1 * (d * LOG_2PI + log_det) - 0.5 * float(np.sum(resid * resid))
+    if n2:
+        w = x[:, n1:n]
+        m = x[:, n].copy()
+        a = np.sum(w * w, axis=0)
+        b = m @ w
+        z = (radii - b / a) * np.sqrt(a)
+        log_tail, erfcx = _log_ndtr_erfcx(-z)
+        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m - b * b / a + np.log(a))
+        total += float(np.sum(marginal + log_tail))
+        face = (radii, w, m, a, b, z, log_tail, erfcx)
+    return total, x[:, n + 1 :], resid, face
+
+
+def erfcx_power_series(n_terms: int = 25, k: float = 3.75, nodes: int = 128, dps: int = 40) -> tuple[float, ...]:
+    """``likelihood._ERFCX_POWERS``: (1 + 2t) erfcx(t) = sum_j a_j s^j with s = (t - K) / (t + K), from mpmath.
+
+    Shepherd and Laframboise's Chebyshev series in s, with its coefficients
+    taken by interpolation at ``nodes`` Chebyshev points in ``dps``-digit
+    arithmetic, is cut at ``n_terms`` terms and rewritten in powers of s;
+    each power's coefficient is rounded to a double once.
+    """
+    with mp.workdps(dps):
+        scale = mp.mpf(k)
+        samples = []
+        for j in range(nodes):
+            angle = mp.pi * (j + mp.mpf(1) / 2) / nodes
+            s = mp.cos(angle)
+            t = scale * (1 + s) / (1 - s)
+            samples.append(((1 + 2 * t) * mp.erfc(t) * mp.exp(t * t), angle))
+        cheb = [2 * mp.fsum(f * mp.cos(i * angle) for f, angle in samples) / nodes for i in range(n_terms)]
+        cheb[0] /= 2
+        basis = [[mp.mpf(1)], [mp.mpf(0), mp.mpf(1)]]  # T_0, T_1, ... in powers of s
+        while len(basis) < n_terms:  # T_i = 2 s T_(i-1) - T_(i-2)
+            nxt = [mp.mpf(0)] + [2 * v for v in basis[-1]]
+            for j, v in enumerate(basis[-2]):
+                nxt[j] -= v
+            basis.append(nxt)
+        powers = [mp.fsum(c * poly[j] for c, poly in zip(cheb, basis) if j < len(poly)) for j in range(n_terms)]
+        return tuple(float(v) for v in powers)
+
+
+def loglik_and_score_scipy(sample, theta) -> tuple[float, np.ndarray]:
+    """The value and score as the package computed them through SciPy, one self-contained pass per call.
+
+    Solves with ``solve_triangular`` and its finiteness scans, takes log(1 -
+    Phi(z)) from ``scipy.special.log_ndtr`` and the Mills ratio in logs.  The
+    package's own kernels agree with it to rounding while z is moderate.
+    """
+    d = sample.dim
+    theta = np.asarray(theta, dtype=float)
+    rows, cols = np.tril_indices(d)
+    diag_pos = np.flatnonzero(rows == cols)
+    tri = theta[d:].copy()
+    if np.any(np.abs(tri[diag_pos]) > LOG_DIAG_BOUND + 1e-3):
+        raise ParameterBoundError("log-diagonal coordinate beyond the +/-30 safety bound")
+    tri[diag_pos] = np.exp(tri[diag_pos])
+    chol = np.zeros((d, d))
+    chol[np.tril_indices(d)] = tri
+    mean = theta[:d].copy()
+    value, resid, face = loglik_frame_scipy(sample, mean, chol)
 
     g_mean = np.zeros(d)
     g_chol = np.zeros((d, d))
@@ -230,9 +341,9 @@ def loglik_and_score_solve_triangular(sample, theta) -> tuple[float, np.ndarray]
     return value, np.concatenate([solved[:, 0], g_tri[np.tril_indices(d)]])
 
 
-def loglik_frame_solve_triangular(sample, mean, chol):
-    """The value of ``loglik_and_score_solve_triangular`` at (mean, L), its whitened interior residuals
-    and its face frame (radii, w, m, a, b, z)."""
+def loglik_frame_scipy(sample, mean, chol):
+    """The value of ``loglik_and_score_scipy`` at (mean, L), its whitened interior residuals and its face
+    frame (radii, w, m, a, b, z)."""
     d = sample.dim
     n1 = sample.n_interior
     n2 = sample.n_face
@@ -285,10 +396,10 @@ def fit_lbfgsb(sample, *, max_iter=5000, gradient_tol=1e-6, seed=None) -> Fitted
         cholesky(cov0)  # give up if still singular
     theta0 = _pack_params(mean0, cov0)
 
-    rays = _face_rays(sample.face)
+    columns = _sample_columns(sample)
 
     def negloglik_and_score(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, score = _loglik_and_score(sample, theta, rays)
+        value, score = _loglik_and_score(sample, theta, columns)
         return -value, -score
 
     best_theta, best_value = theta0, math.inf
@@ -309,7 +420,7 @@ def fit_lbfgsb(sample, *, max_iter=5000, gradient_tol=1e-6, seed=None) -> Fitted
     def record(theta: np.ndarray) -> None:
         # L-BFGS-B reports an iterate right after evaluating it.
         same = np.array_equal(theta, last_theta)
-        trace.append(-last_value if same else _log_likelihood_frame(sample, *_unpack_chol(theta, d), rays)[0])
+        trace.append(-last_value if same else _log_likelihood_frame(sample, *_unpack_chol(theta, d), columns)[0])
 
     diag_pos = _tri_layout(d)[1]
     bounds = [(None, None)] * theta0.size

@@ -323,6 +323,27 @@ def test_cli_fit_zero_free_matches_closed_form(tmp_path, capsys):
     np.testing.assert_allclose(doc["cov"], mle_cov, atol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "censored, flags, code, stop",
+    [
+        (False, [], 0, "projected gradient inf-norm <= tol"),  # zero-free rows start at the maximum
+        (True, ["--tol", "0"], 0, "relative reduction <= LOGLIK_REL_TOL"),
+        (True, ["--max-iter", "1"], 3, "max_iter (1) iterations"),
+    ],
+)
+def test_cli_fit_names_the_stop_test(tmp_path, capsys, censored, flags, code, stop):
+    path = make_zero_free_csv(tmp_path)[0]
+    if censored:
+        path = tmp_path / "censored.csv"
+        write_compositions_csv(path, simulate_compositions(300, MvnParams([0.4, 0.2], [[0.3, 0.05], [0.05, 0.2]]), 1))
+    out = tmp_path / "model.json"
+    assert main(["fit", str(path), "-o", str(out), *flags]) == code
+    line = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("converged: "))
+    assert line.startswith("converged: yes (" if code == 0 else "converged: NO (")
+    assert line.endswith(f"; stop test: {stop})")
+    assert json.loads(out.read_text())["message"].endswith(f": {stop}")
+
+
 def test_cli_fit_rejects_multi_zero_rows(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     write_csv(path, ["a", "b", "c"], [[0.2, 0.3, 0.5], [0.0, 0.0, 1.0], [0.3, 0.3, 0.4], [0.1, 0.2, 0.7]])

@@ -12,6 +12,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
 
 from zerocensored import (
@@ -30,19 +31,25 @@ from zerocensored.dataset import TransformedSample
 from zerocensored.likelihood import (
     LOG_DIAG_BOUND,
     LOGLIK_REL_TOL,
+    _ERFCX_POWERS,
+    _erfcx,
     _face_frame,
-    _face_rays,
+    _log_ndtr,
     _log_likelihood_frame,
     _loglik_and_score,
     _pack_params,
+    _sample_columns,
+    _solve_chol,
     _tri_layout,
     _unpack_chol,
 )
 
 from reference import (
+    erfcx_power_series,
     fit_lbfgsb,
-    loglik_and_score_solve_triangular,
-    loglik_frame_solve_triangular,
+    loglik_and_score_per_call,
+    loglik_and_score_scipy,
+    loglik_frame_per_call,
     mvn_logpdf,
     numerical_gradient,
 )
@@ -143,6 +150,58 @@ def test_tri_layout_is_cached_and_read_only():
             index[0] = 1
 
 
+# --- normal-tail kernels ------------------------------------------------------------
+
+#: Both kernels agree with 40-digit mpmath to this many units in the last place; the worst seen is 5 (erfcx,
+#: near t = 0, where the series' terms cancel) and 6 (log Phi, near x = 0).
+KERNEL_ULPS = 8
+ERFCX_GRID = np.unique(np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(1e-12, 1e9, 3001)]))
+LOG_NDTR_GRID = np.unique(
+    np.concatenate([np.linspace(-40.0, 40.0, 4001), -np.geomspace(1e-12, 1e9, 2001), np.geomspace(1e-12, 40.0, 2001)])
+)
+
+
+def ulps_off(got, exact):
+    return np.abs(got - exact) / np.spacing(np.abs(exact))
+
+
+def test_erfcx_matches_mpmath_to_a_few_ulps():
+    with mp.workdps(40):
+        exact = np.array([float(mp.exp(mp.mpf(t) ** 2) * mp.erfc(t)) for t in ERFCX_GRID])
+    assert ulps_off(_erfcx(ERFCX_GRID), exact).max() <= KERNEL_ULPS
+
+
+def test_log_ndtr_matches_mpmath_to_a_few_ulps():
+    with mp.workdps(40):
+        exact = np.array(
+            [float(mp.log(mp.ncdf(x)) if x < 0 else mp.log1p(-mp.ncdf(-x))) for x in LOG_NDTR_GRID]
+        )
+    assert ulps_off(_log_ndtr(LOG_NDTR_GRID), exact).max() <= KERNEL_ULPS
+
+
+def test_normal_tail_kernels_at_special_values():
+    with np.errstate(all="raise", under="ignore"):  # NumPy's default ignores underflow only
+        ends = _erfcx(np.array([0.0, -0.0, np.inf, np.nan]))
+        got = _log_ndtr(np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, 40.0, 1e300, -1e300]))
+    np.testing.assert_allclose(ends, [1.0, 1.0, 0.0, np.nan], rtol=2.3e-16, atol=0)
+    np.testing.assert_array_equal(got[:3], [-np.inf, 0.0, np.nan])
+    assert got[3] == got[4] == pytest.approx(math.log(0.5), rel=1e-15)
+    assert got[5] == got[6] == 0.0 and got[7] == -np.inf
+    assert _log_ndtr(-3.0).shape == () and _log_ndtr(np.zeros((2, 3))).shape == (2, 3)
+
+
+def test_normal_tail_kernels_match_scipy():
+    # SciPy is a test-only oracle now.  Above x = 6 its log_ndtr is up to 5e-11 off on this grid, where ours
+    # is within 4 ulps of mpmath, so the comparison stops there.
+    np.testing.assert_allclose(_erfcx(ERFCX_GRID), scipy.special.erfcx(ERFCX_GRID), rtol=2e-15, atol=0)
+    x = LOG_NDTR_GRID[LOG_NDTR_GRID < 6.0]
+    np.testing.assert_allclose(_log_ndtr(x), scipy.special.log_ndtr(x), rtol=1e-14, atol=0)
+
+
+def test_erfcx_table_is_the_reference_series():
+    assert erfcx_power_series() == _ERFCX_POWERS
+
+
 # --- boundary term ----------------------------------------------------------------
 
 
@@ -237,7 +296,9 @@ def test_vectorized_boundary_terms_finite_deep_in_the_tail(d):
 def face_terms(face, mean, chol):
     """The boundary terms of ``_face_frame`` for a stack of face points at (mean, L)."""
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return _face_frame(_face_rays(face), mean, chol, log_det)[0]
+    radii = np.linalg.norm(face, axis=1)
+    w = _solve_chol(chol, np.ascontiguousarray((face / radii[:, None]).T))
+    return _face_frame(radii, w, _solve_chol(chol, mean.copy()), log_det)[0]
 
 
 def direction_form_mp(y, mean, cov):
@@ -387,13 +448,13 @@ def packed_loglik(sample):
 
 
 def loglik_and_score(sample, theta):
-    return _loglik_and_score(sample, theta, _face_rays(sample.face))
+    return _loglik_and_score(sample, theta, _sample_columns(sample))
 
 
 def assert_score_matches(sample, theta, rtol, rel_step=1e-4):
     value, score = loglik_and_score(sample, theta)
     assert np.all(np.isfinite(score))
-    assert value == _log_likelihood_frame(sample, *_unpack_chol(theta, sample.dim), _face_rays(sample.face))[0]
+    assert value == _log_likelihood_frame(sample, *_unpack_chol(theta, sample.dim), _sample_columns(sample))[0]
     ref = four_point_stencil(packed_loglik(sample), theta, rel_step)
     assert np.linalg.norm(score - ref) <= rtol * max(np.linalg.norm(ref), 1.0)
 
@@ -413,25 +474,52 @@ def test_score_matches_finite_differences(d, kind):
         assert np.linalg.norm(score - oracle) <= 1e-6 * max(np.linalg.norm(oracle), 1.0)
 
 
-@pytest.mark.parametrize("kind", ["interior", "face", "mixed"])
-@pytest.mark.parametrize("n_parts", [3, 10, 20])
-def test_value_and_score_bit_equal_the_solve_triangular_pass(n_parts, kind):
-    # The package computes the data-only rays once and solves through LAPACK directly; the reference
-    # rebuilds everything per call through solve_triangular, with the same operands in the same order.
+#: Agreement with the SciPy route: over 21 seeds of each case below the worst was 6.7e-14 (value, relative)
+#: and 7.2e-15 (score, relative to its largest entry).
+VALUE_RTOL_SCIPY = 1e-12
+SCORE_RTOL_SCIPY = 1e-13
+
+
+def random_evaluations(n_parts, kind, seed):
+    """A sample of the given kind and ten packed parameter vectors near random (mean, cov)."""
     d = n_parts - 1
-    rng = np.random.default_rng(70 + n_parts)
+    rng = np.random.default_rng(seed)
     n1 = 0 if kind == "face" else 400
     n2 = 0 if kind == "interior" else 150
     sample = build_sample(rng.normal(size=(n1, d)), rng.normal(size=(n2, d)) + 0.5, n_parts)
-    rays = _face_rays(sample.face)
+    points = []
     for _ in range(10):
         mean, cov = rng.normal(size=d), random_spd(rng, d)
-        theta = _pack_params(mean, cov) + 0.2 * rng.normal(size=d + d * (d + 1) // 2)
-        value, score = _loglik_and_score(sample, theta, rays)
-        ref_value, ref_score = loglik_and_score_solve_triangular(sample, theta)
+        points.append((mean, cov, _pack_params(mean, cov) + 0.2 * rng.normal(size=d + d * (d + 1) // 2)))
+    return sample, points
+
+
+@pytest.mark.parametrize("kind", ["interior", "face", "mixed"])
+@pytest.mark.parametrize("n_parts", [3, 10, 20])
+def test_value_and_score_bit_equal_the_solve_triangular_pass(n_parts, kind):
+    # The package builds the data-only solve columns once per fit; the reference rebuilds everything per
+    # call, with the package's substitution and normal-tail kernels and the same operands in the same order.
+    sample, points = random_evaluations(n_parts, kind, 70 + n_parts)
+    columns = _sample_columns(sample)
+    for mean, cov, theta in points:
+        value, score = _loglik_and_score(sample, theta, columns)
+        ref_value, ref_score = loglik_and_score_per_call(sample, theta)
         assert value == ref_value
         assert np.array_equal(score, ref_score)
-        assert log_likelihood(sample, mean, cov) == loglik_frame_solve_triangular(sample, mean, np.linalg.cholesky(cov))[0]
+        assert log_likelihood(sample, mean, cov) == loglik_frame_per_call(sample, mean, np.linalg.cholesky(cov))[0]
+
+
+@pytest.mark.parametrize("kind", ["interior", "face", "mixed"])
+@pytest.mark.parametrize("n_parts", [3, 10, 20])
+def test_value_and_score_match_the_scipy_route(n_parts, kind):
+    # solve_triangular and scipy.special.log_ndtr, as the package computed before it had its own kernels.
+    sample, points = random_evaluations(n_parts, kind, 70 + n_parts)
+    columns = _sample_columns(sample)
+    for _, _, theta in points:
+        value, score = _loglik_and_score(sample, theta, columns)
+        ref_value, ref_score = loglik_and_score_scipy(sample, theta)
+        assert value == pytest.approx(ref_value, rel=VALUE_RTOL_SCIPY)
+        assert np.max(np.abs(score - ref_score)) <= SCORE_RTOL_SCIPY * np.max(np.abs(ref_score))
 
 
 @pytest.mark.parametrize("kind", ["interior", "face", "mixed"])
@@ -449,7 +537,7 @@ def test_non_finite_parameters_raise_the_solve_error(kind, where, bad):
     expected = ParameterBoundError if (where, bad) == ("log-diagonal", math.inf) else ValueError
     match = "safety bound" if expected is ParameterBoundError else "^array must not contain infs or NaNs$"
     with pytest.raises(expected, match=match):
-        loglik_and_score_solve_triangular(sample, theta)
+        loglik_and_score_scipy(sample, theta)
     with pytest.raises(expected, match=match):
         loglik_and_score(sample, theta)
     if where == "mean":
@@ -467,7 +555,7 @@ def test_finite_parameters_that_overflow_raise_the_solve_error():
     theta[d:] = 1e30
     theta[d + _tri_layout(d)[1]] = -LOG_DIAG_BOUND
     with np.errstate(all="ignore"):
-        for evaluate in (loglik_and_score_solve_triangular, loglik_and_score):
+        for evaluate in (loglik_and_score_scipy, loglik_and_score):
             with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
                 evaluate(sample, theta)
 
