@@ -3,13 +3,13 @@
 Draws come from the latent normal, are mapped back through the exponent-one
 transform, and out-of-simplex draws are pulled onto a face, exactly as the
 model censors, by the one boundary rule in ``geometry``: simulation calls
-``project_rows``, and the zero rates count ``zero_parts`` without pulling.
-The part count is always the model's, ``model.dim + 1``.  ``diagnose`` is
-the one route to the diagnostic: it compares observed per-component zero
-counts against Monte Carlo expectations under the fitted model, with a
-chi-square discrepancy and an optional simulated p-value, whose replicate
-zero counts are drawn from their exact law given the rates,
-Multinomial(n, (rates, 1 - sum(rates))).
+``project_rows``, and the zero rates apply the same rule, without pulling,
+to each block of parts stored by part.  The part count is always the
+model's, ``model.dim + 1``.  ``diagnose`` is the one route to the
+diagnostic: it compares observed per-component zero counts against Monte
+Carlo expectations under the fitted model, with a chi-square discrepancy
+and an optional simulated p-value, whose replicate zero counts are drawn
+from their exact law given the rates, Multinomial(n, (rates, 1 - sum(rates))).
 
 Determinism contract: every public operation takes an integer seed.  Rate
 estimation runs in fixed chunks of ``CHUNK_SIZE`` latent draws; the chunk
@@ -18,16 +18,21 @@ generators are ``SeedSequence(seed).spawn(n_chunks)``, so the same seed and
 without changing them); the p-value replicates use child n_chunks.  Each
 stream, a rate chunk's or a simulation's, is drawn in consecutive blocks of
 ``BLOCK_ROWS`` rows, and a remainder shorter than one block joins the last
-block.  This changes no value: the output is bit-for-bit that of one
-whole-stream draw.  Every block of a call is drawn into the same two block
-buffers, reused across blocks and chunks and sized to the longest block the
-call draws, so a block is overwritten by the next one.  So
-``simulate_compositions`` holds its result plus two block buffers and one
-pulled block, ``zero_rates`` two block buffers (the boundary rule's float32
-mask copy goes into the latent one, dead once the parts are mapped), and a
-tie or two-zero error names row numbers within the block.  The CLI's
-``simulate`` writes each pulled block to its file as it comes, so it holds
-the two buffers and one pulled block, never the n-row result.
+block.  The blocks change no value: the output is bit-for-bit that of one
+whole-stream draw mapped the same way.  A call draws every block's normals into one buffer,
+reused across blocks and chunks and sized to the longest block the call
+draws, and maps them into a second, so a block is overwritten by the next
+one.  ``simulate_compositions`` maps row by row, latent rows and then their
+parts as the whole stream would, and holds its result plus the two buffers
+and one pulled block.  ``zero_rates`` maps each block by one product into
+its parts stored by part, a (D, m) array, and counts them with the rule's
+(D, m) bool mask in a third reused buffer.  That product rounds differently
+from ``simulate``'s two, so a rate's part can differ from the simulated one
+in its last bits; a count changes only for a draw within an ulp of a
+``ZERO_TOL`` threshold.  A tie or two-zero error names row numbers within
+its block.  The CLI's ``simulate`` writes each pulled block to its file as
+it comes, so it holds the two buffers and one pulled block, never the n-row
+result.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .dataset import CompositionalDataset, part_names
 from .gaussian import MvnParams
 from .geometry import _zero_rule, project_rows
 from .likelihood import FittedModel, json_float
-from .simplex import _inverse_affine
+from .simplex import _helmert_readonly, _inverse_affine
 
 #: Latent draws per rate chunk, each chunk with its own child generator.
 CHUNK_SIZE = 1 << 17
@@ -60,35 +65,23 @@ def _longest_block(n: int) -> int:
     return n if n < BLOCK_ROWS else BLOCK_ROWS + n % BLOCK_ROWS
 
 
-def _draw_blocks(model: MvnParams, sizes, seeds):
-    """Yield (parts, spent) block by block for each stream of sizes[i] draws from ``default_rng(seeds[i])``:
-    latent normal draws mapped back to unit-sum parts, before any boundary rule.
+def _draw_blocks(d: int, sizes, seeds, buffer: np.ndarray):
+    """Yield the (m, d) standard normal draws of each block of each stream of sizes[i] draws from
+    ``default_rng(seeds[i])``, drawn into the flat float64 ``buffer``.
 
     A stream's blocks have ``BLOCK_ROWS`` rows and the remainder joins the
     last one, so no block but a lone one is shorter than that: BLAS rounds
     some small products differently, and blocks this long give the
-    whole-stream values.  Every block is drawn into the same two buffers,
-    sized to the longest block of all the streams, so a yielded block is
-    overwritten by the next one.  ``spent`` is the block's latent rows, an
-    (m, dim) float64 array whose values are dead once the parts are mapped:
-    scratch space until the next block.
+    whole-stream values.  ``buffer`` holds at least ``d`` times the longest
+    block of all the streams, and a yielded block is overwritten by the next.
     """
-    d = model.dim
-    rows_max = max(map(_longest_block, sizes), default=0)
-    flat = np.empty(rows_max * (d + 1))  # the block's normal draws, then its parts
-    latent = np.empty((rows_max, d))
     for n, seed in zip(sizes, seeds):
         rng = np.random.default_rng(seed)
         n_blocks = max(1, n // BLOCK_ROWS)
         for i in range(n_blocks):
             start = i * BLOCK_ROWS
             stop = n if i == n_blocks - 1 else start + BLOCK_ROWS
-            m = stop - start
-            normal = flat[: m * d].reshape(m, d)
-            rng.standard_normal(out=normal)
-            block = np.matmul(normal, model.chol.T, out=latent[:m])
-            block += model.mean
-            yield _inverse_affine(block, out=flat[: m * (d + 1)].reshape(m, d + 1)), block
+            yield rng.standard_normal(out=buffer[: (stop - start) * d].reshape(-1, d))
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -97,9 +90,20 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 def _simulated_blocks(n: int, model: MvnParams, seed):
     """Yield (parts, zero_index) for each block of n draws, in order: the rows of
-    ``simulate_compositions(n, model, seed)``, one pulled block at a time."""
-    for parts, _ in _draw_blocks(model, [n], [seed]):
-        yield project_rows(parts)
+    ``simulate_compositions(n, model, seed)``, one pulled block at a time.
+
+    Each block maps row by row, as the whole stream would: latent rows
+    ``normal @ chol.T + mean``, then their parts through ``_inverse_affine``.
+    """
+    d = model.dim
+    rows_max = _longest_block(n)
+    flat = np.empty(rows_max * (d + 1))  # the block's normal draws, then its parts
+    latent = np.empty((rows_max, d))
+    for normal in _draw_blocks(d, [n], [seed], flat):
+        m = len(normal)
+        block = np.matmul(normal, model.chol.T, out=latent[:m])
+        block += model.mean
+        yield project_rows(_inverse_affine(block, out=flat[: m * (d + 1)].reshape(m, d + 1)))
 
 
 def simulate_compositions(n: int, model: MvnParams, seed) -> CompositionalDataset:
@@ -108,8 +112,8 @@ def simulate_compositions(n: int, model: MvnParams, seed) -> CompositionalDatase
     The draws are pulled block by block (see ``_draw_blocks``), so a tied or
     two-zero draw raises with its row number within its block.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"need an integer n >= 0, got {n!r}")
     n = int(n)
     parts = np.empty((n, model.dim + 1))
     zero_index = np.empty(n, dtype=np.intp)
@@ -126,20 +130,34 @@ def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
     """Monte Carlo probability that a draw lands with its zero in part j, for each of ``model.dim + 1`` parts.
 
     The draws run in chunks of ``CHUNK_SIZE``, each drawn and counted in
-    blocks of ``BLOCK_ROWS`` rows into two reused buffers, and a tied or
-    two-zero draw raises with its row number within its block.  The zero
-    rule of ``zero_parts`` counts each block, with its float32 mask copy in
-    the block's spent latent rows.  The rates sum to the overall boundary
-    probability, which is at most 1.
+    blocks of ``BLOCK_ROWS`` rows, and a tied or two-zero draw raises with its
+    row number within its block.  A block's parts are stored by part, as the
+    (D, m) array A zᵀ + c of one product, with A = Hᵀ L / D and
+    c = (Hᵀ mean + 1) / D for the block's normal draws z, and the zero rule of
+    ``zero_parts`` counts them in that layout.  The rates sum to the overall
+    boundary probability, which is at most 1.
     """
-    if n_sims < MIN_RATE_SIMS:
-        raise ValueError(f"need at least {MIN_RATE_SIMS} simulations, got {n_sims}")
-    n_parts = model.dim + 1
+    if not isinstance(n_sims, numbers.Integral) or n_sims < MIN_RATE_SIMS:
+        raise ValueError(f"need an integer number of at least {MIN_RATE_SIMS} simulations, got {n_sims!r}")
+    n_sims = int(n_sims)
+    d = model.dim
+    n_parts = d + 1
     n_chunks = math.ceil(n_sims / CHUNK_SIZE)
-    sizes = [CHUNK_SIZE] * (n_chunks - 1) + [int(n_sims) - CHUNK_SIZE * (n_chunks - 1)]
+    sizes = [CHUNK_SIZE] * (n_chunks - 1) + [n_sims - CHUNK_SIZE * (n_chunks - 1)]
+    rows_max = max(map(_longest_block, sizes))
+    normal_buffer = np.empty(rows_max * d)
+    parts_buffer = np.empty(rows_max * n_parts)
+    mask_buffer = np.empty(rows_max * n_parts, dtype=bool)
+    helmert_t = _helmert_readonly(n_parts).T
+    weights = helmert_t @ model.chol / n_parts
+    offsets = ((helmert_t @ model.mean + 1.0) / n_parts)[:, None]
     counts = np.zeros(n_parts, dtype=np.int64)
-    for parts, spent in _draw_blocks(model, sizes, _seed_sequence(seed).spawn(n_chunks)):
-        counts += np.bincount(_zero_rule(parts, scratch=spent)[2] + 1, minlength=n_parts + 1)[1:]
+    for normal in _draw_blocks(d, sizes, _seed_sequence(seed).spawn(n_chunks), normal_buffer):
+        size = n_parts * len(normal)
+        parts = np.matmul(weights, normal.T, out=parts_buffer[:size].reshape(n_parts, -1))
+        parts += offsets
+        zeros = _zero_rule(parts, out=mask_buffer[:size].reshape(n_parts, -1))[2]
+        counts += [np.count_nonzero(part) for part in zeros]
     return counts / float(n_sims)
 
 

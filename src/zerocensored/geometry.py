@@ -9,8 +9,12 @@ simulation and the zero rates.  A row is outside when its minimum is below
 tied, and rejected, when another part lies within ``ZERO_TOL * (1 - D min)``
 of the minimum, i.e. would be at most ``ZERO_TOL`` after the pull.  In other
 rows parts within ``ZERO_TOL`` of zero are zeros, and two zeros are
-rejected.  ``zero_parts`` applies the rule to an (n, D) array of rows and
-``project_rows`` also pulls; a single vector goes through them as one row.
+rejected.  The rule runs over parts stored by column, a (D, n) array, one
+whole part per numpy pass, so its inner loops run over rows, not over the
+few parts of one row.  ``zero_parts`` applies it to the transpose of an
+(n, D) array of rows and ``project_rows`` also pulls; a single vector goes
+through them as one row.  The zero rates call it on each block of parts,
+which they store by column.
 
 In the paper, transformed face points are then rotated onto the first
 coordinate axis with an orthonormal matrix built by Gram-Schmidt, which turns
@@ -21,8 +25,6 @@ rotation (see ``likelihood``).
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -45,31 +47,39 @@ def _as_rows(parts) -> np.ndarray:
     return x
 
 
-def _zero_rule(x: np.ndarray, scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of an (n, D) array: (outside, stretch 1 - D min, zero_index).
+def _zero_rule(xt: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule over parts stored by column, a (D, n) array: per row (outside, stretch 1 - D min), and
+    the (D, n) bool mask of its zero parts, written into ``out`` when one is given.
 
-    ``scratch``, a C-contiguous float64 array of at least n * D / 2 values
-    whose contents are dead, takes the float32 copy of the zero mask instead
-    of a new allocation; the results are the same.
+    No row passes with two zeros, so a mask row counts its part's zeros.
     """
-    n_parts = x.shape[1]
-    mins = functools.reduce(np.minimum, x.T)  # column by column: faster than per-row reductions for few parts
+    n_parts, n = xt.shape
+    mins = np.minimum(xt[0], xt[1])  # D - 1 passes over whole parts: faster than per-row reductions
+    for part in xt[2:]:
+        np.minimum(mins, part, out=mins)
     outside = mins < -ZERO_TOL
     stretch = 1.0 - n_parts * mins
     # Part j of an outside row is at most ZERO_TOL after the pull iff x_j - min <= ZERO_TOL * stretch.
-    zeros = x <= np.where(outside, mins + ZERO_TOL * stretch, ZERO_TOL)[:, None]
-    # One product gives each row's zero count and the sum of its zero indices, both exact small
-    # integers in float32; where the count is 1 the sum is the one zero part, the row's argmin.
-    if scratch is not None:
-        mask = scratch.reshape(-1).view(np.float32)[: zeros.size].reshape(zeros.shape)
-        np.copyto(mask, zeros)
-        zeros = mask
-    counts, index_sums = (zeros @ np.stack([np.ones(n_parts), np.arange(n_parts)], axis=1).astype(np.float32)).T
-    tied = np.flatnonzero(outside & (counts > 1)) + 1
-    if tied.size:
-        raise TiedMinimumError(f"rows with a tied minimum, which the pull would turn into two zeros: {format_rows(tied)}")
-    reject_multiple_zeros(counts)
-    return outside, stretch, np.where(counts == 1, index_sums, -1).astype(np.intp)
+    bound = ZERO_TOL * stretch  # built in place: one row-length temporary fewer
+    bound += mins
+    np.copyto(bound, ZERO_TOL, where=~outside)
+    # A new mask is C-ordered whatever xt's layout, so the count below also runs over whole parts.
+    zeros = np.less_equal(xt, bound, out=np.empty((n_parts, n), dtype=bool) if out is None else out)
+    counts = np.add.reduce(zeros, axis=0, dtype=np.uint8 if n_parts < 256 else np.intp)  # a byte cannot wrap
+    if counts.max(initial=0) > 1:
+        tied = np.flatnonzero(outside & (counts > 1)) + 1
+        if tied.size:
+            raise TiedMinimumError(f"rows with a tied minimum, which the pull would turn into two zeros: {format_rows(tied)}")
+        reject_multiple_zeros(counts)
+    return outside, stretch, zeros
+
+
+def _zero_index(zeros: np.ndarray) -> np.ndarray:
+    """Each row's zero part from a (D, n) mask that passed the rule, -1 where it has none.
+
+    A row has at most one zero, so the sum of j + 1 over its zero parts j is that part plus one, or 0.
+    """
+    return np.einsum("j,jn->n", np.arange(1, zeros.shape[0] + 1, dtype=np.intp), zeros) - 1
 
 
 def zero_parts(parts) -> np.ndarray:
@@ -78,7 +88,7 @@ def zero_parts(parts) -> np.ndarray:
     Tied rows raise ``TiedMinimumError`` and rows with two zeros
     ``MultipleZerosError``, both naming 1-based row numbers.
     """
-    return _zero_rule(_as_rows(parts))[2]
+    return _zero_index(_zero_rule(_as_rows(parts).T)[2])
 
 
 def project_rows(parts) -> tuple[np.ndarray, np.ndarray]:
@@ -87,14 +97,16 @@ def project_rows(parts) -> tuple[np.ndarray, np.ndarray]:
     Each row's zero part (see ``zero_parts``) is set to exactly 0.
     """
     x = _as_rows(parts)
-    outside, stretch, zero_index = _zero_rule(x)
+    outside, stretch, zeros = _zero_rule(x.T)
+    zero_index = _zero_index(zeros)
     out = x.copy()
     centre = 1.0 / x.shape[1]
-    pulled = x[outside]  # c + (x - c) / stretch, in place on this one copy of the outside rows
+    rows = np.flatnonzero(outside)
+    pulled = x.take(rows, axis=0)  # c + (x - c) / stretch, in place on this one copy of the outside rows
     pulled -= centre
-    pulled *= 1.0 / stretch[outside, None]
+    pulled *= 1.0 / stretch.take(rows)[:, None]
     pulled += centre
-    out[outside] = pulled
+    out[rows] = pulled
     rows = np.flatnonzero(zero_index >= 0)
     out[rows, zero_index[rows]] = 0.0
     return out, zero_index

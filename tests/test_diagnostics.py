@@ -121,6 +121,32 @@ def test_zero_rates_count_the_zeros_simulation_writes():
     np.testing.assert_array_equal(rates, counts / n)
 
 
+@pytest.mark.parametrize("n_parts", BLOCK_PARTS)
+def test_zero_rates_count_the_zeros_simulation_writes_at_every_part_count(n_parts):
+    # The rates map each block by one fused product, simulate by its two row-layout products: the
+    # counts still agree exactly, as no draw of these lies within an ulp of a ZERO_TOL threshold.
+    model = correlated_model(n_parts)
+    n = 3 * BLOCK_ROWS + 7
+    rates = zero_rates(model, n, seed=n_parts)
+    child = np.random.SeedSequence(n_parts).spawn(1)[0]
+    zero_index = simulate_compositions(n, model, seed=child).zero_index
+    counts = np.bincount(zero_index[zero_index >= 0], minlength=n_parts)
+    assert counts.sum() > 500
+    np.testing.assert_array_equal(rates, counts / n)
+
+
+def test_counts_must_be_integers():
+    # A float count was truncated without a word: 10 000.9 drew 10 000 rows but divided by 10 000.9.
+    with pytest.raises(ValueError, match="integer"):
+        zero_rates(BOUNDARY_MODEL, 10_000.9, seed=0)
+    with pytest.raises(ValueError, match="integer"):
+        zero_rates(BOUNDARY_MODEL, 20_000.0, seed=0)
+    with pytest.raises(ValueError, match="integer"):
+        simulate_compositions(3.7, BOUNDARY_MODEL, seed=0)
+    np.testing.assert_array_equal(zero_rates(BOUNDARY_MODEL, np.int64(10_000), 0), zero_rates(BOUNDARY_MODEL, 10_000, 0))
+    assert simulate_compositions(np.int32(3), BOUNDARY_MODEL, seed=0).n_obs == 3
+
+
 def test_zero_rates_deterministic_and_chunking_contract():
     # 300 000 draws run as three fixed-size chunks, each from its own child stream
     n_sims = 300_000
@@ -224,6 +250,11 @@ def test_zero_rates_blocks_give_the_whole_chunk_bits_at_a_million_draws():
     assert_same_bits(zero_rates(model, 1_000_000, seed=0), zero_rates_whole(model, 1_000_000, seed=0))
 
 
+def test_zero_rates_blocks_give_the_whole_chunk_bits_at_a_million_draws_of_20_parts():
+    model = correlated_model(20)
+    assert_same_bits(zero_rates(model, 1_000_000, seed=0), zero_rates_whole(model, 1_000_000, seed=0))
+
+
 def traced_peak(fun):
     """Peak bytes traced by tracemalloc (NumPy buffers included) while fun runs, and its result."""
     tracemalloc.start()
@@ -235,8 +266,9 @@ def traced_peak(fun):
 
 
 def test_zero_rates_holds_one_block():
-    # The whole-chunk draw peaked at 20.1 MiB here; blocked into two reused buffers, it read 3.7 MiB, and with
-    # the zero rule's float32 mask copy in the spent latent buffer it reads 3.1 MiB.
+    # The whole-chunk draw peaked at 20.1 MiB here; blocked into two reused buffers, it read 3.7 MiB, and
+    # 3.1 MiB with the zero rule's float32 mask copy in the spent latent rows.  With the parts stored by
+    # part and the rule's bool mask in a reused buffer, it reads 3.06 MiB.
     peak, _ = traced_peak(lambda: zero_rates(correlated_model(10), 1_000_000, seed=0))
     assert peak < 4 * 2**20
 

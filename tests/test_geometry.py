@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from reference import BLOCK_PARTS, project_rows_argmin, zero_parts_argmin
+from reference import BLOCK_PARTS, _zero_rule_argmin, project_rows_argmin, zero_parts_argmin
 
 from zerocensored import (
     MultipleZerosError,
@@ -12,6 +12,7 @@ from zerocensored import (
     project_rows,
     zero_parts,
 )
+from zerocensored.geometry import _zero_rule
 from zerocensored.simplex import ZERO_TOL
 
 
@@ -241,6 +242,46 @@ def test_rule_matches_the_argmin_oracle_on_ties_and_near_ties(n_parts):
             raised += 1
             assert outcome[1].endswith(": 3, 6")
     assert 0 < raised < len(rows)
+
+
+def column_rule(x):
+    """The rule as the zero rates call it: on the parts stored by column, into a reused mask."""
+    return _zero_rule(np.ascontiguousarray(x.T), out=np.empty(x.T.shape, dtype=bool))
+
+
+@pytest.mark.parametrize("n_parts", BLOCK_PARTS)
+def test_every_route_to_the_rule_raises_as_the_argmin_oracle(n_parts):
+    good = escaping_rows(n_parts, 1000, seed=110 + n_parts)[:40]
+    tied = np.full(n_parts, 1.0 / n_parts)
+    tied[:2] = -0.25
+    two_zeros = np.full(n_parts, 1.0 / n_parts)
+    two_zeros[-2:] = 0.0
+    mixed = good[:9].copy()
+    mixed[[3, 8]] = tied  # after the two-zero row: the tie is still the one named
+    mixed[[1, 6]] = two_zeros
+    many_two_zeros = good.copy()
+    many_two_zeros[2::3] = two_zeros
+    many_ties = many_two_zeros.copy()
+    many_ties[1::3] = tied
+    expected = [
+        (TiedMinimumError, ": 4, 9"),
+        (MultipleZerosError, ": 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, ..."),
+        (TiedMinimumError, ": 2, 5, 8, 11, 14, 17, 20, 23, 26, 29, ..."),
+    ]
+    for x, (error, rows) in zip((mixed, many_two_zeros, many_ties), expected, strict=True):
+        want = rule_outcome(_zero_rule_argmin, x)
+        assert want[0] is error and want[1].endswith(rows)
+        for apply in (zero_parts, project_rows, column_rule):
+            assert rule_outcome(apply, x) == want
+
+
+def test_rule_counts_past_255_zeros_in_a_row():
+    # The rule counts a row's zeros in one byte up to 255 parts; past that a byte would wrap to 0 zeros.
+    row = np.zeros(257)
+    row[0] = 1.0
+    for apply in (zero_parts, project_rows):
+        with pytest.raises(MultipleZerosError):
+            apply(row[None, :])
 
 
 def test_project_rows_empty_and_shape_check():
