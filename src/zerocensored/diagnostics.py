@@ -19,20 +19,16 @@ without changing them); the p-value replicates use child n_chunks.  Each
 stream, a rate chunk's or a simulation's, is drawn in consecutive blocks of
 ``BLOCK_ROWS`` rows, and a remainder shorter than one block joins the last
 block.  The blocks change no value: the output is bit-for-bit that of one
-whole-stream draw mapped the same way.  A call draws every block's normals into one buffer,
-reused across blocks and chunks and sized to the longest block the call
-draws, and maps them into a second, so a block is overwritten by the next
-one.  ``simulate_compositions`` maps row by row, latent rows and then their
-parts as the whole stream would, and holds its result plus the two buffers
-and one pulled block.  ``zero_rates`` maps each block by one product into
-its parts stored by part, a (D, m) array, and counts them with the rule's
-(D, m) bool mask in a third reused buffer.  That product rounds differently
-from ``simulate``'s two, so a rate's part can differ from the simulated one
-in its last bits; a count changes only for a draw within an ulp of a
-``ZERO_TOL`` threshold.  A tie or two-zero error names row numbers within
-its block.  The CLI's ``simulate`` writes each pulled block to its file as
-it comes, so it holds the two buffers and one pulled block, never the n-row
-result.
+whole-stream draw mapped the same way.  A call draws each block's normals
+into one buffer and maps them into a second, both reused across blocks and
+chunks, so a block is overwritten by the next one, and a tie or two-zero
+error names row numbers within its block.  ``simulate_compositions`` maps
+rows and holds its result plus the two buffers and one pulled block.
+``zero_rates`` maps each block by one product into its parts stored by part
+and adds only the zero rule's bool mask.  That product rounds differently
+from ``simulate``'s two, so a count can differ only for a draw within an ulp
+of a ``ZERO_TOL`` threshold.  The CLI's ``simulate`` writes each pulled
+block as it comes, never holding the n-row result.
 """
 
 from __future__ import annotations
@@ -90,11 +86,7 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 def _simulated_blocks(n: int, model: MvnParams, seed):
     """Yield (parts, zero_index) for each block of n draws, in order: the rows of
-    ``simulate_compositions(n, model, seed)``, one pulled block at a time.
-
-    Each block maps row by row, as the whole stream would: latent rows
-    ``normal @ chol.T + mean``, then their parts through ``_inverse_affine``.
-    """
+    ``simulate_compositions(n, model, seed)``, one pulled block at a time, mapped by rows."""
     d = model.dim
     rows_max = _longest_block(n)
     flat = np.empty(rows_max * (d + 1))  # the block's normal draws, then its parts
@@ -131,11 +123,10 @@ def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
 
     The draws run in chunks of ``CHUNK_SIZE``, each drawn and counted in
     blocks of ``BLOCK_ROWS`` rows, and a tied or two-zero draw raises with its
-    row number within its block.  A block's parts are stored by part, as the
-    (D, m) array A zᵀ + c of one product, with A = Hᵀ L / D and
-    c = (Hᵀ mean + 1) / D for the block's normal draws z, and the zero rule of
-    ``zero_parts`` counts them in that layout.  The rates sum to the overall
-    boundary probability, which is at most 1.
+    row number within its block.  A block's parts, stored by part, are
+    A zᵀ + c for its normal draws z, with A = Hᵀ L / D and c = (Hᵀ mean + 1) / D,
+    and the rule of ``zero_parts`` counts them in that layout.  The rates sum
+    to the overall boundary probability, which is at most 1.
     """
     if not isinstance(n_sims, numbers.Integral) or n_sims < MIN_RATE_SIMS:
         raise ValueError(f"need an integer number of at least {MIN_RATE_SIMS} simulations, got {n_sims!r}")

@@ -10,11 +10,10 @@ tied, and rejected, when another part lies within ``ZERO_TOL * (1 - D min)``
 of the minimum, i.e. would be at most ``ZERO_TOL`` after the pull.  In other
 rows parts within ``ZERO_TOL`` of zero are zeros, and two zeros are
 rejected.  The rule runs over parts stored by column, a (D, n) array, one
-whole part per numpy pass, so its inner loops run over rows, not over the
-few parts of one row.  ``zero_parts`` applies it to the transpose of an
-(n, D) array of rows and ``project_rows`` also pulls; a single vector goes
-through them as one row.  The zero rates call it on each block of parts,
-which they store by column.
+whole part per NumPy pass, so its loops run over rows, not over the few
+parts of a row.  ``zero_parts`` applies it to the transpose of an (n, D)
+array of rows and ``project_rows`` also pulls; a single vector goes through
+them as one row.
 
 In the paper, transformed face points are then rotated onto the first
 coordinate axis with an orthonormal matrix built by Gram-Schmidt, which turns
@@ -25,6 +24,8 @@ rotation (see ``likelihood``).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -54,9 +55,7 @@ def _zero_rule(xt: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarra
     No row passes with two zeros, so a mask row counts its part's zeros.
     """
     n_parts, n = xt.shape
-    mins = np.minimum(xt[0], xt[1])  # D - 1 passes over whole parts: faster than per-row reductions
-    for part in xt[2:]:
-        np.minimum(mins, part, out=mins)
+    mins = functools.reduce(np.minimum, xt)  # part by part: faster than per-row reductions for few parts
     outside = mins < -ZERO_TOL
     stretch = 1.0 - n_parts * mins
     # Part j of an outside row is at most ZERO_TOL after the pull iff x_j - min <= ZERO_TOL * stretch.
