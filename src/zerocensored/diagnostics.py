@@ -130,20 +130,18 @@ def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
     """
     if not isinstance(n_sims, numbers.Integral) or n_sims < MIN_RATE_SIMS:
         raise ValueError(f"need an integer number of at least {MIN_RATE_SIMS} simulations, got {n_sims!r}")
-    n_sims = int(n_sims)
-    d = model.dim
-    n_parts = d + 1
+    n_parts = model.dim + 1
     n_chunks = math.ceil(n_sims / CHUNK_SIZE)
     sizes = [CHUNK_SIZE] * (n_chunks - 1) + [n_sims - CHUNK_SIZE * (n_chunks - 1)]
     rows_max = max(map(_longest_block, sizes))
-    normal_buffer = np.empty(rows_max * d)
+    normal_buffer = np.empty(rows_max * model.dim)
     parts_buffer = np.empty(rows_max * n_parts)
     mask_buffer = np.empty(rows_max * n_parts, dtype=bool)
     helmert_t = _helmert_readonly(n_parts).T
     weights = helmert_t @ model.chol / n_parts
     offsets = ((helmert_t @ model.mean + 1.0) / n_parts)[:, None]
     counts = np.zeros(n_parts, dtype=np.int64)
-    for normal in _draw_blocks(d, sizes, _seed_sequence(seed).spawn(n_chunks), normal_buffer):
+    for normal in _draw_blocks(model.dim, sizes, _seed_sequence(seed).spawn(n_chunks), normal_buffer):
         size = n_parts * len(normal)
         parts = np.matmul(weights, normal.T, out=parts_buffer[:size].reshape(n_parts, -1))
         parts += offsets
