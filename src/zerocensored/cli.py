@@ -68,7 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("data_csv", type=Path)
     p_diag.add_argument("-o", "--output", type=Path, required=True, help="diagnostics JSON path")
     p_diag.add_argument("--closure", action="store_true")
-    p_diag.add_argument("--sims", type=int, default=DEFAULT_SIMS, help="Monte Carlo draws for rates")
+    p_diag.add_argument(
+        "--sims", type=int, default=DEFAULT_SIMS, help="Monte Carlo draws for rates, in antithetic pairs"
+    )
     p_diag.add_argument("--replicates", type=int, default=None, help="simulated p-value replicates")
     p_diag.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_diag.set_defaults(func=_cmd_diagnose)

@@ -15,20 +15,25 @@ Determinism contract: every public operation takes an integer seed.  Rate
 estimation runs in fixed chunks of ``CHUNK_SIZE`` latent draws; the chunk
 generators are ``SeedSequence(seed).spawn(n_chunks)``, so the same seed and
 ``n_sims`` reproduce results exactly (and chunks may be evaluated in parallel
-without changing them); the p-value replicates use child n_chunks.  Each
+without changing them); the p-value replicates use child n_chunks.  A rate
+chunk of k draws comes in antithetic pairs: ⌈k/2⌉ normal vectors z from its
+generator, mapped as mean + L z, and the reflections mean − L z of the first
+⌊k/2⌋, so its k draws cost ⌈k/2⌉ vectors and the rates stay unbiased.  Each
 stream, a rate chunk's or a simulation's, is drawn in consecutive blocks of
-``BLOCK_ROWS`` rows, and a remainder shorter than one block joins the last
-block.  The blocks change no value: the output is bit-for-bit that of one
+``BLOCK_ROWS`` draws (a rate block: ``BLOCK_ROWS / 2`` vectors and their
+reflections), and a remainder shorter than one block joins the last block.
+The blocks change no value: the output is bit-for-bit that of one
 whole-stream draw mapped the same way.  A call draws each block's normals
 into one buffer and maps them into a second, both reused across blocks and
 chunks, so a block is overwritten by the next one, and a tie or two-zero
 error names row numbers within its block.  ``simulate_compositions`` maps
 rows and holds its result plus the two buffers and one pulled block.
-``zero_rates`` maps each block by one product into its parts stored by part
-and adds only the zero rule's bool mask.  That product rounds differently
-from ``simulate``'s two, so a count can differ only for a draw within an ulp
-of a ``ZERO_TOL`` threshold.  The CLI's ``simulate`` writes each pulled
-block as it comes, never holding the n-row result.
+``zero_rates`` maps each block's vectors by one product into their parts
+stored by part, writes the reflections' parts beside them from the same
+product, and adds only the zero rule's bool mask.  That product rounds
+differently from ``simulate``'s two, so a count can differ only for a draw
+within an ulp of a ``ZERO_TOL`` threshold.  The CLI's ``simulate`` writes
+each pulled block as it comes, never holding the n-row result.
 """
 
 from __future__ import annotations
@@ -56,28 +61,27 @@ CHI_SQUARE_FLOOR = 0.5
 MIN_RATE_SIMS = 10_000
 
 
-def _longest_block(n: int) -> int:
+def _longest_block(n: int, block_rows: int = BLOCK_ROWS) -> int:
     """Rows in the longest block of a stream of n draws: the last one, which takes the remainder."""
-    return n if n < BLOCK_ROWS else BLOCK_ROWS + n % BLOCK_ROWS
+    return n if n < block_rows else block_rows + n % block_rows
 
 
-def _draw_blocks(d: int, sizes, seeds, buffer: np.ndarray):
-    """Yield the (m, d) standard normal draws of each block of each stream of sizes[i] draws from
-    ``default_rng(seeds[i])``, drawn into the flat float64 ``buffer``.
+def _draw_blocks(d: int, n: int, seed, buffer: np.ndarray, block_rows: int = BLOCK_ROWS):
+    """Yield the (m, d) standard normal draws of each block of a stream of n draws from
+    ``default_rng(seed)``, drawn into the flat float64 ``buffer``.
 
-    A stream's blocks have ``BLOCK_ROWS`` rows and the remainder joins the
-    last one, so no block but a lone one is shorter than that: BLAS rounds
-    some small products differently, and blocks this long give the
-    whole-stream values.  ``buffer`` holds at least ``d`` times the longest
-    block of all the streams, and a yielded block is overwritten by the next.
+    The blocks have ``block_rows`` rows and the remainder joins the last one,
+    so no block but a lone one is shorter than that: BLAS rounds some small
+    products differently, and ``BLOCK_ROWS``-row blocks give the whole-stream
+    values.  ``buffer`` holds at least ``d`` times the longest block, and a
+    yielded block is overwritten by the next.
     """
-    for n, seed in zip(sizes, seeds):
-        rng = np.random.default_rng(seed)
-        n_blocks = max(1, n // BLOCK_ROWS)
-        for i in range(n_blocks):
-            start = i * BLOCK_ROWS
-            stop = n if i == n_blocks - 1 else start + BLOCK_ROWS
-            yield rng.standard_normal(out=buffer[: (stop - start) * d].reshape(-1, d))
+    rng = np.random.default_rng(seed)
+    n_blocks = max(1, n // block_rows)
+    for i in range(n_blocks):
+        start = i * block_rows
+        stop = n if i == n_blocks - 1 else start + block_rows
+        yield rng.standard_normal(out=buffer[: (stop - start) * d].reshape(-1, d))
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -91,7 +95,7 @@ def _simulated_blocks(n: int, model: MvnParams, seed):
     rows_max = _longest_block(n)
     flat = np.empty(rows_max * (d + 1))  # the block's normal draws, then its parts
     latent = np.empty((rows_max, d))
-    for normal in _draw_blocks(d, [n], [seed], flat):
+    for normal in _draw_blocks(d, n, seed, flat):
         m = len(normal)
         block = np.matmul(normal, model.chol.T, out=latent[:m])
         block += model.mean
@@ -118,35 +122,54 @@ def simulate_compositions(n: int, model: MvnParams, seed) -> CompositionalDatase
     return CompositionalDataset(parts=parts, zero_index=zero_index)
 
 
+def _column_map(model: MvnParams) -> tuple[np.ndarray, np.ndarray]:
+    """(A, c) such that the parts of the latent draw mean + L z, stored by part, are A zᵀ + c:
+    A = Hᵀ L / D and c = (Hᵀ mean + 1) / D, with c a (D, 1) column."""
+    n_parts = model.dim + 1
+    helmert_t = _helmert_readonly(n_parts).T
+    return helmert_t @ model.chol / n_parts, ((helmert_t @ model.mean + 1.0) / n_parts)[:, None]
+
+
 def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
     """Monte Carlo probability that a draw lands with its zero in part j, for each of ``model.dim + 1`` parts.
 
-    The draws run in chunks of ``CHUNK_SIZE``, each drawn and counted in
-    blocks of ``BLOCK_ROWS`` rows, and a tied or two-zero draw raises with its
-    row number within its block.  A block's parts, stored by part, are
-    A zᵀ + c for its normal draws z, with A = Hᵀ L / D and c = (Hᵀ mean + 1) / D,
-    and the rule of ``zero_parts`` counts them in that layout.  The rates sum
-    to the overall boundary probability, which is at most 1.
+    The draws run in chunks of ``CHUNK_SIZE`` and come in antithetic pairs: a
+    chunk of k draws takes ⌈k/2⌉ normal vectors z from its generator, and its
+    draws are mean + L z for each of them followed by the reflections
+    mean − L z of the first ⌊k/2⌋, which have the same law.  A chunk is
+    counted in blocks of ``BLOCK_ROWS`` draws, ``BLOCK_ROWS / 2`` vectors and
+    their reflections, and a tied or two-zero draw raises with its number
+    within its block: a block of m vectors numbers them 1..m and the
+    reflection of vector i as m + i.  A block's parts, stored by part, are
+    c + P and then c − P for the product P = A zᵀ (see ``_column_map``), so
+    a reflection needs no product of its own, and the rule of ``zero_parts``
+    counts them in that layout.  The rates sum to the overall boundary
+    probability, which is at most 1.
     """
     if not isinstance(n_sims, numbers.Integral) or n_sims < MIN_RATE_SIMS:
         raise ValueError(f"need an integer number of at least {MIN_RATE_SIMS} simulations, got {n_sims!r}")
     n_parts = model.dim + 1
     n_chunks = math.ceil(n_sims / CHUNK_SIZE)
     sizes = [CHUNK_SIZE] * (n_chunks - 1) + [n_sims - CHUNK_SIZE * (n_chunks - 1)]
-    rows_max = max(map(_longest_block, sizes))
+    pair_rows = BLOCK_ROWS // 2
+    rows_max = max(_longest_block(-(-k // 2), pair_rows) for k in sizes)
     normal_buffer = np.empty(rows_max * model.dim)
-    parts_buffer = np.empty(rows_max * n_parts)
-    mask_buffer = np.empty(rows_max * n_parts, dtype=bool)
-    helmert_t = _helmert_readonly(n_parts).T
-    weights = helmert_t @ model.chol / n_parts
-    offsets = ((helmert_t @ model.mean + 1.0) / n_parts)[:, None]
+    parts_buffer = np.empty(2 * rows_max * n_parts)
+    mask_buffer = np.empty(2 * rows_max * n_parts, dtype=bool)
+    weights, offsets = _column_map(model)
     counts = np.zeros(n_parts, dtype=np.int64)
-    for normal in _draw_blocks(model.dim, sizes, _seed_sequence(seed).spawn(n_chunks), normal_buffer):
-        size = n_parts * len(normal)
-        parts = np.matmul(weights, normal.T, out=parts_buffer[:size].reshape(n_parts, -1))
-        parts += offsets
-        zeros = _zero_rule(parts, out=mask_buffer[:size].reshape(n_parts, -1))[2]
-        counts += [np.count_nonzero(part) for part in zeros]
+    for k, child in zip(sizes, _seed_sequence(seed).spawn(n_chunks)):
+        unreflected = k // 2  # only an odd chunk's last vector goes without its reflection
+        for normal in _draw_blocks(model.dim, k - unreflected, child, normal_buffer, pair_rows):
+            m = len(normal)
+            pairs = min(m, unreflected)
+            unreflected -= pairs
+            parts = parts_buffer[: n_parts * (m + pairs)].reshape(n_parts, -1)
+            product = np.matmul(weights, normal.T, out=parts[:, :m])
+            np.subtract(offsets, product[:, :pairs], out=parts[:, m:])  # bit for bit A (-z)ᵀ + c
+            product += offsets
+            zeros = _zero_rule(parts, out=mask_buffer[: parts.size].reshape(n_parts, -1))[2]
+            counts += [np.count_nonzero(part) for part in zeros]
     return counts / float(n_sims)
 
 
@@ -240,15 +263,19 @@ def diagnose(
     """Zero-count diagnostic of a dataset against a fitted model, with an optional simulated p-value.
 
     The expected counts are n times ``zero_rates(model.params, n_sims=n_sims,
-    seed=seed)``, estimated once.  With ``n_replicates`` (at least 99) the
-    p-value is the add-one rank (1 + #{replicate >= observed}) / (R + 1) of
-    the chi-square discrepancy among R replicate zero-count vectors, drawn from
-    the next child of the seed's sequence, after the rate chunks.
+    seed=seed)``, estimated once from ``n_sims`` draws in antithetic pairs,
+    so from about ``n_sims / 2`` normal vectors.  With ``n_replicates`` (an
+    integer, at least 99) the p-value is the add-one rank
+    (1 + #{replicate >= observed}) / (R + 1) of the chi-square discrepancy
+    among R replicate zero-count vectors, drawn from the next child of the
+    seed's sequence, after the rate chunks.
     """
     if dataset.n_parts != model.n_parts:
         raise ValueError(
             f"dataset has {dataset.n_parts} components but the model expects {model.n_parts}"
         )
+    if n_replicates is not None and not isinstance(n_replicates, numbers.Integral):
+        raise ValueError(f"need an integer number of replicates, got {n_replicates!r}")
     if n_replicates is not None and n_replicates < 99:
         raise ValueError(f"need at least 99 replicates, got {n_replicates}")
     seq = _seed_sequence(seed)

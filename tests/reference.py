@@ -134,14 +134,23 @@ def simulate_compositions_whole(n, model, seed) -> tuple[np.ndarray, np.ndarray]
     return project_rows_argmin(_draw_parts_whole(model, n, np.random.default_rng(seed)))
 
 
+def reflected_parts_whole(model, n, seed) -> np.ndarray:
+    """Parts of the reflections mean − z Lᵀ of the first n normal vectors z of ``default_rng(seed)``."""
+    z = np.random.default_rng(seed).standard_normal((n, model.dim))
+    return inverse_alpha_transform(model.mean - z @ model.chol.T, 1.0)[0]
+
+
 def zero_rates_whole(model, n_sims, seed) -> np.ndarray:
-    """``zero_rates`` with each ``CHUNK_SIZE`` chunk drawn and counted row-wise as one array."""
+    """``zero_rates`` with each ``CHUNK_SIZE`` chunk of k draws drawn and counted row-wise as one array:
+    its ⌈k/2⌉ normal vectors z mapped as mean + z Lᵀ, then the reflections mean − z Lᵀ of the first ⌊k/2⌋."""
     n_parts = model.dim + 1
     counts = np.zeros(n_parts, dtype=np.int64)
     remaining = n_sims
     for child in np.random.SeedSequence(seed).spawn(math.ceil(n_sims / CHUNK_SIZE)):
         m = min(CHUNK_SIZE, remaining)
-        zero_index = zero_parts_argmin(_draw_parts_whole(model, m, np.random.default_rng(child)))
+        product = np.random.default_rng(child).standard_normal((-(-m // 2), model.dim)) @ model.chol.T
+        latent = np.concatenate([model.mean + product, model.mean - product[: m // 2]])
+        zero_index = zero_parts_argmin(inverse_alpha_transform(latent, 1.0)[0])
         counts += np.bincount(zero_index + 1, minlength=n_parts + 1)[1:]
         remaining -= m
     return counts / float(n_sims)

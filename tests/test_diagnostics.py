@@ -4,7 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import BLOCK_PARTS, exact_zero_rates_d3, simulate_compositions_whole, zero_rates_whole
+from reference import (
+    BLOCK_PARTS,
+    exact_zero_rates_d3,
+    reflected_parts_whole,
+    simulate_compositions_whole,
+    zero_parts_argmin,
+    zero_rates_whole,
+)
 
 from zerocensored import (
     FittedModel,
@@ -16,7 +23,7 @@ from zerocensored import (
 )
 from zerocensored.cli import main
 from zerocensored.dataset import CompositionalDataset
-from zerocensored.diagnostics import BLOCK_ROWS, CHUNK_SIZE, _chi_square_discrepancy
+from zerocensored.diagnostics import BLOCK_ROWS, CHUNK_SIZE, _chi_square_discrepancy, _column_map
 from zerocensored.io import write_model_json
 
 
@@ -110,13 +117,23 @@ def test_zero_rates_sum_below_one_and_match_simulation():
     np.testing.assert_allclose(rates, counts / 100_000, atol=0.01)
 
 
+def antithetic_zero_counts(n, model, seed):
+    """Zero counts per part of one rate chunk of n draws from ``seed``: those that simulate writes for the
+    chunk's ⌈n/2⌉ normal vectors, plus those of the reflections of the first ⌊n/2⌋ under the reference rule."""
+    zero_index = np.concatenate(
+        [
+            simulate_compositions(-(-n // 2), model, seed=seed).zero_index,
+            zero_parts_argmin(reflected_parts_whole(model, n // 2, seed)),
+        ]
+    )
+    return np.bincount(zero_index[zero_index >= 0], minlength=model.dim + 1)
+
+
 def test_zero_rates_count_the_zeros_simulation_writes():
-    # one chunk: zero_rates draws from child 0 of its seed, exactly as simulate does from that child
+    # one chunk: zero_rates draws its vectors from child 0 of its seed, exactly as simulate does from that child
     n = 50_000
     rates = zero_rates(BOUNDARY_MODEL, n, seed=13)
-    child = np.random.SeedSequence(13).spawn(1)[0]
-    zero_index = simulate_compositions(n, BOUNDARY_MODEL, seed=child).zero_index
-    counts = np.bincount(zero_index[zero_index >= 0], minlength=3)
+    counts = antithetic_zero_counts(n, BOUNDARY_MODEL, np.random.SeedSequence(13).spawn(1)[0])
     assert counts.sum() > 10_000
     np.testing.assert_array_equal(rates, counts / n)
 
@@ -125,14 +142,24 @@ def test_zero_rates_count_the_zeros_simulation_writes():
 def test_zero_rates_count_the_zeros_simulation_writes_at_every_part_count(n_parts):
     # The rates map each block by one fused product, simulate by its two row-layout products: the
     # counts still agree exactly, as no draw of these lies within an ulp of a ZERO_TOL threshold.
+    # The odd n leaves the chunk's last vector without its reflection.
     model = correlated_model(n_parts)
     n = 3 * BLOCK_ROWS + 7
     rates = zero_rates(model, n, seed=n_parts)
-    child = np.random.SeedSequence(n_parts).spawn(1)[0]
-    zero_index = simulate_compositions(n, model, seed=child).zero_index
-    counts = np.bincount(zero_index[zero_index >= 0], minlength=n_parts)
+    counts = antithetic_zero_counts(n, model, np.random.SeedSequence(n_parts).spawn(1)[0])
     assert counts.sum() > 500
     np.testing.assert_array_equal(rates, counts / n)
+
+
+@pytest.mark.parametrize("n_parts", BLOCK_PARTS)
+def test_zero_rates_reflections_are_exact(n_parts):
+    # A reflection's parts are c − A zᵀ from its vector's product: that is bit for bit A (−z)ᵀ + c,
+    # as negating z negates every product term and rounding to nearest is sign-symmetric.
+    weights, offsets = _column_map(correlated_model(n_parts))
+    rng = np.random.default_rng(n_parts)
+    for m in (1, 7, BLOCK_ROWS // 2):
+        z = rng.standard_normal((m, n_parts - 1))
+        assert_same_bits(offsets - weights @ z.T, weights @ (-z).T + offsets)
 
 
 def test_counts_must_be_integers():
@@ -143,8 +170,16 @@ def test_counts_must_be_integers():
         zero_rates(BOUNDARY_MODEL, 20_000.0, seed=0)
     with pytest.raises(ValueError, match="integer"):
         simulate_compositions(3.7, BOUNDARY_MODEL, seed=0)
+    # A float replicate count reached rng.multinomial, which raised TypeError: 'float' object is not iterable.
+    model = toy_model(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov, 3)
+    ds = zero_count_dataset([30, 2, 5], 100)
+    for n_replicates in (150.5, 1000.0):
+        with pytest.raises(ValueError, match="integer"):
+            diagnose(model, ds, n_sims=10_000, seed=0, n_replicates=n_replicates)
     np.testing.assert_array_equal(zero_rates(BOUNDARY_MODEL, np.int64(10_000), 0), zero_rates(BOUNDARY_MODEL, 10_000, 0))
     assert simulate_compositions(np.int32(3), BOUNDARY_MODEL, seed=0).n_obs == 3
+    numpy_count = diagnose(model, ds, n_sims=10_000, seed=0, n_replicates=np.int64(120))
+    assert numpy_count.to_dict() == diagnose(model, ds, n_sims=10_000, seed=0, n_replicates=120).to_dict()
 
 
 def test_zero_rates_deterministic_and_chunking_contract():
@@ -268,7 +303,7 @@ def traced_peak(fun):
 def test_zero_rates_holds_one_block():
     # The whole-chunk draw peaked at 20.1 MiB here; blocked into two reused buffers, it read 3.7 MiB, and
     # 3.1 MiB with the zero rule's float32 mask copy in the spent latent rows.  With the parts stored by
-    # part and the rule's bool mask in a reused buffer, it reads 3.06 MiB.
+    # part and the rule's bool mask in a reused buffer, it read 3.06 MiB; drawing half the normal vectors, 2.48 MiB.
     peak, _ = traced_peak(lambda: zero_rates(correlated_model(10), 1_000_000, seed=0))
     assert peak < 4 * 2**20
 
