@@ -7,7 +7,7 @@ probability of the first coordinate beyond the rotation radius c1.
 ``boundary_term`` evaluates exactly that, splitting the rotated normal by the
 Schur complement of its non-first block, and is kept as the rotated-frame
 reference.  The term depends only on the unit direction u = y / c1 and c1, so
-the likelihood itself uses the equivalent direction form in ``_face_frame``,
+the likelihood itself uses the equivalent direction form in ``_face_terms``,
 which needs no rotation.  The constant Jacobian term (n d + n/2) log D of the
 exponent-one transformation, the only member of the power family that the
 likelihood is defined for, is included so reported values are full data
@@ -16,15 +16,16 @@ log-likelihoods; it does not move the maximizer.
 The covariance is optimized through its Cholesky factor with log-transformed
 diagonal, so every parameter vector maps to an SPD matrix and the search is
 unconstrained apart from a +/-30 safety bound on the log-diagonal entries.
-``_score`` is the exact gradient in those coordinates, built from the
-quantities the likelihood has already computed.  A fit lays out its data
-once, the interior points and the face points' unit directions as the
-columns of one array (``_sample_columns``), and each evaluation checks its
-parameters for finiteness once and solves those columns, the mean and the
-identity in one forward substitution (``_solve_chol``).  The normal tail
-comes from the module's erfcx kernel (``_erfcx``, ``_log_ndtr_erfcx``), and
-``fit`` maximizes with the module's own L-BFGS (``_lbfgs``) under L-BFGS-B's
-stop tests, so the package needs only NumPy.
+``_loglik_and_score`` computes the value and its exact gradient in those
+coordinates in one pass, and ``log_likelihood`` returns its value.  A fit
+lays out its data once, the interior points and the face points' unit
+directions as the columns of one array (``_sample_columns``), and each
+evaluation checks its parameters for finiteness once and solves those
+columns, the mean and the identity in one forward substitution
+(``_solve_chol``).  The normal tail comes from the module's erfcx kernel
+(``_erfcx``, ``_log_ndtr_erfcx``), and ``fit`` maximizes with the module's
+own L-BFGS (``_lbfgs``) under L-BFGS-B's stop tests, so the package needs
+only NumPy.
 """
 
 from __future__ import annotations
@@ -248,30 +249,19 @@ def _sample_columns(sample: TransformedSample) -> tuple[np.ndarray, np.ndarray]:
     return radii, columns
 
 
-@dataclass(frozen=True)
-class _FaceFrame:
-    """The face points' quantities that the score reuses: radii c1, w (d, n2), m, a, sqrt(a), b, z, log(1 - Phi(z))
-    and erfcx(|z| / sqrt 2)."""
-
-    radii: np.ndarray
-    w: np.ndarray
-    m: np.ndarray
-    a: np.ndarray
-    root_a: np.ndarray
-    b: np.ndarray
-    z: np.ndarray
-    log_tail: np.ndarray
-    erfcx: np.ndarray
-
-
-def _face_frame(radii: np.ndarray, w: np.ndarray, m: np.ndarray, log_det: float) -> tuple[np.ndarray, _FaceFrame]:
-    """Vectorized ``boundary_term`` over face points with radii c1 and w = L^-1 u, and the frame it was computed in.
+def _face_terms(
+    radii: np.ndarray, w: np.ndarray, m: np.ndarray, log_det: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized ``boundary_term`` over face points with radii c1 and w = L^-1 u, with a, sqrt(a), b and lam.
 
     With u = y / c1, L = chol(Sigma), m = L^-1 mu, a = ||w||^2 and b = w . m,
     the rotated first coordinate has conditional precision a and conditional
     mean b / a given the others at zero, so the term is
     -1/2 [(d - 1) log 2 pi + log|Sigma| + ||m||^2 - b^2/a + log a]
-    + log(1 - Phi((c1 - b/a) sqrt(a))).  No rotation is built.
+    + log(1 - Phi(z)) with z = (c1 - b/a) sqrt(a).  No rotation is built.  The
+    inverse Mills ratio lam = phi(z) / (1 - Phi(z)) is sqrt(2/pi) /
+    erfcx(z/sqrt(2)) for z >= 0 from the tail's own erfcx, to any tail depth,
+    and is computed in logs below zero, where 1 - Phi(z) > 1/2.
     """
     a = np.sum(w * w, axis=0)
     root_a = np.sqrt(a)
@@ -280,7 +270,12 @@ def _face_frame(radii: np.ndarray, w: np.ndarray, m: np.ndarray, log_det: float)
     log_tail, erfcx = _log_ndtr_erfcx(-z)
     d = m.size
     marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m - b * b / a + np.log(a))
-    return marginal + log_tail, _FaceFrame(radii, w, m, a, root_a, b, z, log_tail, erfcx)
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite z is refused with the score
+        lam = _SQRT_2_OVER_PI / erfcx
+        below = z < 0.0
+        if below.any():
+            lam[below] = np.exp(-0.5 * (z[below] ** 2 + LOG_2PI) - log_tail[below])
+    return marginal + log_tail, a, root_a, b, lam
 
 
 def log_likelihood(sample: TransformedSample, mean, cov) -> float:
@@ -297,16 +292,23 @@ def log_likelihood(sample: TransformedSample, mean, cov) -> float:
         raise ValueError("empty sample")
     if mean.shape != (sample.dim,) or cov.shape != (sample.dim, sample.dim):
         raise ValueError("parameter dimensions do not match the sample")
-    return _log_likelihood_frame(sample, mean, cholesky(cov), _sample_columns(sample))[0]
+    return _loglik_and_score(sample, mean, cholesky(cov), _sample_columns(sample))[0]
 
 
-def _log_likelihood_frame(
+def _loglik_and_score(
     sample: TransformedSample, mean: np.ndarray, chol: np.ndarray, columns: tuple[np.ndarray, np.ndarray]
-) -> tuple[float, np.ndarray, np.ndarray | None, _FaceFrame | None]:
-    """The log-likelihood, L^-1, the whitened interior residuals (d, n1) and the face frame.
+) -> tuple[float, np.ndarray]:
+    """The log-likelihood at (mean, L) and its gradient in the packed coordinates of ``_pack_params``.
 
     One substitution pass over the ``_sample_columns`` with the mean filled
-    in solves the residuals, the face directions, the mean and L^-1 together.
+    in solves the whitened interior residuals Z, the face directions W, m and
+    L^-1 together.  Interior points give dl/dmu = L^-T sum z and
+    dl/dL = tril(L^-T Z Z^T) - n1 diag(1/L).  Face points go through
+    (m, w, a, b) and the inverse Mills ratio lam of ``_face_terms``:
+    g_b = b/a + lam/sqrt(a), g_a = -(b^2/a^2 + 1/a)/2 - lam (c1/sqrt(a) +
+    b/a^(3/2))/2 and g_m = -n2 m + W g_b; then dl/dmu = L^-T g_m and
+    dl/dL = -tril(L^-T [g_m m^T + m (W g_b)^T + 2 W diag(g_a) W^T]) - n2 diag(1/L).
+    The log-diagonal coordinates take dl/dL_jj * L_jj.
     """
     _require_finite(mean, chol)
     d = sample.dim
@@ -320,72 +322,31 @@ def _log_likelihood_frame(
     _solve_chol(chol, x)
     total = (n * d + 0.5 * n) * math.log(sample.n_parts)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    resid = frame = None
+    g_mean = np.zeros(d)
+    g_chol = np.zeros((d, d))
     if n1:
         resid = x[:, :n1]
         total += -0.5 * n1 * (d * LOG_2PI + log_det) - 0.5 * float(np.sum(resid * resid))
-    if n2:
-        terms, frame = _face_frame(radii, x[:, n1:n], x[:, n].copy(), log_det)
-        total += float(np.sum(terms))
-    return total, x[:, n + 1 :], resid, frame
-
-
-def _loglik_and_score(
-    sample: TransformedSample, theta: np.ndarray, columns: tuple[np.ndarray, np.ndarray]
-) -> tuple[float, np.ndarray]:
-    """The log-likelihood at packed parameters and its gradient in those coordinates."""
-    mean, chol = _unpack_chol(theta, sample.dim)
-    value, inverse, resid, frame = _log_likelihood_frame(sample, mean, chol, columns)
-    return value, _score(chol, inverse, resid, frame)
-
-
-def _score(
-    chol: np.ndarray, inverse: np.ndarray, resid: np.ndarray | None, frame: _FaceFrame | None
-) -> np.ndarray:
-    """Gradient of the log-likelihood in the packed coordinates of ``_pack_params``.
-
-    Interior points give dl/dmu = L^-T sum z and dl/dL = tril(L^-T Z Z^T) - n1 diag(1/L).
-    Face points go through (m, w, a, b): with the inverse Mills ratio
-    lam = phi(z) / (1 - Phi(z)), which is sqrt(2/pi) / erfcx(z/sqrt(2)) for
-    z >= 0 from the value's own erfcx, to any tail depth, and is computed in
-    logs below zero, where 1 - Phi(z) > 1/2,
-    g_b = b/a + lam/sqrt(a), g_a = -(b^2/a^2 + 1/a)/2 - lam (c1/sqrt(a) +
-    b/a^(3/2))/2 and g_m = -n2 m + W g_b; then dl/dmu = L^-T g_m and
-    dl/dL = -tril(L^-T [g_m m^T + m (W g_b)^T + 2 W diag(g_a) W^T]) - n2 diag(1/L).
-    The log-diagonal coordinates take dl/dL_jj * L_jj.  L^-T is the transpose
-    of ``inverse``, which the value's substitution pass solved.
-    """
-    d = chol.shape[0]
-    g_mean = np.zeros(d)
-    g_chol = np.zeros((d, d))
-    count = 0
-    if resid is not None:
         g_mean += resid.sum(axis=1)
         g_chol += resid @ resid.T
-        count += resid.shape[1]
-    if frame is not None:
-        w, m, a, b, root_a = frame.w, frame.m, frame.a, frame.b, frame.root_a
-        z = frame.z
-        with np.errstate(divide="ignore", over="ignore"):  # an infinite z is refused with the score below
-            lam = _SQRT_2_OVER_PI / frame.erfcx
-            below = z < 0.0
-            if below.any():
-                lam[below] = np.exp(-0.5 * (z[below] ** 2 + LOG_2PI) - frame.log_tail[below])
+    if n2:
+        w, m = x[:, n1:n], x[:, n].copy()
+        terms, a, root_a, b, lam = _face_terms(radii, w, m, log_det)
+        total += float(np.sum(terms))
         g_b = b / a + lam / root_a
-        g_a = -0.5 * (b * b / (a * a) + 1.0 / a) - 0.5 * lam * (frame.radii / root_a + b / (a * root_a))
+        g_a = -0.5 * (b * b / (a * a) + 1.0 / a) - 0.5 * lam * (radii / root_a + b / (a * root_a))
         w_gb = w @ g_b
-        g_m = w_gb - a.size * m
+        g_m = w_gb - n2 * m
         g_mean += g_m
         g_chol -= np.outer(g_m, m) + np.outer(m, w_gb) + 2.0 * (w * g_a) @ w.T
-        count += a.size
     rhs = np.column_stack([g_mean, g_chol])
     # Finite parameters can still overflow w = L^-1 u; this is a ValueError, not a NaN step for the optimizer.
     _require_finite(rhs)
-    solved = inverse.T @ rhs
+    solved = x[:, n + 1 :].T @ rhs
     tril, diag_pos = _tri_layout(d)
     g_tri = solved[:, 1:][tril]
-    g_tri[diag_pos] = g_tri[diag_pos] * np.diagonal(chol) - count
-    return np.concatenate([solved[:, 0], g_tri])
+    g_tri[diag_pos] = g_tri[diag_pos] * np.diagonal(chol) - n
+    return total, np.concatenate([solved[:, 0], g_tri])
 
 
 def json_float(value) -> float | None:
@@ -584,8 +545,8 @@ def fit(
     """Maximize the censored log-likelihood over (mean, cov) by L-BFGS (``_lbfgs``).
 
     The optimizer gets the value and the exact score from one call per
-    point (``_score``), and every accepted iterate raises the value.  The
-    start point is the sample mean and covariance (1/n convention) of all
+    point (``_loglik_and_score``), and every accepted iterate raises the
+    value.  The start point is the sample mean and covariance (1/n convention) of all
     transformed points, face vectors included as-is; the covariance gets a
     +START_RIDGE * I bump if it is numerically singular.  Convergence means
     the projected gradient inf-norm fell below ``gradient_tol`` or the
@@ -614,16 +575,14 @@ def fit(
     resid = points - mean0
     cov0 = resid.T @ resid / points.shape[0]
     try:
-        cholesky(cov0)
+        theta0 = _pack_params(mean0, cov0)
     except NotPositiveDefiniteError:
-        cov0 = cov0 + START_RIDGE * np.eye(d)
-        cholesky(cov0)  # give up if still singular
-    theta0 = _pack_params(mean0, cov0)
+        theta0 = _pack_params(mean0, cov0 + START_RIDGE * np.eye(d))
 
     columns = _sample_columns(sample)
 
     def negloglik_and_score(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, score = _loglik_and_score(sample, theta, columns)
+        value, score = _loglik_and_score(sample, *_unpack_chol(theta, d), columns)
         return -value, -score
 
     diag_pos = _tri_layout(d)[1]

@@ -214,11 +214,17 @@ def inverse_alpha_transform(y, alpha: float) -> tuple[np.ndarray, np.ndarray | b
     return parts, (True if inside.ndim == 0 else inside)
 
 
-def _require_interior(x: np.ndarray) -> None:
+def _log_jacobian_common(x, alpha: float) -> tuple[int, float]:
+    """D and (alpha - 1) sum_i log x_i - D log sum_j x_j^alpha, the log-Jacobian part both transforms share."""
+    x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"expected one composition vector, got shape {x.shape}")
     if np.any(x <= ZERO_TOL):
         raise ValueError("Jacobian requires a strictly positive composition")
+    if alpha == 0.0:
+        raise ValueError("alpha = 0 is not supported")
+    n_parts = x.size
+    return n_parts, (alpha - 1.0) * float(np.sum(np.log(x))) - n_parts * math.log(float(np.sum(x**alpha)))
 
 
 def jacobian_simplex(x, alpha: float) -> float:
@@ -227,15 +233,8 @@ def jacobian_simplex(x, alpha: float) -> float:
     Evaluated in log form to stay finite for extreme alpha.  Equals 1 for
     alpha = 1.
     """
-    x = np.asarray(x, dtype=float)
-    _require_interior(x)
-    if alpha == 0.0:
-        raise ValueError("alpha = 0 is not supported")
-    n_parts = x.size
-    d = n_parts - 1
-    log_s = math.log(float(np.sum(x**alpha)))
-    log_j = d * math.log(abs(alpha)) + (alpha - 1.0) * float(np.sum(np.log(x))) - n_parts * log_s
-    return math.exp(log_j)
+    n_parts, log_j = _log_jacobian_common(x, alpha)
+    return math.exp((n_parts - 1) * math.log(abs(alpha)) + log_j)
 
 
 def jacobian_alpha(x, alpha: float) -> float:
@@ -244,12 +243,5 @@ def jacobian_alpha(x, alpha: float) -> float:
     For alpha = 1 this is the constant D^(d + 1/2) regardless of x, so its
     log summed over n observations is (n d + n/2) log D.
     """
-    x = np.asarray(x, dtype=float)
-    _require_interior(x)
-    if alpha == 0.0:
-        raise ValueError("alpha = 0 is not supported")
-    n_parts = x.size
-    d = n_parts - 1
-    log_s = math.log(float(np.sum(x**alpha)))
-    log_j = (d + 0.5) * math.log(n_parts) + (alpha - 1.0) * float(np.sum(np.log(x))) - n_parts * log_s
-    return math.exp(log_j)
+    n_parts, log_j = _log_jacobian_common(x, alpha)
+    return math.exp((n_parts - 0.5) * math.log(n_parts) + log_j)

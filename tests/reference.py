@@ -20,7 +20,6 @@ from zerocensored.likelihood import (
     START_RIDGE,
     FittedModel,
     ParameterBoundError,
-    _log_likelihood_frame,
     _log_ndtr_erfcx,
     _loglik_and_score,
     _pack_params,
@@ -408,7 +407,7 @@ def fit_lbfgsb(sample, *, max_iter=5000, gradient_tol=1e-6, seed=None) -> Fitted
     columns = _sample_columns(sample)
 
     def negloglik_and_score(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, score = _loglik_and_score(sample, theta, columns)
+        value, score = _loglik_and_score(sample, *_unpack_chol(theta, d), columns)
         return -value, -score
 
     best_theta, best_value = theta0, math.inf
@@ -429,7 +428,7 @@ def fit_lbfgsb(sample, *, max_iter=5000, gradient_tol=1e-6, seed=None) -> Fitted
     def record(theta: np.ndarray) -> None:
         # L-BFGS-B reports an iterate right after evaluating it.
         same = np.array_equal(theta, last_theta)
-        trace.append(-last_value if same else _log_likelihood_frame(sample, *_unpack_chol(theta, d), columns)[0])
+        trace.append(-last_value if same else _loglik_and_score(sample, *_unpack_chol(theta, d), columns)[0])
 
     diag_pos = _tri_layout(d)[1]
     bounds = [(None, None)] * theta0.size

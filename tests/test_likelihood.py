@@ -27,15 +27,16 @@ from zerocensored import (
     MvnParams,
 )
 import zerocensored.likelihood as likelihood_module
-from zerocensored.dataset import TransformedSample
+from zerocensored.dataset import CompositionalDataset, TransformedSample
+from zerocensored.gaussian import NotPositiveDefiniteError, cholesky
 from zerocensored.likelihood import (
     LOG_DIAG_BOUND,
     LOGLIK_REL_TOL,
+    START_RIDGE,
     _ERFCX_POWERS,
     _erfcx,
-    _face_frame,
+    _face_terms,
     _log_ndtr,
-    _log_likelihood_frame,
     _loglik_and_score,
     _pack_params,
     _sample_columns,
@@ -43,6 +44,7 @@ from zerocensored.likelihood import (
     _tri_layout,
     _unpack_chol,
 )
+from zerocensored.simplex import _inverse_affine
 
 from reference import (
     erfcx_power_series,
@@ -294,11 +296,11 @@ def test_vectorized_boundary_terms_finite_deep_in_the_tail(d):
 
 
 def face_terms(face, mean, chol):
-    """The boundary terms of ``_face_frame`` for a stack of face points at (mean, L)."""
+    """The boundary terms of ``_face_terms`` for a stack of face points at (mean, L)."""
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     radii = np.linalg.norm(face, axis=1)
     w = _solve_chol(chol, np.ascontiguousarray((face / radii[:, None]).T))
-    return _face_frame(radii, w, _solve_chol(chol, mean.copy()), log_det)[0]
+    return _face_terms(radii, w, _solve_chol(chol, mean.copy()), log_det)[0]
 
 
 def direction_form_mp(y, mean, cov):
@@ -448,13 +450,12 @@ def packed_loglik(sample):
 
 
 def loglik_and_score(sample, theta):
-    return _loglik_and_score(sample, theta, _sample_columns(sample))
+    return _loglik_and_score(sample, *_unpack_chol(theta, sample.dim), _sample_columns(sample))
 
 
 def assert_score_matches(sample, theta, rtol, rel_step=1e-4):
-    value, score = loglik_and_score(sample, theta)
+    score = loglik_and_score(sample, theta)[1]
     assert np.all(np.isfinite(score))
-    assert value == _log_likelihood_frame(sample, *_unpack_chol(theta, sample.dim), _sample_columns(sample))[0]
     ref = four_point_stencil(packed_loglik(sample), theta, rel_step)
     assert np.linalg.norm(score - ref) <= rtol * max(np.linalg.norm(ref), 1.0)
 
@@ -502,7 +503,7 @@ def test_value_and_score_bit_equal_the_solve_triangular_pass(n_parts, kind):
     sample, points = random_evaluations(n_parts, kind, 70 + n_parts)
     columns = _sample_columns(sample)
     for mean, cov, theta in points:
-        value, score = _loglik_and_score(sample, theta, columns)
+        value, score = _loglik_and_score(sample, *_unpack_chol(theta, sample.dim), columns)
         ref_value, ref_score = loglik_and_score_per_call(sample, theta)
         assert value == ref_value
         assert np.array_equal(score, ref_score)
@@ -516,7 +517,7 @@ def test_value_and_score_match_the_scipy_route(n_parts, kind):
     sample, points = random_evaluations(n_parts, kind, 70 + n_parts)
     columns = _sample_columns(sample)
     for _, _, theta in points:
-        value, score = _loglik_and_score(sample, theta, columns)
+        value, score = _loglik_and_score(sample, *_unpack_chol(theta, sample.dim), columns)
         ref_value, ref_score = loglik_and_score_scipy(sample, theta)
         assert value == pytest.approx(ref_value, rel=VALUE_RTOL_SCIPY)
         assert np.max(np.abs(score - ref_score)) <= SCORE_RTOL_SCIPY * np.max(np.abs(ref_score))
@@ -617,15 +618,15 @@ def test_fit_makes_one_likelihood_pass_per_evaluation(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args[1:])
-        return _log_likelihood_frame(*args, **kwargs)
+        return _loglik_and_score(*args, **kwargs)
 
-    monkeypatch.setattr(likelihood_module, "_log_likelihood_frame", counting)
+    monkeypatch.setattr(likelihood_module, "_loglik_and_score", counting)
     rng = np.random.default_rng(64)
     sample = build_sample(rng.normal(size=(60, 2)), rng.normal(size=(20, 2)) + 1.0, 3)
     model = fit(sample)
     assert model.converged
     assert len(calls) == model.evaluations
-    assert model.trace[0] == _log_likelihood_frame(sample, *calls[0])[0]
+    assert model.trace[0] == _loglik_and_score(sample, *calls[0])[0]
 
 
 # --- fit -------------------------------------------------------------------------------
@@ -751,6 +752,21 @@ def test_fit_stopped_by_max_iter_is_not_converged():
     assert not model.converged and model.iterations == 1
     assert model.message == "stopped: max_iter (1) iterations"
     assert len(model.trace) == 2
+
+
+def test_fit_ridges_a_singular_start_covariance():
+    # Forty interior points on one line through the centre: the start covariance has rank one.
+    t = np.linspace(-0.3, 0.3, 40)
+    parts = _inverse_affine(np.column_stack([t, t / 2.0]))
+    sample = transform_dataset(CompositionalDataset(parts=parts, zero_index=np.full(40, -1)))
+    mean0 = sample.interior.mean(axis=0)
+    resid = sample.interior - mean0
+    cov0 = resid.T @ resid / 40
+    with pytest.raises(NotPositiveDefiniteError):
+        cholesky(cov0)
+    model = fit(sample, max_iter=1)
+    assert not model.converged and "max_iter" in model.message
+    assert model.trace[0] == pytest.approx(log_likelihood(sample, mean0, cov0 + START_RIDGE * np.eye(2)), rel=1e-12)
 
 
 def test_fit_names_the_stop_test():
