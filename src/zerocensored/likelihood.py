@@ -1,26 +1,28 @@
 """The zero-censored Gaussian log-likelihood, its score, and its maximization.
 
-Interior points contribute ordinary normal log-densities.  A point that was
-pulled to a face enters through its rotated coordinates z = B y: the density
-of the non-first coordinates evaluated at zero, times the upper-tail
-probability of the first coordinate beyond the rotation radius c1.
-``boundary_term`` evaluates exactly that, splitting the rotated normal by the
-Schur complement of its non-first block, and is kept as the rotated-frame
-reference.  The term depends only on the unit direction u = y / c1 and c1, so
-the likelihood itself uses the equivalent direction form in ``_face_terms``,
-which needs no rotation.  The constant Jacobian term (n d + n/2) log D of the
-exponent-one transformation, the only member of the power family that the
-likelihood is defined for, is included so reported values are full data
-log-likelihoods; it does not move the maximizer.
+Interior points contribute ordinary normal log-densities, which depend on
+the data only through n1, the interior mean and the scatter about it.  A
+point that was pulled to a face enters through its rotated coordinates
+z = B y: the density of the non-first coordinates evaluated at zero, times
+the upper-tail probability of the first coordinate beyond the rotation
+radius c1.  ``boundary_term`` evaluates exactly that, splitting the rotated
+normal by the Schur complement of its non-first block, and is kept as the
+rotated-frame reference.  The term depends only on the unit direction
+u = y / c1 and c1, so the likelihood itself uses the equivalent direction
+form in ``_face_terms``, which needs no rotation.  The constant Jacobian
+term (n d + n/2) log D of the exponent-one transformation, the only member
+of the power family that the likelihood is defined for, is included so
+reported values are full data log-likelihoods; it does not move the
+maximizer.
 
 The covariance is optimized through its Cholesky factor with log-transformed
 diagonal, so every parameter vector maps to an SPD matrix and the search is
 unconstrained apart from a +/-30 safety bound on the log-diagonal entries.
 ``_loglik_and_score`` computes the value and its exact gradient in those
 coordinates in one pass, and ``log_likelihood`` returns its value.  A fit
-lays out its data once, the interior points and the face points' unit
-directions as the columns of one array (``_sample_columns``), and each
-evaluation checks its parameters for finiteness once and solves those
+lays out its data once, the face points' unit directions and the interior
+points' statistics as the columns of one array (``_sample_columns``), and
+each evaluation checks its parameters for finiteness once and solves those
 columns, the mean and the identity in one forward substitution
 (``_solve_chol``).  The normal tail comes from the module's erfcx kernel
 (``_erfcx``, ``_log_ndtr_erfcx``), and ``fit`` maximizes with the module's
@@ -236,17 +238,18 @@ def boundary_term(rotation, radius: float, mean, cov) -> float:
 def _sample_columns(sample: TransformedSample) -> tuple[np.ndarray, np.ndarray]:
     """The data-only part of every evaluation's solve, built once per fit: the face radii c1 and the columns.
 
-    The columns are one C-ordered (d, n1 + n2 + 1 + d) array [Y^T | U | 0 | I]:
-    the interior points, the face points' unit directions u = y / c1, a slot
-    for the mean and the identity.
+    The columns are one C-ordered (d, n2 + 1 + d + min(n1, d) + 1) array
+    [U | 0 | I | R^T | sqrt(n1) ybar]: the face points' unit directions
+    u = y / c1, a slot for the mean, the identity and the interior points'
+    statistics, R the QR factor of their deviations from their mean ybar
+    (R^T R is their scatter); with no interior points, R has no rows.
     """
     d, n1, n2 = sample.dim, sample.n_interior, sample.n_face
     radii = np.linalg.norm(sample.face, axis=1)
-    columns = np.zeros((d, n1 + n2 + 1 + d))
-    columns[:, :n1] = sample.interior.T
-    columns[:, n1 : n1 + n2] = (sample.face / radii[:, None]).T
-    columns[:, n1 + n2 + 1 :] = np.eye(d)
-    return radii, columns
+    centre = sample.interior.sum(axis=0) / max(n1, 1)
+    root = np.linalg.qr(sample.interior - centre, mode="r")
+    columns = [(sample.face / radii[:, None]).T, np.zeros((d, 1)), np.eye(d), root.T, math.sqrt(n1) * centre[:, None]]
+    return radii, np.concatenate(columns, axis=1)
 
 
 def _face_terms(
@@ -282,9 +285,9 @@ def log_likelihood(sample: TransformedSample, mean, cov) -> float:
     """Full zero-censored log-likelihood of a transformed sample at (mean, cov).
 
     Equals -(n1/2) log|2 pi Sigma| minus half the interior quadratic forms,
-    plus the face-point boundary terms, plus (n d + n/2) log D.  Summation is
-    NumPy pairwise over fixed-shape arrays, so values are reproducible for a
-    given sample ordering.
+    plus the face-point boundary terms, plus (n d + n/2) log D, from columns
+    of ``_sample_columns`` built for the call.  Its sums and QR run over
+    fixed-shape arrays, so values are reproducible for a given sample ordering.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -300,9 +303,11 @@ def _loglik_and_score(
 ) -> tuple[float, np.ndarray]:
     """The log-likelihood at (mean, L) and its gradient in the packed coordinates of ``_pack_params``.
 
-    One substitution pass over the ``_sample_columns`` with the mean filled
-    in solves the whitened interior residuals Z, the face directions W, m and
-    L^-1 together.  Interior points give dl/dmu = L^-T sum z and
+    One substitution pass over the ``_sample_columns``, with the mean filled
+    in and sqrt(n1) mu taken from the last column, solves the face directions
+    W, m, L^-1 and the interior statistics Z = L^-1 [R^T | sqrt(n1) (ybar - mu)]
+    together; Z Z^T is the sum of z z^T over interior points, z = L^-1 (y - mu).
+    Interior points give dl/dmu = L^-T sqrt(n1) Z[:, -1] and
     dl/dL = tril(L^-T Z Z^T) - n1 diag(1/L).  Face points go through
     (m, w, a, b) and the inverse Mills ratio lam of ``_face_terms``:
     g_b = b/a + lam/sqrt(a), g_a = -(b^2/a^2 + 1/a)/2 - lam (c1/sqrt(a) +
@@ -317,20 +322,17 @@ def _loglik_and_score(
     n = n1 + n2
     radii, data = columns
     x = data.copy()
-    x[:, :n1] -= mean[:, None]
-    x[:, n] = mean
+    x[:, n2] = mean
+    x[:, -1] -= math.sqrt(n1) * mean
     _solve_chol(chol, x)
     total = (n * d + 0.5 * n) * math.log(sample.n_parts)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    g_mean = np.zeros(d)
-    g_chol = np.zeros((d, d))
-    if n1:
-        resid = x[:, :n1]
-        total += -0.5 * n1 * (d * LOG_2PI + log_det) - 0.5 * float(np.sum(resid * resid))
-        g_mean += resid.sum(axis=1)
-        g_chol += resid @ resid.T
+    resid = x[:, n2 + 1 + d :]
+    total += -0.5 * n1 * (d * LOG_2PI + log_det) - 0.5 * float(np.sum(resid * resid))
+    g_mean = math.sqrt(n1) * resid[:, -1]
+    g_chol = resid @ resid.T
     if n2:
-        w, m = x[:, n1:n], x[:, n].copy()
+        w, m = x[:, :n2], x[:, n2].copy()
         terms, a, root_a, b, lam = _face_terms(radii, w, m, log_det)
         total += float(np.sum(terms))
         g_b = b / a + lam / root_a
@@ -342,7 +344,7 @@ def _loglik_and_score(
     rhs = np.column_stack([g_mean, g_chol])
     # Finite parameters can still overflow w = L^-1 u; this is a ValueError, not a NaN step for the optimizer.
     _require_finite(rhs)
-    solved = x[:, n + 1 :].T @ rhs
+    solved = x[:, n2 + 1 : n2 + 1 + d].T @ rhs
     tril, diag_pos = _tri_layout(d)
     g_tri = solved[:, 1:][tril]
     g_tri[diag_pos] = g_tri[diag_pos] * np.diagonal(chol) - n

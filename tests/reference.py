@@ -197,10 +197,10 @@ def loglik_and_score_per_call(sample, theta) -> tuple[float, np.ndarray]:
     """``likelihood._loglik_and_score`` as one self-contained pass per call.
 
     Unpacks the factor with fresh ``np.tril_indices``, rebuilds the face radii,
-    unit directions and solve columns, and computes log|Sigma|, sqrt(a) and
-    log(1 - Phi(z)) where each is used, with the package's substitution and
-    normal-tail kernels.  Every expression has the package's operands and
-    order, so the two agree bit for bit.
+    unit directions, interior statistics and solve columns, and computes
+    log|Sigma|, sqrt(a) and log(1 - Phi(z)) where each is used, with the
+    package's substitution and normal-tail kernels.  Every expression has the
+    package's operands and order, so the two agree bit for bit.
     """
     d = sample.dim
     theta = np.asarray(theta, dtype=float)
@@ -219,9 +219,9 @@ def loglik_and_score_per_call(sample, theta) -> tuple[float, np.ndarray]:
     g_chol = np.zeros((d, d))
     count = 0
     if resid is not None:
-        g_mean += resid.sum(axis=1)
+        g_mean += math.sqrt(sample.n_interior) * resid[:, -1]
         g_chol += resid @ resid.T
-        count += resid.shape[1]
+        count += sample.n_interior
     if face is not None:
         radii, w, m, a, b, z, log_tail, erfcx = face
         root_a = np.sqrt(a)
@@ -243,28 +243,33 @@ def loglik_and_score_per_call(sample, theta) -> tuple[float, np.ndarray]:
 
 
 def loglik_frame_per_call(sample, mean, chol):
-    """The value of ``loglik_and_score_per_call`` at (mean, L), L^-1, its whitened interior residuals and its
-    face frame (radii, w, m, a, b, z, log(1 - Phi(z)), erfcx(|z| / sqrt 2))."""
+    """The value of ``loglik_and_score_per_call`` at (mean, L), L^-1, its whitened interior statistics
+    L^-1 [R^T | sqrt(n1) (ybar - mu)] and its face frame (radii, w, m, a, b, z, log(1 - Phi(z)),
+    erfcx(|z| / sqrt 2))."""
     d = sample.dim
     n1 = sample.n_interior
     n2 = sample.n_face
     n = n1 + n2
     radii = np.linalg.norm(sample.face, axis=1)
-    x = np.zeros((d, n + 1 + d))
-    x[:, :n1] = sample.interior.T - mean[:, None]
-    x[:, n1:n] = (sample.face / radii[:, None]).T
-    x[:, n] = mean
-    x[:, n + 1 :] = np.eye(d)
+    centre = sample.interior.sum(axis=0) / max(n1, 1)
+    root = np.linalg.qr(sample.interior - centre, mode="r")
+    x = np.zeros((d, n2 + 1 + d + root.shape[0] + 1))
+    x[:, :n2] = (sample.face / radii[:, None]).T
+    x[:, n2] = mean
+    x[:, n2 + 1 : n2 + 1 + d] = np.eye(d)
+    x[:, n2 + 1 + d : -1] = root.T
+    x[:, -1] = math.sqrt(n1) * centre
+    x[:, -1] -= math.sqrt(n1) * mean
     _solve_chol(chol, x)
     total = (n * d + 0.5 * n) * math.log(sample.n_parts)
     resid = face = None
     if n1:
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        resid = x[:, :n1]
+        resid = x[:, n2 + 1 + d :]
         total += -0.5 * n1 * (d * LOG_2PI + log_det) - 0.5 * float(np.sum(resid * resid))
     if n2:
-        w = x[:, n1:n]
-        m = x[:, n].copy()
+        w = x[:, :n2]
+        m = x[:, n2].copy()
         a = np.sum(w * w, axis=0)
         b = m @ w
         z = (radii - b / a) * np.sqrt(a)
@@ -273,7 +278,7 @@ def loglik_frame_per_call(sample, mean, chol):
         marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m - b * b / a + np.log(a))
         total += float(np.sum(marginal + log_tail))
         face = (radii, w, m, a, b, z, log_tail, erfcx)
-    return total, x[:, n + 1 :], resid, face
+    return total, x[:, n2 + 1 : n2 + 1 + d], resid, face
 
 
 def erfcx_power_series(n_terms: int = 25, k: float = 3.75, nodes: int = 128, dps: int = 40) -> tuple[float, ...]:

@@ -460,13 +460,31 @@ def assert_score_matches(sample, theta, rtol, rel_step=1e-4):
     assert np.linalg.norm(score - ref) <= rtol * max(np.linalg.norm(ref), 1.0)
 
 
-@pytest.mark.parametrize("kind", ["interior", "face", "mixed"])
-@pytest.mark.parametrize("d", [1, 2, 4, 9, 19])
+#: Interior rows whose scatter has rank below d: one row, d - 1 rows, or rows on one line; drawn with face rows.
+RANK_DEFICIENT = {
+    "n1=1": lambda rng, n, d: rng.normal(size=(1, d)),
+    "n1=d-1": lambda rng, n, d: rng.normal(size=(d - 1, d)),
+    "collinear": lambda rng, n, d: rng.normal(size=d) + np.outer(rng.normal(size=n), rng.normal(size=d)),
+}
+
+
+def sample_of_kind(rng, kind, n1, n2, d):
+    """n1 interior rows ("interior", "mixed" or a ``RANK_DEFICIENT`` kind) and n2 face rows (not "interior")."""
+    if kind in RANK_DEFICIENT:
+        interior = RANK_DEFICIENT[kind](rng, n1, d)
+    else:
+        interior = rng.normal(size=(0 if kind == "face" else n1, d))
+    return build_sample(interior, rng.normal(size=(0 if kind == "interior" else n2, d)) + 0.5, d + 1)
+
+
+@pytest.mark.parametrize(
+    "d, kind",
+    [(d, kind) for d in (1, 2, 4, 9, 19) for kind in ("interior", "face", "mixed")]
+    + [(d, kind) for d in (4, 9, 19) for kind in RANK_DEFICIENT],
+)
 def test_score_matches_finite_differences(d, kind):
     rng = np.random.default_rng(60 + d)
-    n1 = 0 if kind == "face" else 30
-    n2 = 0 if kind == "interior" else 12
-    sample = build_sample(rng.normal(size=(n1, d)), rng.normal(size=(n2, d)) + 0.5, d + 1)
+    sample = sample_of_kind(rng, kind, 30, 12, d)
     for _ in range(3):
         theta = _pack_params(rng.normal(size=d), random_spd(rng, d))
         assert_score_matches(sample, theta, rtol=1e-9)
@@ -482,12 +500,10 @@ SCORE_RTOL_SCIPY = 1e-13
 
 
 def random_evaluations(n_parts, kind, seed):
-    """A sample of the given kind and ten packed parameter vectors near random (mean, cov)."""
+    """A sample of the given kind (``sample_of_kind``) and ten packed parameter vectors near random (mean, cov)."""
     d = n_parts - 1
     rng = np.random.default_rng(seed)
-    n1 = 0 if kind == "face" else 400
-    n2 = 0 if kind == "interior" else 150
-    sample = build_sample(rng.normal(size=(n1, d)), rng.normal(size=(n2, d)) + 0.5, n_parts)
+    sample = sample_of_kind(rng, kind, 400, 150, d)
     points = []
     for _ in range(10):
         mean, cov = rng.normal(size=d), random_spd(rng, d)
@@ -495,8 +511,12 @@ def random_evaluations(n_parts, kind, seed):
     return sample, points
 
 
-@pytest.mark.parametrize("kind", ["interior", "face", "mixed"])
-@pytest.mark.parametrize("n_parts", [3, 10, 20])
+EVALUATION_CASES = [(n_parts, kind) for n_parts in (3, 10, 20) for kind in ("interior", "face", "mixed")] + [
+    (n_parts, kind) for n_parts in (5, 10, 20) for kind in RANK_DEFICIENT
+]
+
+
+@pytest.mark.parametrize("n_parts, kind", EVALUATION_CASES)
 def test_value_and_score_bit_equal_the_solve_triangular_pass(n_parts, kind):
     # The package builds the data-only solve columns once per fit; the reference rebuilds everything per
     # call, with the package's substitution and normal-tail kernels and the same operands in the same order.
@@ -510,8 +530,7 @@ def test_value_and_score_bit_equal_the_solve_triangular_pass(n_parts, kind):
         assert log_likelihood(sample, mean, cov) == loglik_frame_per_call(sample, mean, np.linalg.cholesky(cov))[0]
 
 
-@pytest.mark.parametrize("kind", ["interior", "face", "mixed"])
-@pytest.mark.parametrize("n_parts", [3, 10, 20])
+@pytest.mark.parametrize("n_parts, kind", EVALUATION_CASES)
 def test_value_and_score_match_the_scipy_route(n_parts, kind):
     # solve_triangular and scipy.special.log_ndtr, as the package computed before it had its own kernels.
     sample, points = random_evaluations(n_parts, kind, 70 + n_parts)
@@ -521,6 +540,23 @@ def test_value_and_score_match_the_scipy_route(n_parts, kind):
         ref_value, ref_score = loglik_and_score_scipy(sample, theta)
         assert value == pytest.approx(ref_value, rel=VALUE_RTOL_SCIPY)
         assert np.max(np.abs(score - ref_score)) <= SCORE_RTOL_SCIPY * np.max(np.abs(ref_score))
+
+
+def test_evaluations_read_the_interior_statistics_not_the_rows():
+    # 20 000 interior rows enter the solve as min(n1, d) + 1 columns, so the evaluation costs the same as
+    # with none and gives the same value and score with the rows themselves overwritten.
+    rng = np.random.default_rng(77)
+    d = 9
+    sample = build_sample(rng.normal(size=(20_000, d)), rng.normal(size=(40, d)) + 0.5, d + 1)
+    radii, columns = _sample_columns(sample)
+    assert columns.shape[1] <= sample.n_face + 2 * d + 2
+    theta = _pack_params(rng.normal(size=d), random_spd(rng, d))
+    value, score = loglik_and_score(sample, theta)
+    blank = TransformedSample(np.full_like(sample.interior, np.nan), sample.face, sample.face_zero_index, d + 1)
+    assert _loglik_and_score(blank, *_unpack_chol(theta, d), (radii, columns))[0] == value
+    ref_value, ref_score = loglik_and_score_scipy(sample, theta)
+    assert value == pytest.approx(ref_value, rel=VALUE_RTOL_SCIPY)
+    assert np.max(np.abs(score - ref_score)) <= SCORE_RTOL_SCIPY * np.max(np.abs(ref_score))
 
 
 @pytest.mark.parametrize("kind", ["interior", "face", "mixed"])
