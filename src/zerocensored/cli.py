@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("-o", "--output", type=Path, required=True, help="diagnostics JSON path")
     p_diag.add_argument("--closure", action="store_true")
     p_diag.add_argument(
-        "--sims", type=int, default=DEFAULT_SIMS, help="Monte Carlo draws for rates, in antithetic pairs"
+        "--sims", type=int, default=DEFAULT_SIMS, help="Monte Carlo draws for rates, four per normal vector"
     )
     p_diag.add_argument("--replicates", type=int, default=None, help="simulated p-value replicates")
     p_diag.add_argument("--seed", type=int, default=DEFAULT_SEED)

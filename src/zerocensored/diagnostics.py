@@ -16,21 +16,25 @@ estimation runs in fixed chunks of ``CHUNK_SIZE`` latent draws; the chunk
 generators are ``SeedSequence(seed).spawn(n_chunks)``, so the same seed and
 ``n_sims`` reproduce results exactly (and chunks may be evaluated in parallel
 without changing them); the p-value replicates use child n_chunks.  A rate
-chunk of k draws comes in antithetic pairs: ⌈k/2⌉ normal vectors z from its
-generator, mapped as mean + L z, and the reflections mean − L z of the first
-⌊k/2⌋, so its k draws cost ⌈k/2⌉ vectors and the rates stay unbiased.  Each
+chunk of k draws counts each normal vector z four times, as its images
+R^j z, j = 0..3, under a quarter-turn R (orthogonal, with R² = −I): ⌈k/4⌉
+vectors from its generator, of d rounded up to even coordinates, each image
+mapped as mean + L times its first d coordinates, image j for the first
+⌊(k − j + 3)/4⌋ vectors, so its k draws cost ⌈k/4⌉ vectors and the rates
+stay unbiased.  Each
 stream, a rate chunk's or a simulation's, is drawn in consecutive blocks of
-``BLOCK_ROWS`` draws (a rate block: ``BLOCK_ROWS / 2`` vectors and their
-reflections), and a remainder shorter than one block joins the last block.
+``BLOCK_ROWS`` draws (a rate block: ``BLOCK_ROWS / 4`` vectors and their
+four images), and a remainder shorter than one block joins the last block.
 The blocks change no value: the output is bit-for-bit that of one
 whole-stream draw mapped the same way.  A call draws each block's normals
 into one buffer and maps them into a second, both reused across blocks and
 chunks, so a block is overwritten by the next one, and a tie or two-zero
 error names row numbers within its block.  ``simulate_compositions`` maps
 rows and holds its result plus the two buffers and one pulled block.
-``zero_rates`` maps each block's vectors by one product into their parts
-stored by part, writes the reflections' parts beside them from the same
-product, and adds only the zero rule's bool mask.  That product rounds
+``zero_rates`` maps each block's vectors by two products, for images 0
+and 1, into their parts stored by part, writes the parts of images 2 and
+3, the reflections, beside them from the same products, and adds only the
+zero rule's bool mask.  Those products round
 differently from ``simulate``'s two, so a count can differ only for a draw
 within an ulp of a ``ZERO_TOL`` threshold.  The CLI's ``simulate`` writes
 each pulled block as it comes, never holding the n-row result.
@@ -124,50 +128,75 @@ def simulate_compositions(n: int, model: MvnParams, seed) -> CompositionalDatase
 
 def _column_map(model: MvnParams) -> tuple[np.ndarray, np.ndarray]:
     """(A, c) such that the parts of the latent draw mean + L z, stored by part, are A zᵀ + c:
-    A = Hᵀ L / D and c = (Hᵀ mean + 1) / D, with c a (D, 1) column."""
+    A = Hᵀ L / D and c = (Hᵀ mean + 1) / D, with c a (D, 1) column.
+
+    A has d rounded up to even columns: for odd d its last column is zero,
+    so z takes one normal more, which no part reads, and the pairs of
+    coordinates that ``_quarter_turn`` turns are whole.
+    """
     n_parts = model.dim + 1
     helmert_t = _helmert_readonly(n_parts).T
-    return helmert_t @ model.chol / n_parts, ((helmert_t @ model.mean + 1.0) / n_parts)[:, None]
+    weights = np.zeros((n_parts, model.dim + model.dim % 2))
+    weights[:, : model.dim] = helmert_t @ model.chol / n_parts
+    return weights, ((helmert_t @ model.mean + 1.0) / n_parts)[:, None]
+
+
+def _quarter_turn(weights: np.ndarray) -> np.ndarray:
+    """A R for the quarter-turn R, block diagonal in [[0, -1], [1, 0]] over pairs of coordinates:
+    column 2i of A R is column 2i + 1 of A, and column 2i + 1 is minus column 2i, exactly."""
+    turned = np.empty_like(weights)
+    turned[:, 0::2] = weights[:, 1::2]
+    np.negative(weights[:, 0::2], out=turned[:, 1::2])
+    return turned
 
 
 def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
     """Monte Carlo probability that a draw lands with its zero in part j, for each of ``model.dim + 1`` parts.
 
-    The draws run in chunks of ``CHUNK_SIZE`` and come in antithetic pairs: a
-    chunk of k draws takes ⌈k/2⌉ normal vectors z from its generator, and its
-    draws are mean + L z for each of them followed by the reflections
-    mean − L z of the first ⌊k/2⌋, which have the same law.  A chunk is
-    counted in blocks of ``BLOCK_ROWS`` draws, ``BLOCK_ROWS / 2`` vectors and
-    their reflections, and a tied or two-zero draw raises with its number
-    within its block: a block of m vectors numbers them 1..m and the
-    reflection of vector i as m + i.  A block's parts, stored by part, are
-    c + P and then c − P for the product P = A zᵀ (see ``_column_map``), so
-    a reflection needs no product of its own, and the rule of ``zero_parts``
-    counts them in that layout.  The rates sum to the overall boundary
-    probability, which is at most 1.
+    The draws run in chunks of ``CHUNK_SIZE``, and each normal vector z is
+    counted four times, as its images R^j z, j = 0..3, under the quarter-turn
+    R of ``_quarter_turn``.  R is orthogonal, so each image is standard
+    normal and its draw has the model's law; R² = −I, so images 2 and 3 are
+    the antithetic reflections of images 0 and 1.  A chunk
+    of k draws takes ⌈k/4⌉ vectors (of d rounded up to even coordinates, see
+    ``_column_map``) from its generator, and image j covers the first
+    ⌊(k − j + 3)/4⌋ of them.  A chunk is counted in blocks of ``BLOCK_ROWS``
+    draws, ``BLOCK_ROWS / 4`` vectors, and a tied or two-zero draw raises
+    with its number within its block: in a block of m vectors, image j of
+    vector i is number j·m + i.  A block's parts, stored by part, are
+    c + P, c + Q, c − P and c − Q for the products P = A zᵀ and Q = (A R) zᵀ
+    (see ``_column_map``), so a reflection needs no product of its own, and
+    the rule of ``zero_parts`` counts them in that layout.  The images the
+    chunk's last vector goes without hold the simplex centre, which has no
+    zero.  The rates sum to the overall boundary probability, which is at most 1.
     """
     if not isinstance(n_sims, numbers.Integral) or n_sims < MIN_RATE_SIMS:
         raise ValueError(f"need an integer number of at least {MIN_RATE_SIMS} simulations, got {n_sims!r}")
     n_parts = model.dim + 1
     n_chunks = math.ceil(n_sims / CHUNK_SIZE)
     sizes = [CHUNK_SIZE] * (n_chunks - 1) + [n_sims - CHUNK_SIZE * (n_chunks - 1)]
-    pair_rows = BLOCK_ROWS // 2
-    rows_max = max(_longest_block(-(-k // 2), pair_rows) for k in sizes)
-    normal_buffer = np.empty(rows_max * model.dim)
-    parts_buffer = np.empty(2 * rows_max * n_parts)
-    mask_buffer = np.empty(2 * rows_max * n_parts, dtype=bool)
     weights, offsets = _column_map(model)
+    turned = _quarter_turn(weights)
+    dim = weights.shape[1]
+    vector_rows = BLOCK_ROWS // 4
+    rows_max = max(_longest_block(-(-k // 4), vector_rows) for k in sizes)
+    normal_buffer = np.empty(rows_max * dim)
+    parts_buffer = np.empty(4 * rows_max * n_parts)
+    mask_buffer = np.empty(4 * rows_max * n_parts, dtype=bool)
     counts = np.zeros(n_parts, dtype=np.int64)
     for k, child in zip(sizes, _seed_sequence(seed).spawn(n_chunks)):
-        unreflected = k // 2  # only an odd chunk's last vector goes without its reflection
-        for normal in _draw_blocks(model.dim, k - unreflected, child, normal_buffer, pair_rows):
+        vectors = -(-k // 4)
+        spare = 4 * vectors - k  # the last vector goes without images 4 - spare .. 3
+        for normal in _draw_blocks(dim, vectors, child, normal_buffer, vector_rows):
             m = len(normal)
-            pairs = min(m, unreflected)
-            unreflected -= pairs
-            parts = parts_buffer[: n_parts * (m + pairs)].reshape(n_parts, -1)
-            product = np.matmul(weights, normal.T, out=parts[:, :m])
-            np.subtract(offsets, product[:, :pairs], out=parts[:, m:])  # bit for bit A (-z)ᵀ + c
-            product += offsets
+            vectors -= m
+            parts = parts_buffer[: 4 * m * n_parts].reshape(n_parts, 4 * m)
+            np.matmul(weights, normal.T, out=parts[:, :m])
+            np.matmul(turned, normal.T, out=parts[:, m : 2 * m])
+            np.subtract(offsets, parts[:, : 2 * m], out=parts[:, 2 * m :])  # bit for bit the products of −z, plus c
+            parts[:, : 2 * m] += offsets
+            if not vectors:
+                parts.reshape(n_parts, 4, m)[:, 4 - spare :, -1] = 1.0 / n_parts
             zeros = _zero_rule(parts, out=mask_buffer[: parts.size].reshape(n_parts, -1))[2]
             counts += [np.count_nonzero(part) for part in zeros]
     return counts / float(n_sims)
@@ -263,12 +292,12 @@ def diagnose(
     """Zero-count diagnostic of a dataset against a fitted model, with an optional simulated p-value.
 
     The expected counts are n times ``zero_rates(model.params, n_sims=n_sims,
-    seed=seed)``, estimated once from ``n_sims`` draws in antithetic pairs,
-    so from about ``n_sims / 2`` normal vectors.  With ``n_replicates`` (an
-    integer, at least 99) the p-value is the add-one rank
-    (1 + #{replicate >= observed}) / (R + 1) of the chi-square discrepancy
-    among R replicate zero-count vectors, drawn from the next child of the
-    seed's sequence, after the rate chunks.
+    seed=seed)``, estimated once from ``n_sims`` draws, each normal vector
+    counted under four quarter-turns, so from about ``n_sims / 4`` normal
+    vectors.  With ``n_replicates`` (an integer, at least 99) the p-value is
+    the add-one rank (1 + #{replicate >= observed}) / (R + 1) of the
+    chi-square discrepancy among R replicate zero-count vectors, drawn from
+    the next child of the seed's sequence, after the rate chunks.
     """
     if dataset.n_parts != model.n_parts:
         raise ValueError(

@@ -537,6 +537,22 @@ def _bracket_step(lo, hi) -> float:
     return min(max(t, a + 1e-3 * width), b - 0.1 * width) if math.isfinite(t) else a + 0.5 * width
 
 
+def _start_point(sample: TransformedSample) -> np.ndarray:
+    """``fit``'s start θ: the mean and covariance (1/n convention) of all transformed points, face
+    vectors included as-is, with +START_RIDGE * I on a covariance that is not positive definite.
+
+    Its n × d copy of the sample dies on return, before the search.
+    """
+    points = np.vstack([sample.interior, sample.face])
+    mean0 = points.mean(axis=0)
+    points -= mean0
+    cov0 = points.T @ points / points.shape[0]
+    try:
+        return _pack_params(mean0, cov0)
+    except NotPositiveDefiniteError:
+        return _pack_params(mean0, cov0 + START_RIDGE * np.eye(sample.dim))
+
+
 def fit(
     sample: TransformedSample,
     *,
@@ -572,15 +588,7 @@ def fit(
             stacklevel=2,
         )
 
-    points = np.vstack([sample.interior, sample.face])
-    mean0 = points.mean(axis=0)
-    resid = points - mean0
-    cov0 = resid.T @ resid / points.shape[0]
-    try:
-        theta0 = _pack_params(mean0, cov0)
-    except NotPositiveDefiniteError:
-        theta0 = _pack_params(mean0, cov0 + START_RIDGE * np.eye(d))
-
+    theta0 = _start_point(sample)
     columns = _sample_columns(sample)
 
     def negloglik_and_score(theta: np.ndarray) -> tuple[float, np.ndarray]:

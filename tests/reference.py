@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -30,6 +31,16 @@ from zerocensored.likelihood import (
 )
 from zerocensored.simplex import ZERO_TOL, format_rows, helmert_submatrix, inverse_alpha_transform, reject_multiple_zeros
 from zerocensored.ternary import TRIANGLE
+
+
+def traced_peak(fun):
+    """Peak bytes traced by tracemalloc (NumPy buffers included) while fun runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fun()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def mvn_logpdf(y, params: MvnParams):
@@ -133,25 +144,41 @@ def simulate_compositions_whole(n, model, seed) -> tuple[np.ndarray, np.ndarray]
     return project_rows_argmin(_draw_parts_whole(model, n, np.random.default_rng(seed)))
 
 
-def reflected_parts_whole(model, n, seed) -> np.ndarray:
-    """Parts of the reflections mean − z Lᵀ of the first n normal vectors z of ``default_rng(seed)``."""
-    z = np.random.default_rng(seed).standard_normal((n, model.dim))
-    return inverse_alpha_transform(model.mean - z @ model.chol.T, 1.0)[0]
+def quarter_turn_rows(z) -> np.ndarray:
+    """R z for each row z, with R block diagonal in [[0, -1], [1, 0]] over pairs of coordinates."""
+    turned = np.empty_like(z)
+    turned[:, 0::2] = -z[:, 1::2]
+    turned[:, 1::2] = z[:, 0::2]
+    return turned
+
+
+def image_vectors(n, dim, seed) -> list[np.ndarray]:
+    """The images R^j z, j = 0..3, of the first n normal vectors z of ``default_rng(seed)``, each of dim
+    rounded up to even coordinates, cut back to their first dim coordinates."""
+    z = np.random.default_rng(seed).standard_normal((n, dim + dim % 2))
+    turned = quarter_turn_rows(z)
+    return [image[:, :dim] for image in (z, turned, -z, -turned)]
+
+
+def image_parts_whole(model, vectors) -> np.ndarray:
+    """Parts of the draws mean + v Lᵀ for each row v of vectors, row by row."""
+    return inverse_alpha_transform(model.mean + vectors @ model.chol.T, 1.0)[0]
 
 
 def zero_rates_whole(model, n_sims, seed) -> np.ndarray:
     """``zero_rates`` with each ``CHUNK_SIZE`` chunk of k draws drawn and counted row-wise as one array:
-    its ⌈k/2⌉ normal vectors z mapped as mean + z Lᵀ, then the reflections mean − z Lᵀ of the first ⌊k/2⌋."""
+    its ⌈k/4⌉ normal vectors z, and image j = 0..3 of the quarter-turn, R^j z, for the first
+    ⌊(k − j + 3)/4⌋ of them, each mapped as mean + R^j z Lᵀ."""
     n_parts = model.dim + 1
     counts = np.zeros(n_parts, dtype=np.int64)
     remaining = n_sims
     for child in np.random.SeedSequence(seed).spawn(math.ceil(n_sims / CHUNK_SIZE)):
-        m = min(CHUNK_SIZE, remaining)
-        product = np.random.default_rng(child).standard_normal((-(-m // 2), model.dim)) @ model.chol.T
-        latent = np.concatenate([model.mean + product, model.mean - product[: m // 2]])
-        zero_index = zero_parts_argmin(inverse_alpha_transform(latent, 1.0)[0])
+        k = min(CHUNK_SIZE, remaining)
+        images = image_vectors(-(-k // 4), model.dim, child)
+        vectors = np.concatenate([image[: (k - j + 3) // 4] for j, image in enumerate(images)])
+        zero_index = zero_parts_argmin(image_parts_whole(model, vectors))
         counts += np.bincount(zero_index + 1, minlength=n_parts + 1)[1:]
-        remaining -= m
+        remaining -= k
     return counts / float(n_sims)
 
 

@@ -280,7 +280,7 @@ def test_criterion_8_diagnostic_calibration():
         n_interior=300,
         n_face=200,
     )
-    n_obs, n_trials = 100, 200
+    n_obs, n_trials = 100, 2_000
     trial_seeds = np.random.SeedSequence(800).spawn(n_trials)
     rejections = 0
     for t in range(n_trials):
@@ -290,7 +290,7 @@ def test_criterion_8_diagnostic_calibration():
     rate = rejections / n_trials
     ok = 0.02 <= rate <= 0.08
     assert report(
-        "criterion 8 (p-value calibration, 200 trials)", ok,
+        "criterion 8 (p-value calibration, 2 000 trials)", ok,
         f"empirical 5%-rejection rate {rate:.3f} (band 0.02..0.08)",
     )
 

@@ -1,14 +1,15 @@
 """Simulation and zero-count diagnostic tests."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from reference import (
     BLOCK_PARTS,
     exact_zero_rates_d3,
-    reflected_parts_whole,
+    image_parts_whole,
+    image_vectors,
+    quarter_turn_rows,
     simulate_compositions_whole,
+    traced_peak,
     zero_parts_argmin,
     zero_rates_whole,
 )
@@ -18,12 +19,21 @@ from zerocensored import (
     MvnParams,
     alpha_transform,
     diagnose,
+    helmert_submatrix,
     simulate_compositions,
     zero_rates,
 )
 from zerocensored.cli import main
 from zerocensored.dataset import CompositionalDataset
-from zerocensored.diagnostics import BLOCK_ROWS, CHUNK_SIZE, _chi_square_discrepancy, _column_map
+from zerocensored.diagnostics import (
+    BLOCK_ROWS,
+    CHUNK_SIZE,
+    MIN_RATE_SIMS,
+    _chi_square_discrepancy,
+    _column_map,
+    _quarter_turn,
+)
+from zerocensored.geometry import TiedMinimumError
 from zerocensored.io import write_model_json
 
 
@@ -117,15 +127,16 @@ def test_zero_rates_sum_below_one_and_match_simulation():
     np.testing.assert_allclose(rates, counts / 100_000, atol=0.01)
 
 
-def antithetic_zero_counts(n, model, seed):
-    """Zero counts per part of one rate chunk of n draws from ``seed``: those that simulate writes for the
-    chunk's ⌈n/2⌉ normal vectors, plus those of the reflections of the first ⌊n/2⌋ under the reference rule."""
-    zero_index = np.concatenate(
-        [
-            simulate_compositions(-(-n // 2), model, seed=seed).zero_index,
-            zero_parts_argmin(reflected_parts_whole(model, n // 2, seed)),
-        ]
-    )
+def quadruple_zero_counts(n, model, seed):
+    """Zero counts per part of one rate chunk of n draws from ``seed``: image j of the quarter-turn for the
+    first ⌊(n − j + 3)/4⌋ of the chunk's ⌈n/4⌉ normal vectors, under the reference rule.  Where d is even,
+    image 0 is the stream that simulate draws from the seed, so its zeros are those that simulate writes."""
+    vectors = -(-n // 4)
+    images = image_vectors(vectors, model.dim, seed)
+    zero_index = [zero_parts_argmin(image_parts_whole(model, image[: (n - j + 3) // 4])) for j, image in enumerate(images)]
+    if model.dim % 2 == 0:
+        zero_index[0] = simulate_compositions(vectors, model, seed=seed).zero_index
+    zero_index = np.concatenate(zero_index)
     return np.bincount(zero_index[zero_index >= 0], minlength=model.dim + 1)
 
 
@@ -133,33 +144,81 @@ def test_zero_rates_count_the_zeros_simulation_writes():
     # one chunk: zero_rates draws its vectors from child 0 of its seed, exactly as simulate does from that child
     n = 50_000
     rates = zero_rates(BOUNDARY_MODEL, n, seed=13)
-    counts = antithetic_zero_counts(n, BOUNDARY_MODEL, np.random.SeedSequence(13).spawn(1)[0])
+    counts = quadruple_zero_counts(n, BOUNDARY_MODEL, np.random.SeedSequence(13).spawn(1)[0])
     assert counts.sum() > 10_000
     np.testing.assert_array_equal(rates, counts / n)
 
 
 @pytest.mark.parametrize("n_parts", BLOCK_PARTS)
 def test_zero_rates_count_the_zeros_simulation_writes_at_every_part_count(n_parts):
-    # The rates map each block by one fused product, simulate by its two row-layout products: the
+    # The rates map each block by two fused products, simulate and the reference by row-layout products: the
     # counts still agree exactly, as no draw of these lies within an ulp of a ZERO_TOL threshold.
-    # The odd n leaves the chunk's last vector without its reflection.
+    # n mod 4 = 3 leaves the chunk's last vector without its image 3.
     model = correlated_model(n_parts)
     n = 3 * BLOCK_ROWS + 7
     rates = zero_rates(model, n, seed=n_parts)
-    counts = antithetic_zero_counts(n, model, np.random.SeedSequence(n_parts).spawn(1)[0])
+    counts = quadruple_zero_counts(n, model, np.random.SeedSequence(n_parts).spawn(1)[0])
     assert counts.sum() > 500
     np.testing.assert_array_equal(rates, counts / n)
 
 
 @pytest.mark.parametrize("n_parts", BLOCK_PARTS)
+def test_quarter_turn_is_a_signed_permutation_of_the_columns(n_parts):
+    # Q = (A R) zᵀ is the parts' product for the image R z: A R must be exactly A's columns, swapped in pairs
+    # and one of each pair negated, with a zero column for odd d.
+    d = n_parts - 1
+    weights, _ = _column_map(correlated_model(n_parts))
+    turned = _quarter_turn(weights)
+    assert weights.shape == (n_parts, d + d % 2)
+    assert not weights[:, d:].any()
+    assert_same_bits(turned[:, 0::2], weights[:, 1::2])
+    assert_same_bits(turned[:, 1::2], -weights[:, 0::2])
+    rotation = np.kron(np.eye(weights.shape[1] // 2), [[0.0, -1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(turned, weights @ rotation)
+    z = np.random.default_rng(n_parts).standard_normal((5, weights.shape[1]))
+    np.testing.assert_array_equal(quarter_turn_rows(z), z @ rotation.T)
+
+
+@pytest.mark.parametrize("n_parts", BLOCK_PARTS)
 def test_zero_rates_reflections_are_exact(n_parts):
     # A reflection's parts are c − A zᵀ from its vector's product: that is bit for bit A (−z)ᵀ + c,
-    # as negating z negates every product term and rounding to nearest is sign-symmetric.
+    # as negating z negates every product term and rounding to nearest is sign-symmetric; so for A R.
     weights, offsets = _column_map(correlated_model(n_parts))
     rng = np.random.default_rng(n_parts)
-    for m in (1, 7, BLOCK_ROWS // 2):
-        z = rng.standard_normal((m, n_parts - 1))
-        assert_same_bits(offsets - weights @ z.T, weights @ (-z).T + offsets)
+    for m in (1, 7, BLOCK_ROWS // 4):
+        z = rng.standard_normal((m, weights.shape[1]))
+        for a in (weights, _quarter_turn(weights)):
+            assert_same_bits(offsets - a @ z.T, a @ (-z).T + offsets)
+
+
+@pytest.mark.parametrize("n_parts", [3, 4])
+def test_zero_rates_number_image_j_of_vector_i_as_j_m_plus_i(monkeypatch, n_parts):
+    import zerocensored.diagnostics as diagnostics
+
+    # One block of m = 2 500 vectors, all zero but vector i, whose image j is a draw with a tied minimum.
+    d = n_parts - 1
+    model = MvnParams(np.zeros(d), np.eye(d))
+    rest = np.arange(1.0, n_parts - 1)
+    tied_parts = np.concatenate([[-0.25, -0.25], 1.5 * rest / rest.sum()])  # its other images have no tie
+    tied = np.zeros((1, d + d % 2))
+    tied[0, :d] = helmert_submatrix(n_parts) @ (n_parts * tied_parts - 1.0)  # the latent point of those parts
+    m = MIN_RATE_SIMS // 4
+    for j in range(4):
+        vector = tied
+        for _ in range(4 - j):  # R^(4 - j), so that image j, R^j of it, is the tied draw
+            vector = quarter_turn_rows(vector)
+        for i in (1, 7, m):
+
+            def one_block(dim, n, seed, buffer, block_rows, vector=vector, i=i):
+                normal = buffer[: n * dim].reshape(n, dim)
+                normal[:] = 0.0
+                normal[i - 1] = vector[0]
+                yield normal
+
+            monkeypatch.setattr(diagnostics, "_draw_blocks", one_block)
+            with pytest.raises(TiedMinimumError) as raised:
+                zero_rates(model, MIN_RATE_SIMS, seed=0)
+            assert str(raised.value).endswith(f"two zeros: {j * m + i}")
 
 
 def test_counts_must_be_integers():
@@ -275,8 +334,11 @@ def test_simulate_blocks_give_the_whole_array_bits(n_parts):
 @pytest.mark.parametrize("n_parts", BLOCK_PARTS)
 def test_zero_rates_blocks_give_the_whole_chunk_bits(n_parts):
     model = correlated_model(n_parts)
-    # The last two end on a block longer than BLOCK_ROWS, which a buffer sized by the first chunk could not hold.
-    for n_sims in (10_000, CHUNK_SIZE + 1, CHUNK_SIZE + BLOCK_ROWS + 5, 2 * CHUNK_SIZE - 1):
+    # The last chunks have k mod 4 = 0, 2, 1, 1, 2 and 3 draws, so their last vectors go without 0 to 3 images.
+    # The + 5 and + 6 chunks end on a block longer than BLOCK_ROWS draws, which a buffer sized by the first
+    # chunk could not hold.
+    b = BLOCK_ROWS
+    for n_sims in (10_000, 10_002, CHUNK_SIZE + 1, CHUNK_SIZE + b + 5, CHUNK_SIZE + b + 6, 2 * CHUNK_SIZE - 1):
         assert_same_bits(zero_rates(model, n_sims, seed=n_parts), zero_rates_whole(model, n_sims, seed=n_parts))
 
 
@@ -290,20 +352,11 @@ def test_zero_rates_blocks_give_the_whole_chunk_bits_at_a_million_draws_of_20_pa
     assert_same_bits(zero_rates(model, 1_000_000, seed=0), zero_rates_whole(model, 1_000_000, seed=0))
 
 
-def traced_peak(fun):
-    """Peak bytes traced by tracemalloc (NumPy buffers included) while fun runs, and its result."""
-    tracemalloc.start()
-    try:
-        result = fun()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
 def test_zero_rates_holds_one_block():
     # The whole-chunk draw peaked at 20.1 MiB here; blocked into two reused buffers, it read 3.7 MiB, and
     # 3.1 MiB with the zero rule's float32 mask copy in the spent latent rows.  With the parts stored by
-    # part and the rule's bool mask in a reused buffer, it read 3.06 MiB; drawing half the normal vectors, 2.48 MiB.
+    # part and the rule's bool mask in a reused buffer, it read 3.06 MiB; drawing half the normal vectors, 2.48 MiB,
+    # and a quarter, each counted under the four powers of a quarter-turn, 2.22 MiB.
     peak, _ = traced_peak(lambda: zero_rates(correlated_model(10), 1_000_000, seed=0))
     assert peak < 4 * 2**20
 
