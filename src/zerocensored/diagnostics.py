@@ -11,33 +11,29 @@ Carlo expectations under the fitted model, with a chi-square discrepancy
 and an optional simulated p-value, whose replicate zero counts are drawn
 from their exact law given the rates, Multinomial(n, (rates, 1 - sum(rates))).
 
-Determinism contract: every public operation takes an integer seed.  Rate
-estimation runs in fixed chunks of ``CHUNK_SIZE`` latent draws; the chunk
-generators are ``SeedSequence(seed).spawn(n_chunks)``, so the same seed and
-``n_sims`` reproduce results exactly (and chunks may be evaluated in parallel
-without changing them); the p-value replicates use child n_chunks.  A rate
-chunk of k draws counts each normal vector z four times, as its images
-R^j z, j = 0..3, under a quarter-turn R (orthogonal, with R² = −I): ⌈k/4⌉
-vectors from its generator, of d rounded up to even coordinates, each image
-mapped as mean + L times its first d coordinates, image j for the first
-⌊(k − j + 3)/4⌋ vectors, so its k draws cost ⌈k/4⌉ vectors and the rates
-stay unbiased.  Each
-stream, a rate chunk's or a simulation's, is drawn in consecutive blocks of
+Determinism contract: every public operation takes an integer seed.  Each
+estimate is one stream: ``zero_rates`` draws its normal vectors from
+``default_rng(seed)``, as ``simulate_compositions`` draws its rows, so the
+same seed and ``n_sims`` reproduce results exactly.  ``diagnose`` names its
+two streams, ``SeedSequence(seed).spawn(2)``: the rates use child 0 and the
+p-value replicates child 1.  The rates count each of their ⌈n_sims/4⌉ normal
+vectors four times, under the powers of a quarter-turn (see ``zero_rates``).
+Each stream, the rates' or a simulation's, is drawn in consecutive blocks of
 ``BLOCK_ROWS`` draws (a rate block: ``BLOCK_ROWS / 4`` vectors and their
 four images), and a remainder shorter than one block joins the last block.
 The blocks change no value: the output is bit-for-bit that of one
 whole-stream draw mapped the same way.  A call draws each block's normals
-into one buffer and maps them into a second, both reused across blocks and
-chunks, so a block is overwritten by the next one, and a tie or two-zero
-error names row numbers within its block.  ``simulate_compositions`` maps
-rows and holds its result plus the two buffers and one pulled block.
-``zero_rates`` maps each block's vectors by two products, for images 0
-and 1, into their parts stored by part, writes the parts of images 2 and
-3, the reflections, beside them from the same products, and adds only the
-zero rule's bool mask.  Those products round
-differently from ``simulate``'s two, so a count can differ only for a draw
-within an ulp of a ``ZERO_TOL`` threshold.  The CLI's ``simulate`` writes
-each pulled block as it comes, never holding the n-row result.
+into one buffer and maps them into a second, both reused across blocks, so a
+block is overwritten by the next one, and a tie or two-zero error names row
+numbers within its block.  ``simulate_compositions`` maps rows and holds its
+result plus the two buffers and one pulled block.  ``zero_rates`` maps each
+block's vectors by two products, for images 0 and 1, into their parts stored
+by part, writes the parts of images 2 and 3, the reflections, beside them
+from the same products, and adds only the zero rule's bool mask.  Those
+products round differently from ``simulate``'s two, so a count can differ
+only for a draw within an ulp of a ``ZERO_TOL`` threshold.  The CLI's
+``simulate`` writes each pulled block as it comes, never holding the n-row
+result.
 """
 
 from __future__ import annotations
@@ -56,8 +52,6 @@ from .geometry import _zero_rule, project_rows
 from .likelihood import FittedModel, json_float
 from .simplex import _helmert_readonly, _inverse_affine
 
-#: Latent draws per rate chunk, each chunk with its own child generator.
-CHUNK_SIZE = 1 << 17
 #: Rows per draw block: a stream is drawn, mapped and counted or pulled this many rows at a time.
 BLOCK_ROWS = 1 << 14
 #: Expected counts below this are pooled into a single leftover cell.
@@ -89,7 +83,9 @@ def _draw_blocks(d: int, n: int, seed, buffer: np.ndarray, block_rows: int = BLO
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    """A new ``SeedSequence(seed)``, or a copy of a ``SeedSequence`` seed: spawning leaves the caller's as it was."""
+    s = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return type(s)(s.entropy, spawn_key=s.spawn_key, pool_size=s.pool_size, n_children_spawned=s.n_children_spawned)
 
 
 def _simulated_blocks(n: int, model: MvnParams, seed):
@@ -153,52 +149,49 @@ def _quarter_turn(weights: np.ndarray) -> np.ndarray:
 def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
     """Monte Carlo probability that a draw lands with its zero in part j, for each of ``model.dim + 1`` parts.
 
-    The draws run in chunks of ``CHUNK_SIZE``, and each normal vector z is
-    counted four times, as its images R^j z, j = 0..3, under the quarter-turn
-    R of ``_quarter_turn``.  R is orthogonal, so each image is standard
-    normal and its draw has the model's law; R² = −I, so images 2 and 3 are
-    the antithetic reflections of images 0 and 1.  A chunk
-    of k draws takes ⌈k/4⌉ vectors (of d rounded up to even coordinates, see
-    ``_column_map``) from its generator, and image j covers the first
-    ⌊(k − j + 3)/4⌋ of them.  A chunk is counted in blocks of ``BLOCK_ROWS``
-    draws, ``BLOCK_ROWS / 4`` vectors, and a tied or two-zero draw raises
-    with its number within its block: in a block of m vectors, image j of
-    vector i is number j·m + i.  A block's parts, stored by part, are
-    c + P, c + Q, c − P and c − Q for the products P = A zᵀ and Q = (A R) zᵀ
-    (see ``_column_map``), so a reflection needs no product of its own, and
-    the rule of ``zero_parts`` counts them in that layout.  The images the
-    chunk's last vector goes without hold the simplex centre, which has no
-    zero.  The rates sum to the overall boundary probability, which is at most 1.
+    The n draws are one stream from ``default_rng(seed)``, and each normal
+    vector z is counted four times, as its images R^j z, j = 0..3, under the
+    quarter-turn R of ``_quarter_turn``.  R is orthogonal, so each image is
+    standard normal and its draw has the model's law; R² = −I, so images 2
+    and 3 are the antithetic reflections of images 0 and 1.  The stream is
+    ⌈n/4⌉ vectors (of d rounded up to even coordinates, see
+    ``_column_map``), and image j covers the first ⌊(n − j + 3)/4⌋ of them.
+    It is counted in blocks of ``BLOCK_ROWS`` draws, ``BLOCK_ROWS / 4``
+    vectors, and a tied or two-zero draw raises with its number within its
+    block: in a block of m vectors, image j of vector i is number j·m + i.
+    A block's parts, stored by part, are c + P, c + Q, c − P and c − Q for
+    the products P = A zᵀ and Q = (A R) zᵀ (see ``_column_map``), so a
+    reflection needs no product of its own, and the rule of ``zero_parts``
+    counts them in that layout.  The images the stream's last vector goes
+    without hold the simplex centre, which has no zero.  The rates sum to
+    the overall boundary probability, which is at most 1.
     """
     if not isinstance(n_sims, numbers.Integral) or n_sims < MIN_RATE_SIMS:
         raise ValueError(f"need an integer number of at least {MIN_RATE_SIMS} simulations, got {n_sims!r}")
     n_parts = model.dim + 1
-    n_chunks = math.ceil(n_sims / CHUNK_SIZE)
-    sizes = [CHUNK_SIZE] * (n_chunks - 1) + [n_sims - CHUNK_SIZE * (n_chunks - 1)]
+    vectors = -(-n_sims // 4)
+    spare = 4 * vectors - n_sims  # the last vector goes without images 4 - spare .. 3
     weights, offsets = _column_map(model)
     turned = _quarter_turn(weights)
     dim = weights.shape[1]
     vector_rows = BLOCK_ROWS // 4
-    rows_max = max(_longest_block(-(-k // 4), vector_rows) for k in sizes)
+    rows_max = _longest_block(vectors, vector_rows)
     normal_buffer = np.empty(rows_max * dim)
     parts_buffer = np.empty(4 * rows_max * n_parts)
     mask_buffer = np.empty(4 * rows_max * n_parts, dtype=bool)
     counts = np.zeros(n_parts, dtype=np.int64)
-    for k, child in zip(sizes, _seed_sequence(seed).spawn(n_chunks)):
-        vectors = -(-k // 4)
-        spare = 4 * vectors - k  # the last vector goes without images 4 - spare .. 3
-        for normal in _draw_blocks(dim, vectors, child, normal_buffer, vector_rows):
-            m = len(normal)
-            vectors -= m
-            parts = parts_buffer[: 4 * m * n_parts].reshape(n_parts, 4 * m)
-            np.matmul(weights, normal.T, out=parts[:, :m])
-            np.matmul(turned, normal.T, out=parts[:, m : 2 * m])
-            np.subtract(offsets, parts[:, : 2 * m], out=parts[:, 2 * m :])  # bit for bit the products of −z, plus c
-            parts[:, : 2 * m] += offsets
-            if not vectors:
-                parts.reshape(n_parts, 4, m)[:, 4 - spare :, -1] = 1.0 / n_parts
-            zeros = _zero_rule(parts, out=mask_buffer[: parts.size].reshape(n_parts, -1))[2]
-            counts += [np.count_nonzero(part) for part in zeros]
+    for normal in _draw_blocks(dim, vectors, seed, normal_buffer, vector_rows):
+        m = len(normal)
+        vectors -= m
+        parts = parts_buffer[: 4 * m * n_parts].reshape(n_parts, 4 * m)
+        np.matmul(weights, normal.T, out=parts[:, :m])
+        np.matmul(turned, normal.T, out=parts[:, m : 2 * m])
+        np.subtract(offsets, parts[:, : 2 * m], out=parts[:, 2 * m :])  # bit for bit the products of −z, plus c
+        parts[:, : 2 * m] += offsets
+        if not vectors:
+            parts.reshape(n_parts, 4, m)[:, 4 - spare :, -1] = 1.0 / n_parts
+        zeros = _zero_rule(parts, out=mask_buffer[: parts.size].reshape(n_parts, -1))[2]
+        counts += [np.count_nonzero(part) for part in zeros]
     return counts / float(n_sims)
 
 
@@ -291,13 +284,15 @@ def diagnose(
 ) -> ZeroDiagnostics:
     """Zero-count diagnostic of a dataset against a fitted model, with an optional simulated p-value.
 
-    The expected counts are n times ``zero_rates(model.params, n_sims=n_sims,
-    seed=seed)``, estimated once from ``n_sims`` draws, each normal vector
+    The expected counts are n times ``zero_rates(model.params, n_sims,
+    seed)``, estimated once from ``n_sims`` draws, each normal vector
     counted under four quarter-turns, so from about ``n_sims / 4`` normal
-    vectors.  With ``n_replicates`` (an integer, at least 99) the p-value is
-    the add-one rank (1 + #{replicate >= observed}) / (R + 1) of the
-    chi-square discrepancy among R replicate zero-count vectors, drawn from
-    the next child of the seed's sequence, after the rate chunks.
+    vectors, drawn from child 0 of ``SeedSequence(seed)``.  With
+    ``n_replicates`` (an integer, at least 99) the p-value is the add-one
+    rank (1 + #{replicate >= observed}) / (R + 1) of the chi-square
+    discrepancy among R replicate zero-count vectors, drawn from child 1.
+    A ``SeedSequence`` seed is copied, not spawned from, so a call leaves it
+    as it was and a second call with it repeats the first.
     """
     if dataset.n_parts != model.n_parts:
         raise ValueError(
@@ -307,16 +302,16 @@ def diagnose(
         raise ValueError(f"need an integer number of replicates, got {n_replicates!r}")
     if n_replicates is not None and n_replicates < 99:
         raise ValueError(f"need at least 99 replicates, got {n_replicates}")
-    seq = _seed_sequence(seed)
+    rates_seed, replicates_seed = _seed_sequence(seed).spawn(2)
     # By keyword: the traced benchmark (perfbench/layers.py) reads n_sims from the call.
-    rates = zero_rates(model.params, n_sims=n_sims, seed=seq)
+    rates = zero_rates(model.params, n_sims=n_sims, seed=rates_seed)
     n_obs = dataset.n_obs
     expected = n_obs * rates
     observed = dataset.observed_zero_counts()
     stat = _chi_square_discrepancy(observed, expected)
     pvalue = None
     if n_replicates is not None:
-        rng = np.random.default_rng(seq.spawn(1)[0])
+        rng = np.random.default_rng(replicates_seed)
         replicates = rng.multinomial(n_obs, [*rates, max(0.0, 1.0 - rates.sum())], size=n_replicates)
         exceed = int(np.count_nonzero(_chi_square_discrepancy(replicates[:, :-1], expected) >= stat))
         pvalue = (1 + exceed) / (n_replicates + 1)

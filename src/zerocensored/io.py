@@ -39,7 +39,10 @@ from .simplex import RECLOSE_TOL, _close_rows, format_rows
 WRITE_BLOCK = 1024
 
 
-def _read_header(path, reader) -> list[str]:
+def _read_header(path, fh):
+    """The header of an open CSV file, less a leading byte-order mark, and the reader that goes on after it."""
+    first = fh.readline().removeprefix("\ufeff")  # as the "utf-8-sig" codec drops it, without loading that codec
+    reader = csv.reader(itertools.chain([first] if first else [], fh))
     try:
         header = next(reader)
     except StopIteration:
@@ -49,12 +52,12 @@ def _read_header(path, reader) -> list[str]:
     header = [h.strip() for h in header]
     if all(_is_number(cell) for cell in header):
         raise ValueError(f"{path}: missing header row (first line is numeric)")
-    return header
+    return header, reader
 
 
 def _parse_rows(path) -> tuple[list[str], np.ndarray]:
     with open(path, newline="", encoding="utf-8") as fh:
-        header = _read_header(path, csv.reader(fh))
+        header = _read_header(path, fh)[0]
         # A file with no data line never reaches loadtxt, which warns on it.
         first = next((line for line in fh if line.strip()), None)
         if first is not None:
@@ -73,8 +76,7 @@ def _parse_rows(path) -> tuple[list[str], np.ndarray]:
 
 def _parse_rows_checked(path) -> tuple[list[str], np.ndarray]:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(path, reader)
+        header, reader = _read_header(path, fh)
         rows = []
         lineno = 0
         try:

@@ -12,7 +12,6 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 from scipy.special import log_ndtr, ndtr
 
-from zerocensored.diagnostics import CHUNK_SIZE
 from zerocensored.gaussian import LOG_2PI, MvnParams, NotPositiveDefiniteError, cholesky
 from zerocensored.geometry import TiedMinimumError
 from zerocensored.likelihood import (
@@ -166,20 +165,13 @@ def image_parts_whole(model, vectors) -> np.ndarray:
 
 
 def zero_rates_whole(model, n_sims, seed) -> np.ndarray:
-    """``zero_rates`` with each ``CHUNK_SIZE`` chunk of k draws drawn and counted row-wise as one array:
-    its ⌈k/4⌉ normal vectors z, and image j = 0..3 of the quarter-turn, R^j z, for the first
-    ⌊(k − j + 3)/4⌋ of them, each mapped as mean + R^j z Lᵀ."""
-    n_parts = model.dim + 1
-    counts = np.zeros(n_parts, dtype=np.int64)
-    remaining = n_sims
-    for child in np.random.SeedSequence(seed).spawn(math.ceil(n_sims / CHUNK_SIZE)):
-        k = min(CHUNK_SIZE, remaining)
-        images = image_vectors(-(-k // 4), model.dim, child)
-        vectors = np.concatenate([image[: (k - j + 3) // 4] for j, image in enumerate(images)])
-        zero_index = zero_parts_argmin(image_parts_whole(model, vectors))
-        counts += np.bincount(zero_index + 1, minlength=n_parts + 1)[1:]
-        remaining -= k
-    return counts / float(n_sims)
+    """``zero_rates`` drawn and counted row-wise as one array: the ⌈n/4⌉ normal vectors z of
+    ``default_rng(seed)``, and image j = 0..3 of the quarter-turn, R^j z, for the first ⌊(n − j + 3)/4⌋ of
+    them, each mapped as mean + R^j z Lᵀ."""
+    images = image_vectors(-(-n_sims // 4), model.dim, seed)
+    vectors = np.concatenate([image[: (n_sims - j + 3) // 4] for j, image in enumerate(images)])
+    zero_index = zero_parts_argmin(image_parts_whole(model, vectors))
+    return np.bincount(zero_index + 1, minlength=model.dim + 2)[1:] / float(n_sims)
 
 
 def exact_zero_rates_d3(mean, cov) -> np.ndarray:

@@ -27,7 +27,6 @@ from zerocensored.cli import main
 from zerocensored.dataset import CompositionalDataset
 from zerocensored.diagnostics import (
     BLOCK_ROWS,
-    CHUNK_SIZE,
     MIN_RATE_SIMS,
     _chi_square_discrepancy,
     _column_map,
@@ -128,9 +127,9 @@ def test_zero_rates_sum_below_one_and_match_simulation():
 
 
 def quadruple_zero_counts(n, model, seed):
-    """Zero counts per part of one rate chunk of n draws from ``seed``: image j of the quarter-turn for the
-    first ⌊(n − j + 3)/4⌋ of the chunk's ⌈n/4⌉ normal vectors, under the reference rule.  Where d is even,
-    image 0 is the stream that simulate draws from the seed, so its zeros are those that simulate writes."""
+    """Zero counts per part of the n draws of ``zero_rates`` from ``seed``: image j of the quarter-turn for the
+    first ⌊(n − j + 3)/4⌋ of its ⌈n/4⌉ normal vectors, under the reference rule.  Where d is even, image 0
+    is the stream that simulate draws from the seed, so its zeros are those that simulate writes."""
     vectors = -(-n // 4)
     images = image_vectors(vectors, model.dim, seed)
     zero_index = [zero_parts_argmin(image_parts_whole(model, image[: (n - j + 3) // 4])) for j, image in enumerate(images)]
@@ -141,10 +140,10 @@ def quadruple_zero_counts(n, model, seed):
 
 
 def test_zero_rates_count_the_zeros_simulation_writes():
-    # one chunk: zero_rates draws its vectors from child 0 of its seed, exactly as simulate does from that child
+    # zero_rates draws its vectors as one stream from its seed, exactly as simulate does from that seed
     n = 50_000
     rates = zero_rates(BOUNDARY_MODEL, n, seed=13)
-    counts = quadruple_zero_counts(n, BOUNDARY_MODEL, np.random.SeedSequence(13).spawn(1)[0])
+    counts = quadruple_zero_counts(n, BOUNDARY_MODEL, 13)
     assert counts.sum() > 10_000
     np.testing.assert_array_equal(rates, counts / n)
 
@@ -153,11 +152,11 @@ def test_zero_rates_count_the_zeros_simulation_writes():
 def test_zero_rates_count_the_zeros_simulation_writes_at_every_part_count(n_parts):
     # The rates map each block by two fused products, simulate and the reference by row-layout products: the
     # counts still agree exactly, as no draw of these lies within an ulp of a ZERO_TOL threshold.
-    # n mod 4 = 3 leaves the chunk's last vector without its image 3.
+    # n mod 4 = 3 leaves the stream's last vector without its image 3.
     model = correlated_model(n_parts)
     n = 3 * BLOCK_ROWS + 7
     rates = zero_rates(model, n, seed=n_parts)
-    counts = quadruple_zero_counts(n, model, np.random.SeedSequence(n_parts).spawn(1)[0])
+    counts = quadruple_zero_counts(n, model, n_parts)
     assert counts.sum() > 500
     np.testing.assert_array_equal(rates, counts / n)
 
@@ -241,13 +240,18 @@ def test_counts_must_be_integers():
     assert numpy_count.to_dict() == diagnose(model, ds, n_sims=10_000, seed=0, n_replicates=120).to_dict()
 
 
-def test_zero_rates_deterministic_and_chunking_contract():
-    # 300 000 draws run as three fixed-size chunks, each from its own child stream
+def test_zero_rates_are_one_stream_from_their_seed():
+    # 300 000 draws are 75 000 vectors of one stream from default_rng(seed), in blocks of BLOCK_ROWS / 4
+    # vectors whose last takes the remainder; a SeedSequence seeds the same stream and is left as it was.
     n_sims = 300_000
-    assert -(-n_sims // CHUNK_SIZE) == 3
+    vectors, vector_rows = n_sims // 4, BLOCK_ROWS // 4
+    assert vectors > vector_rows and vectors % vector_rows  # so the last block is longer than the others
     a = zero_rates(BOUNDARY_MODEL, n_sims, seed=6)
-    b = zero_rates(BOUNDARY_MODEL, n_sims, seed=6)
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(a, zero_rates(BOUNDARY_MODEL, n_sims, seed=6))
+    assert_same_bits(a, zero_rates_whole(BOUNDARY_MODEL, n_sims, seed=6))
+    seq = np.random.SeedSequence(6)
+    assert_same_bits(a, zero_rates(BOUNDARY_MODEL, n_sims, seed=seq))
+    assert seq.n_children_spawned == 0
 
 
 def test_zero_rates_monte_carlo_error_scales():
@@ -334,11 +338,10 @@ def test_simulate_blocks_give_the_whole_array_bits(n_parts):
 @pytest.mark.parametrize("n_parts", BLOCK_PARTS)
 def test_zero_rates_blocks_give_the_whole_chunk_bits(n_parts):
     model = correlated_model(n_parts)
-    # The last chunks have k mod 4 = 0, 2, 1, 1, 2 and 3 draws, so their last vectors go without 0 to 3 images.
-    # The + 5 and + 6 chunks end on a block longer than BLOCK_ROWS draws, which a buffer sized by the first
-    # chunk could not hold.
+    # n mod 4 = 0, 2, 1, 1, 2 and 3, so the last vector goes without 0 to 3 images.  The streams past 10 002
+    # draws end on a block of 4 096 vectors plus a remainder of 1, 2, 2 and 0 vectors.
     b = BLOCK_ROWS
-    for n_sims in (10_000, 10_002, CHUNK_SIZE + 1, CHUNK_SIZE + b + 5, CHUNK_SIZE + b + 6, 2 * CHUNK_SIZE - 1):
+    for n_sims in (10_000, 10_002, (1 << 17) + 1, (1 << 17) + b + 5, (1 << 17) + b + 6, 2 * (1 << 17) - 1):
         assert_same_bits(zero_rates(model, n_sims, seed=n_parts), zero_rates_whole(model, n_sims, seed=n_parts))
 
 
@@ -537,15 +540,30 @@ def test_diagnose_estimates_the_rates_once(monkeypatch):
 def test_diagnose_pvalue_is_mc_pvalue_with_the_same_seed():
     model = toy_model(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov, 3)
     ds = simulate_compositions(200, BOUNDARY_MODEL, seed=40)
-    result = diagnose(model, ds, n_sims=300_000, seed=41, n_replicates=199)
-    # The p-value ranks the reported statistic among multinomial replicates from the reported rates,
-    # drawn from the child after the three rate chunks.
-    np.testing.assert_array_equal(result.expected_rates, zero_rates(BOUNDARY_MODEL, 300_000, seed=41))
-    rng = np.random.default_rng(np.random.SeedSequence(41).spawn(4)[3])
-    rates = result.expected_rates
-    replicates = rng.multinomial(200, [*rates, 1.0 - rates.sum()], size=199)[:, :-1]
-    exceed = sum(_chi_square_discrepancy(c, result.expected_counts) >= result.chi_square for c in replicates)
-    assert result.mc_pvalue == (1 + exceed) / 200
+    rates_seed, replicates_seed = np.random.SeedSequence(41).spawn(2)
+    # The rates come from child 0 of the seed's sequence, and the p-value ranks the reported statistic among
+    # multinomial replicates from the reported rates, drawn from child 1.  Up to 131 072 draws these are
+    # the streams of the earlier 131 072-draw chunks, so CLI output kept its bytes; above, it moved.
+    for n_sims in (100_000, 300_000):
+        result = diagnose(model, ds, n_sims=n_sims, seed=41, n_replicates=199)
+        np.testing.assert_array_equal(result.expected_rates, zero_rates(BOUNDARY_MODEL, n_sims, seed=rates_seed))
+        rng = np.random.default_rng(replicates_seed)
+        rates = result.expected_rates
+        replicates = rng.multinomial(200, [*rates, 1.0 - rates.sum()], size=199)[:, :-1]
+        exceed = sum(_chi_square_discrepancy(c, result.expected_counts) >= result.chi_square for c in replicates)
+        assert result.mc_pvalue == (1 + exceed) / 200
+
+
+def test_diagnose_repeats_itself_with_a_reused_seed_sequence():
+    # diagnose spawned its streams from the caller's sequence: a second call with it drew other rates
+    # ([0, 0.0895, 0.37585], then [0, 0.08995, 0.3712]) and the sequence's child count moved on to 4.
+    model = toy_model(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov, 3)
+    ds = simulate_compositions(200, BOUNDARY_MODEL, seed=40)
+    seq = np.random.SeedSequence(5)
+    first = diagnose(model, ds, n_sims=20_000, seed=seq, n_replicates=99).to_dict()
+    assert diagnose(model, ds, n_sims=20_000, seed=seq, n_replicates=99).to_dict() == first
+    assert seq.n_children_spawned == 0
+    assert first == {**diagnose(model, ds, n_sims=20_000, seed=5, n_replicates=99).to_dict(), "seed": -1}
 
 
 def test_diagnose_records_integral_seeds_as_themselves():

@@ -79,6 +79,31 @@ def test_csv_missing_header_rejected(tmp_path):
         read_compositions_csv(path)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_csv_byte_order_mark_does_not_make_a_data_row_the_header(tmp_path):
+    # Read with the mark in the first cell, this file's first row became the header ('\ufeff0.5', '0.2', '0.3').
+    path = tmp_path / "noheader.csv"
+    path.write_bytes(BOM + b"0.5,0.2,0.3\n0.1,0.8,0.1\n")
+    with pytest.raises(ValueError, match="missing header row"):
+        read_compositions_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body", ["0.5,0.2,0.3\n0.1,0.8,0.1\n", "0.5,0.2,0.3\n\n0.1,0.8,0.1\n"], ids=["bulk", "checker"]
+)
+def test_csv_byte_order_mark_is_not_part_of_the_first_name(tmp_path, body):
+    # The first name was '\ufeffa', which reached the diagnostics JSON and the plot labels.
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(b"a,b,c\n" + body.encode())
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(BOM + plain.read_bytes())
+    ds = read_compositions_csv(marked)
+    assert ds.names == ("a", "b", "c")
+    np.testing.assert_array_equal(ds.parts, read_compositions_csv(plain).parts)
+
+
 def test_csv_non_numeric_cell_names_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n0.5,0.2,0.3\n0.4,oops,0.3\n")
