@@ -12,16 +12,18 @@ ternary SVG plots, plus a command line interface (``zerocensored --help``).
 from .dataset import CompositionalDataset, TransformedSample, transform_dataset
 from .diagnostics import ZeroDiagnostics, diagnose, simulate_compositions, zero_rates
 from .gaussian import MvnParams, NotPositiveDefiniteError, cholesky
-from .geometry import TiedMinimumError, gram_schmidt_rotation, project_rows, zero_parts
-from .likelihood import FittedModel, ParameterBoundError, boundary_term, fit, log_likelihood
+from .likelihood import FittedModel, ParameterBoundError, boundary_term, fit, gram_schmidt_rotation, log_likelihood
 from .simplex import (
     MultipleZerosError,
+    TiedMinimumError,
     alpha_transform,
     closure,
     helmert_submatrix,
     inverse_alpha_transform,
     jacobian_alpha,
     jacobian_simplex,
+    project_rows,
+    zero_parts,
 )
 from .ternary import render_svg
 

@@ -18,17 +18,17 @@ import numpy as np
 from . import __version__
 from .dataset import CompositionalDataset, transform_dataset
 from .diagnostics import _simulated_blocks, diagnose
-from .geometry import TiedMinimumError, project_rows
 from .io import (
     read_compositions_csv,
     read_latent_csv,
     read_model_json,
     write_compositions_csv,
     write_diagnostics_json,
+    write_file,
     write_model_json,
 )
 from .likelihood import ParameterBoundError, fit
-from .simplex import ZERO_TOL, MultipleZerosError
+from .simplex import ZERO_TOL, MultipleZerosError, TiedMinimumError, project_rows
 from .ternary import render_svg
 
 EXIT_OK = 0
@@ -179,7 +179,7 @@ def _cmd_plot(args) -> int:
             return EXIT_INPUT
         params = model.params
     svg = render_svg(dataset, params)
-    Path(args.output).write_text(svg, encoding="utf-8")
+    write_file(args.output, lambda fh: fh.write(svg))
     print(f"wrote {args.output}")
     return EXIT_OK
 

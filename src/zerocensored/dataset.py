@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DIRECTION_TOL
-from .simplex import alpha_transform, validate_compositions
+from .simplex import DIRECTION_TOL, alpha_transform, validate_compositions
 
 
 def part_names(names, n_parts: int) -> tuple[str, ...]:

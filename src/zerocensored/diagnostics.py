@@ -2,7 +2,7 @@
 
 Draws come from the latent normal, are mapped back through the exponent-one
 transform, and out-of-simplex draws are pulled onto a face, exactly as the
-model censors, by the one boundary rule in ``geometry``: simulation calls
+model censors, by the one boundary rule in ``simplex``: simulation calls
 ``project_rows``, and the zero rates apply the same rule, without pulling,
 to each block of parts stored by part.  The part count is always the
 model's, ``model.dim + 1``.  ``diagnose`` is the one route to the
@@ -48,9 +48,8 @@ import numpy.random  # NumPy loads it, and about 20 modules with it, only on fir
 
 from .dataset import CompositionalDataset, part_names
 from .gaussian import MvnParams
-from .geometry import _zero_rule, project_rows
 from .likelihood import FittedModel, json_float
-from .simplex import _helmert_readonly, _inverse_affine
+from .simplex import _helmert_readonly, _inverse_affine, _zero_rule, project_rows
 
 #: Rows per draw block: a stream is drawn, mapped and counted or pulled this many rows at a time.
 BLOCK_ROWS = 1 << 14

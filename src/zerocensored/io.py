@@ -6,9 +6,11 @@ decimal-point reals, no thousands separators.  Zeros are written literally as
 Written rows end in CRLF, as ``csv.writer`` ends them.  The writer takes a
 dataset or an iterable of row blocks, each written as it is pulled and
 formatted ``WRITE_BLOCK`` rows at a time, so a streamed file is never whole
-in memory, and both forms give the same bytes.  A new path or an existing
-regular file is written through a hidden temporary file in its directory and
-renamed into place on success, so a write that fails leaves what was there.
+in memory, and both forms give the same bytes.  Every file the package
+writes, CSV, JSON or SVG, goes through ``write_file``: a new path or an
+existing regular file is written through a hidden temporary file in its
+directory and renamed into place on success, so a write that fails leaves
+what was there.
 
 Reading is one bulk ``np.loadtxt`` parse of the rows after the header.  A file
 it does not accept with the header's column count (no data rows, a blank-cell
@@ -120,11 +122,9 @@ def write_compositions_csv(path, data, *, n_parts: int | None = None) -> None:
     """Write a ``CompositionalDataset``, or an iterable of (m, ``n_parts``) row blocks under the default names.
 
     Blocks are pulled one at a time and each is written before the next is
-    pulled.  A new path, or an existing regular file that is not a symlink,
-    is written through ``_temporary_beside`` and replaced only once every
-    block is written, so a block the iterable raises on leaves no file or the
-    older one.  Any other target (``/dev/stdout``, a FIFO, a symlink) is
-    written in place and keeps the rows before the failing block.
+    pulled, through ``write_file``, so a block the iterable raises on leaves
+    no file or the older one, except at a target written in place, which
+    keeps the rows before the failing block.
     """
     if isinstance(data, CompositionalDataset):
         names, n_parts, blocks = data.names, data.n_parts, [data.parts]
@@ -139,6 +139,18 @@ def write_compositions_csv(path, data, *, n_parts: int | None = None) -> None:
                 fh.write(_format_rows(row_format, block[start : start + WRITE_BLOCK]))
             del block  # not alive while the next block is pulled
 
+    write_file(path, write)
+
+
+def write_file(path, write) -> None:
+    """Call ``write`` on an open UTF-8 text file whose contents become ``path``.
+
+    A new path, or an existing regular file that is not a symlink, is written
+    through ``_temporary_beside`` and replaced only once ``write`` returns, so
+    a write that fails leaves no file or the older one; a replaced file keeps
+    its permission bits.  Any other target (``/dev/stdout``, a FIFO, a
+    symlink) is written in place.
+    """
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
@@ -205,13 +217,15 @@ def read_model_json(path) -> FittedModel:
     """Read a model JSON file and check it before any command uses it.
 
     ``D`` must be the mean's length plus one, and the mean and covariance
-    must pass ``MvnParams``; each error names the file.
+    must pass ``MvnParams``; each error names the file.  A leading byte-order
+    mark is skipped, as in a CSV file.
     """
     with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed model JSON ({exc})") from exc
+        text = fh.read().removeprefix("\ufeff")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed model JSON ({exc})") from exc
     try:
         model = FittedModel.from_dict(doc)
     except KeyError as exc:
@@ -228,8 +242,8 @@ def read_model_json(path) -> FittedModel:
 
 
 def write_model_json(path, model: FittedModel) -> None:
-    Path(path).write_text(model.to_json(indent=2) + "\n", encoding="utf-8")
+    write_file(path, lambda fh: fh.write(model.to_json(indent=2) + "\n"))
 
 
 def write_diagnostics_json(path, diag: ZeroDiagnostics) -> None:
-    Path(path).write_text(diag.to_json(indent=2) + "\n", encoding="utf-8")
+    write_file(path, lambda fh: fh.write(diag.to_json(indent=2) + "\n"))

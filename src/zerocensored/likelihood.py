@@ -5,8 +5,10 @@ the data only through n1, the interior mean and the scatter about it.  A
 point that was pulled to a face enters through its rotated coordinates
 z = B y: the density of the non-first coordinates evaluated at zero, times
 the upper-tail probability of the first coordinate beyond the rotation
-radius c1.  ``boundary_term`` evaluates exactly that, splitting the rotated
-normal by the Schur complement of its non-first block, and is kept as the
+radius c1.  B is the paper's orthonormal matrix built by Gram-Schmidt,
+``gram_schmidt_rotation``, which lives beside ``boundary_term``.
+``boundary_term`` evaluates exactly that term, splitting the rotated normal
+by the Schur complement of its non-first block, and the two are kept as the
 rotated-frame reference.  The term depends only on the unit direction
 u = y / c1 and c1, so the likelihood itself uses the equivalent direction
 form in ``_face_terms``, which needs no rotation.  The constant Jacobian
@@ -43,6 +45,7 @@ import numpy as np
 
 from .dataset import TransformedSample
 from .gaussian import LOG_2PI, MvnParams, NotPositiveDefiniteError, cholesky
+from .simplex import DIRECTION_TOL
 
 #: Safety bound on the log-diagonal coordinates of the packed Cholesky factor.
 LOG_DIAG_BOUND = 30.0
@@ -50,6 +53,8 @@ LOG_DIAG_BOUND = 30.0
 LOGLIK_REL_TOL = 1e-10
 #: Added to the diagonal of a numerically singular start covariance.
 START_RIDGE = 1e-8
+#: Candidate basis vectors with residual norm below this are skipped during completion.
+GS_SKIP_TOL = 1e-8
 
 #: (1 + 2t) erfcx(t) = sum_j a_j s^j with s = (t - K) / (t + K), K = 3.75, for t >= 0: Shepherd and
 #: Laframboise's Chebyshev series (Math. Comp. 36 (1981) 249-253), cut at 25 terms (2.2e-16 relative) and
@@ -196,6 +201,43 @@ def _require_finite(*arrays: np.ndarray) -> None:
     """Refuse infs and NaNs, with the error SciPy's solves gave, once for the parameters of an evaluation."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("array must not contain infs or NaNs")
+
+
+def gram_schmidt_rotation(y) -> np.ndarray:
+    """Orthonormal matrix B with first row y/||y||, so B y = (||y||, 0, ..., 0)^T.
+
+    The basis is completed with standard basis vectors taken in index order,
+    skipping any whose residual norm after removing projections onto the
+    accepted rows falls below ``GS_SKIP_TOL``.  The completion order makes B
+    deterministic and reproducible across platforms.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"expected one vector, got shape {y.shape}")
+    norm = float(np.linalg.norm(y))
+    if norm <= DIRECTION_TOL:
+        raise ValueError("cannot build a rotation from a zero vector")
+    d = y.size
+    rows = np.empty((d, d))
+    rows[0] = y / norm
+    count = 1
+    for k in range(d):
+        if count == d:
+            break
+        v = np.zeros(d)
+        v[k] = 1.0
+        # Two orthogonalization passes: one leaves O(eps / residual) error for
+        # nearly dependent candidates, which would break B B^T = I at 1e-10.
+        for _ in range(2):
+            v -= rows[:count].T @ (rows[:count] @ v)
+        residual = float(np.linalg.norm(v))
+        if residual < GS_SKIP_TOL:
+            continue
+        rows[count] = v / residual
+        count += 1
+    if count < d:  # unreachable: y plus the standard basis spans R^d
+        raise RuntimeError("Gram-Schmidt completion failed to produce a full basis")
+    return rows
 
 
 def boundary_term(rotation, radius: float, mean, cov) -> float:

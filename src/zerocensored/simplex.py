@@ -11,13 +11,27 @@ At ``alpha == 1`` the latter is the affine map
 
 used by the censored model; it is a bijection between the unit-sum hyperplane
 and ``R^(D-1)``, so latent points outside the simplex are representable.
+
+Such points are pulled to the boundary along the line joining them to the
+simplex centre; exactly one part (the most negative one) reaches zero.  The
+package's one rule for where a composition's zero is lives here, used by
+ingest (``validate_compositions``), ``project``, simulation and the zero
+rates.  A row is outside when its minimum is below ``-ZERO_TOL``, and is
+pulled to c + (x - c) / (1 - D min), c = 1/D.  It is tied, and rejected,
+when another part lies within ``ZERO_TOL * (1 - D min)`` of the minimum,
+i.e. would be at most ``ZERO_TOL`` after the pull.  In other rows parts
+within ``ZERO_TOL`` of zero are zeros, and two zeros are rejected.  The rule
+runs over parts stored by column, a (D, n) array, one whole part per NumPy
+pass, so its loops run over rows, not over the few parts of a row.
+``zero_parts`` applies it to the transpose of an (n, D) array of rows and
+``project_rows`` also pulls; a single vector goes through them as one row.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -27,18 +41,24 @@ UNIT_SUM_TOL = 1e-10
 RECLOSE_TOL = 1e-6
 #: Parts no larger than this count as structural zeros.
 ZERO_TOL = 1e-12
+#: Directions shorter than this cannot be normalized.
+DIRECTION_TOL = 1e-12
 
 
 class MultipleZerosError(ValueError):
     """Raised for vectors with zeros in two or more parts (outside the model's scope).
 
     ``rows`` carries the offending 1-based row numbers when the error comes
-    from dataset ingestion.
+    from the zero rule, as it does from dataset ingestion.
     """
 
     def __init__(self, message: str, rows=None):
         super().__init__(message)
         self.rows = tuple(rows) if rows is not None else None
+
+
+class TiedMinimumError(ValueError):
+    """Raised when the minimum part is not unique, so projection would create two zeros."""
 
 
 def format_rows(rows) -> str:
@@ -47,17 +67,81 @@ def format_rows(rows) -> str:
     return shown + (", ..." if len(rows) > 10 else "")
 
 
-def reject_multiple_zeros(zero_counts: np.ndarray) -> None:
-    """Raise ``MultipleZerosError`` naming the 1-based rows with more than one zero part."""
-    multi = np.flatnonzero(zero_counts > 1) + 1
-    if multi.size:
-        raise MultipleZerosError(f"rows with more than one zero part: {format_rows(multi)}", rows=multi)
-
-
 def _reject_rows(bad: np.ndarray, message: str) -> None:
     rows = np.flatnonzero(bad) + 1
     if rows.size:
         raise ValueError(f"{message} {format_rows(rows)}")
+
+
+def _as_rows(parts) -> np.ndarray:
+    x = np.asarray(parts, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError(f"expected an (n, D) array of parts with D >= 2, got shape {x.shape}")
+    return x
+
+
+def _zero_rule(xt: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule over parts stored by column, a (D, n) array: per row (outside, stretch 1 - D min), and
+    the (D, n) bool mask of its zero parts, written into ``out`` when one is given.
+
+    No row passes with two zeros, so a mask row counts its part's zeros.
+    """
+    n_parts, n = xt.shape
+    mins = reduce(np.minimum, xt)  # part by part: faster than per-row reductions for few parts
+    outside = mins < -ZERO_TOL
+    stretch = 1.0 - n_parts * mins
+    # Part j of an outside row is at most ZERO_TOL after the pull iff x_j - min <= ZERO_TOL * stretch.
+    bound = ZERO_TOL * stretch  # built in place: one row-length temporary fewer
+    bound += mins
+    np.copyto(bound, ZERO_TOL, where=~outside)
+    # A new mask is C-ordered whatever xt's layout, so the count below also runs over whole parts.
+    zeros = np.less_equal(xt, bound, out=np.empty((n_parts, n), dtype=bool) if out is None else out)
+    counts = np.add.reduce(zeros, axis=0, dtype=np.uint8 if n_parts < 256 else np.intp)  # a byte cannot wrap
+    if counts.max(initial=0) > 1:
+        tied = np.flatnonzero(outside & (counts > 1)) + 1
+        if tied.size:
+            raise TiedMinimumError(f"rows with a tied minimum, which the pull would turn into two zeros: {format_rows(tied)}")
+        multi = np.flatnonzero(counts > 1) + 1
+        raise MultipleZerosError(f"rows with more than one zero part: {format_rows(multi)}", rows=multi)
+    return outside, stretch, zeros
+
+
+def _zero_index(zeros: np.ndarray) -> np.ndarray:
+    """Each row's zero part from a (D, n) mask that passed the rule, -1 where it has none.
+
+    A row has at most one zero, so the sum of j + 1 over its zero parts j is that part plus one, or 0.
+    """
+    return np.einsum("j,jn->n", np.arange(1, zeros.shape[0] + 1, dtype=np.intp), zeros) - 1
+
+
+def zero_parts(parts) -> np.ndarray:
+    """Which part of each (n, D) unit-sum row is zero, or becomes zero under the pull; -1 if none.
+
+    Tied rows raise ``TiedMinimumError`` and rows with two zeros
+    ``MultipleZerosError``, both naming 1-based row numbers.
+    """
+    return _zero_index(_zero_rule(_as_rows(parts).T)[2])
+
+
+def project_rows(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Pull the outside rows of an (n, D) unit-sum array onto the boundary; returns (parts, zero_index).
+
+    Each row's zero part (see ``zero_parts``) is set to exactly 0.
+    """
+    x = _as_rows(parts)
+    outside, stretch, zeros = _zero_rule(x.T)
+    zero_index = _zero_index(zeros)
+    out = x.copy()
+    centre = 1.0 / x.shape[1]
+    rows = np.flatnonzero(outside)
+    pulled = x.take(rows, axis=0)  # c + (x - c) / stretch, in place on this one copy of the outside rows
+    pulled -= centre
+    pulled *= 1.0 / stretch.take(rows)[:, None]
+    pulled += centre
+    out[rows] = pulled
+    rows = np.flatnonzero(zero_index >= 0)
+    out[rows, zero_index[rows]] = 0.0
+    return out, zero_index
 
 
 def validate_compositions(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -65,15 +149,12 @@ def validate_compositions(rows) -> tuple[np.ndarray, np.ndarray]:
 
     Parts must be finite; negatives down to ``-ZERO_TOL`` are clamped to zero.
     Row sums off by more than ``UNIT_SUM_TOL`` but at most ``RECLOSE_TOL``
-    are re-closed with one warning.  Parts up to ``ZERO_TOL`` are zeros, and
-    a row may have one (its ``zero_index``, -1 if none).  Errors name 1-based
-    row numbers.
+    are re-closed with one warning.  The zero rule then names each row's zero
+    part (``zero_parts``: parts up to ``ZERO_TOL``), and a row may have one
+    (its ``zero_index``, -1 if none).  Errors name 1-based row numbers.
     """
     x = np.array(rows, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ValueError(f"expected an (n, D) array with D >= 2, got shape {x.shape}")
+    x = _as_rows(x[None, :] if x.ndim == 1 else x)
     _reject_rows(~np.isfinite(x).all(axis=1), "non-finite values in rows")
     _reject_rows((x < -ZERO_TOL).any(axis=1), "negative parts in rows")
     x[x < 0.0] = 0.0
@@ -83,9 +164,7 @@ def validate_compositions(rows) -> tuple[np.ndarray, np.ndarray]:
     if off.any():
         warnings.warn(f"re-closed {int(off.sum())} row(s) with unit-sum noise above {UNIT_SUM_TOL:g}", stacklevel=3)
         x[off] /= sums[off, None]
-    counts = np.count_nonzero(x <= ZERO_TOL, axis=1)
-    reject_multiple_zeros(counts)
-    return x, np.where(counts == 1, x.argmin(axis=1), -1)
+    return x, zero_parts(x)
 
 
 def closure(raw) -> np.ndarray:

@@ -13,7 +13,6 @@ from scipy.optimize import minimize
 from scipy.special import log_ndtr, ndtr
 
 from zerocensored.gaussian import LOG_2PI, MvnParams, NotPositiveDefiniteError, cholesky
-from zerocensored.geometry import TiedMinimumError
 from zerocensored.likelihood import (
     LOG_DIAG_BOUND,
     LOGLIK_REL_TOL,
@@ -28,7 +27,14 @@ from zerocensored.likelihood import (
     _tri_layout,
     _unpack_chol,
 )
-from zerocensored.simplex import ZERO_TOL, format_rows, helmert_submatrix, inverse_alpha_transform, reject_multiple_zeros
+from zerocensored.simplex import (
+    ZERO_TOL,
+    MultipleZerosError,
+    TiedMinimumError,
+    format_rows,
+    helmert_submatrix,
+    inverse_alpha_transform,
+)
 from zerocensored.ternary import TRIANGLE
 
 
@@ -95,7 +101,7 @@ BLOCK_PARTS = (2, 3, 5, 8, 10, 15, 20, 21)
 
 
 def _zero_rule_argmin(x):
-    """The boundary rule of ``geometry`` row by row, from each row's argmin and a per-row zero count.
+    """The boundary rule of ``simplex`` row by row, from each row's argmin and a per-row zero count.
 
     Returns (outside, stretch 1 - D min, zero_index) of an (n, D) array and
     raises as the package does.
@@ -108,17 +114,19 @@ def _zero_rule_argmin(x):
     tied = np.flatnonzero(outside & (counts > 1)) + 1
     if tied.size:
         raise TiedMinimumError(f"rows with a tied minimum, which the pull would turn into two zeros: {format_rows(tied)}")
-    reject_multiple_zeros(counts)
+    multi = np.flatnonzero(counts > 1) + 1
+    if multi.size:
+        raise MultipleZerosError(f"rows with more than one zero part: {format_rows(multi)}", rows=multi)
     return outside, stretch, np.where(counts == 1, zero_index, -1)
 
 
 def zero_parts_argmin(parts) -> np.ndarray:
-    """``geometry.zero_parts`` through ``_zero_rule_argmin``."""
+    """``simplex.zero_parts`` through ``_zero_rule_argmin``."""
     return _zero_rule_argmin(np.asarray(parts, dtype=float))[2]
 
 
 def project_rows_argmin(parts) -> tuple[np.ndarray, np.ndarray]:
-    """``geometry.project_rows`` through ``_zero_rule_argmin``: the same pull, step by step."""
+    """``simplex.project_rows`` through ``_zero_rule_argmin``: the same pull, step by step."""
     x = np.asarray(parts, dtype=float)
     outside, stretch, zero_index = _zero_rule_argmin(x)
     out = x.copy()

@@ -17,6 +17,7 @@ from reference import (
 from zerocensored import (
     FittedModel,
     MvnParams,
+    TiedMinimumError,
     alpha_transform,
     diagnose,
     helmert_submatrix,
@@ -32,7 +33,6 @@ from zerocensored.diagnostics import (
     _column_map,
     _quarter_turn,
 )
-from zerocensored.geometry import TiedMinimumError
 from zerocensored.io import write_model_json
 
 

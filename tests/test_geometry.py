@@ -12,8 +12,7 @@ from zerocensored import (
     project_rows,
     zero_parts,
 )
-from zerocensored.geometry import _zero_rule
-from zerocensored.simplex import ZERO_TOL
+from zerocensored.simplex import ZERO_TOL, _zero_rule, validate_compositions
 
 
 def pull_one(x):
@@ -184,18 +183,30 @@ def rule_outcome(apply, x):
     return result if isinstance(result, tuple) else (result,)
 
 
+def assert_same_outcome(got, want):
+    """Two ``rule_outcome`` results agree: the same bits, dtypes and shapes, or the same error, text and rows."""
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def assert_rule_matches_the_argmin_oracle(x):
     """``zero_parts`` and ``project_rows`` give the row-wise oracle's bits, dtypes and errors on x;
     returns ``zero_parts``' outcome."""
     for apply, oracle in ((zero_parts, zero_parts_argmin), (project_rows, project_rows_argmin)):
-        got, want = rule_outcome(apply, x), rule_outcome(oracle, x)
-        if isinstance(want[0], type):
-            assert got == want
-            continue
-        for a, b in zip(got, want, strict=True):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        assert_same_outcome(rule_outcome(apply, x), rule_outcome(oracle, x))
     return rule_outcome(zero_parts, x)
+
+
+def assert_ingest_matches_the_rule(x):
+    """On compositions, ingest's zero index (``validate_compositions``) gives ``zero_parts``' bits, dtype and
+    errors; returns ingest's outcome."""
+    got = rule_outcome(lambda rows: validate_compositions(rows)[1], x)
+    assert_same_outcome(got, rule_outcome(zero_parts, x))
+    return got
 
 
 def escaping_rows(n_parts, n, seed):
@@ -211,6 +222,8 @@ def test_rule_matches_the_argmin_oracle_on_random_and_face_rows(n_parts):
     faces = project_rows_argmin(x[escaped])[0]  # the same rows, already on a face
     (zero_index,) = assert_rule_matches_the_argmin_oracle(np.concatenate([x, faces]))
     np.testing.assert_array_equal(zero_index[x.shape[0] :], zero_index[: x.shape[0]][escaped])
+    (ingested,) = assert_ingest_matches_the_rule(np.concatenate([x[~escaped], faces]))  # the rows ingest accepts
+    assert (ingested < 0).sum() == (~escaped).sum() and (ingested >= 0).sum() == escaped.sum()
 
 
 @pytest.mark.parametrize("n_parts", BLOCK_PARTS)
@@ -228,11 +241,16 @@ def test_rule_matches_the_argmin_oracle_on_ties_and_near_ties(n_parts):
         row = base.copy()
         row[j1] = value
         rows.append(row)
+    compositions = []  # the face rows closed to unit sum, which ingest accepts; two parts cannot be closed
     for first in (0.0, -ZERO_TOL, ZERO_TOL):  # a face row with a second part on either side of ZERO_TOL
         for second in (ZERO_TOL, np.nextafter(ZERO_TOL, np.inf), np.nextafter(ZERO_TOL, -np.inf), 0.0):
             row = np.full(n_parts, 1.0 / (n_parts - 1))
             row[j0], row[j1] = first, second
             rows.append(row)
+            if n_parts > 2:
+                row = np.full(n_parts, (1.0 - first - second) / (n_parts - 2))
+                row[j0], row[j1] = first, second
+                compositions.append(row)
     raised = 0
     for row in rows:
         x = good.copy()
@@ -242,6 +260,16 @@ def test_rule_matches_the_argmin_oracle_on_ties_and_near_ties(n_parts):
             raised += 1
             assert outcome[1].endswith(": 3, 6")
     assert 0 < raised < len(rows)
+    faces = project_rows_argmin(good)[0]
+    raised = 0
+    for row in compositions:
+        x = faces.copy()
+        x[[2, 5]] = row
+        outcome = assert_ingest_matches_the_rule(x)
+        if isinstance(outcome[0], type):
+            raised += 1
+            assert outcome[0] is MultipleZerosError and outcome[1].endswith(": 3, 6") and outcome[2] == (3, 6)
+    assert n_parts == 2 or 0 < raised < len(compositions)
 
 
 def column_rule(x):

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from zerocensored import (
     FittedModel,
     MultipleZerosError,
     MvnParams,
+    TiedMinimumError,
     diagnose,
     simulate_compositions,
 )
@@ -19,7 +24,6 @@ import zerocensored.diagnostics as diagnostics_module
 import zerocensored.io as io_module
 from zerocensored.cli import main
 from zerocensored.diagnostics import BLOCK_ROWS
-from zerocensored.geometry import TiedMinimumError
 from zerocensored.io import (
     WRITE_BLOCK,
     read_compositions_csv,
@@ -31,6 +35,8 @@ from zerocensored.io import (
 )
 
 from reference import write_compositions_csv_rowwise
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BOUNDARY_MODEL = FittedModel(
     mean=np.array([0.6, 0.8]),
@@ -468,6 +474,17 @@ def test_cli_simulate_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_cli_simulate_reads_a_model_behind_a_byte_order_mark(tmp_path):
+    # The JSON parser refused the mark: "malformed model JSON (Unexpected UTF-8 BOM (decode using utf-8-sig) ...)".
+    plain = model_json_path(tmp_path)
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(BOM + plain.read_bytes())
+    outs = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    for model, out in zip((plain, marked), outs, strict=True):
+        assert main(["simulate", str(model), "-n", "50", "--seed", "3", "-o", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_cli_simulate_writes_faces_with_exact_zeros(tmp_path):
     model = model_json_path(tmp_path)
     out = tmp_path / "sims.csv"
@@ -561,6 +578,41 @@ def test_cli_simulate_writes_a_file_as_a_direct_write_would(tmp_path, capsys):
     assert main([*argv, str(link)]) == 0
     assert link.is_symlink() and direct.read_bytes() == new.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.csv", "link.csv", "model.json", "new.csv", "older.csv"]
+
+
+#: Run in a fresh interpreter: cap the size of every file it writes at 100 bytes, with SIGXFSZ ignored so a
+#: longer write fails with EFBIG instead of killing the process, then run the CLI on the arguments.
+_FILE_SIZE_LIMITED_CLI = """
+import resource, signal, sys
+resource.setrlimit(resource.RLIMIT_FSIZE, (100, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+from zerocensored.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose", "plot"])
+def test_cli_write_that_fails_leaves_the_older_file(tmp_path, command):
+    # These commands wrote in place, so a write stopped at the size limit left a 100-byte truncated file.
+    model = model_json_path(tmp_path)
+    data = tmp_path / "obs.csv"
+    assert main(["simulate", str(model), "-n", "80", "--seed", "9", "-o", str(data)]) == 0
+    older = tmp_path / "older"
+    argv = {
+        "fit": ["fit", str(data)],
+        "diagnose": ["diagnose", str(model), str(data), "--sims", "20000"],
+        "plot": ["plot", str(data)],
+    }[command] + ["-o", str(older)]
+    assert main(argv) == 0
+    before = older.read_bytes()
+    assert len(before) > 100
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(
+        [sys.executable, "-c", _FILE_SIZE_LIMITED_CLI, *argv], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 2 and result.stderr == "error: [Errno 27] File too large\n"
+    assert older.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "obs.csv", "older"]  # no temporary file
 
 
 @pytest.mark.parametrize("command", ["simulate", "diagnose"])
