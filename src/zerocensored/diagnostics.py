@@ -38,7 +38,6 @@ result.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -48,7 +47,7 @@ import numpy.random  # NumPy loads it, and about 20 modules with it, only on fir
 
 from .dataset import CompositionalDataset, part_names
 from .gaussian import MvnParams
-from .likelihood import FittedModel, json_float
+from .likelihood import FittedModel
 from .simplex import _helmert_readonly, _inverse_affine, _zero_rule, project_rows
 
 #: Rows per draw block: a stream is drawn, mapped and counted or pulled this many rows at a time.
@@ -199,8 +198,7 @@ class ZeroDiagnostics:
     """Observed versus model-expected zero counts per component, as ``diagnose`` reports them.
 
     ``mc_pvalue`` and ``n_replicates`` are None when no replicates were
-    drawn.  The JSON form writes an infinite ``chi_square`` (an observed zero
-    the model calls impossible) as null.
+    drawn.
     """
 
     names: tuple[str, ...] | None
@@ -214,24 +212,6 @@ class ZeroDiagnostics:
     n_sims: int
     n_replicates: int | None
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "names": None if self.names is None else list(self.names),
-            "observed_counts": [int(v) for v in self.observed_counts],
-            "expected_counts": [float(v) for v in self.expected_counts],
-            "observed_rates": [float(v) for v in self.observed_rates],
-            "expected_rates": [float(v) for v in self.expected_rates],
-            "chi_square": json_float(self.chi_square),
-            "mc_pvalue": None if self.mc_pvalue is None else float(self.mc_pvalue),
-            "n_observations": int(self.n_observations),
-            "n_sims": int(self.n_sims),
-            "n_replicates": None if self.n_replicates is None else int(self.n_replicates),
-            "seed": int(self.seed),
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), allow_nan=False, **kwargs)
 
     def table_text(self) -> str:
         """Aligned component/observed/estimated table (the classic zero-count layout)."""

@@ -1,5 +1,11 @@
 """CSV and JSON interchange.
 
+``io`` owns both JSON formats, the model's and the diagnostics'.  Each file
+has one writer, which builds its document and writes strict, indented JSON
+with a non-finite number as null, and a model file has one reader,
+``read_model_json``, which checks every field's JSON type and the parameters
+before it builds the ``FittedModel``.
+
 CSV conventions: comma-separated, UTF-8, a header row of component names,
 decimal-point reals, no thousands separators.  Zeros are written literally as
 ``0``; other values use ``repr`` so a write/read round trip is lossless.
@@ -24,14 +30,17 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 import stat
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import CompositionalDataset, part_names
 from .diagnostics import ZeroDiagnostics
+from .gaussian import MvnParams
 from .likelihood import FittedModel
 from .simplex import RECLOSE_TOL, _close_rows, format_rows
 
@@ -213,12 +222,48 @@ def read_latent_csv(path) -> tuple[list[str], np.ndarray]:
     return header, values
 
 
+def _json_number(value) -> bool:
+    # By exact type, as a JSON true or false is a bool, not a number; an integer must also convert to a float.
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
+def _json_numbers(value) -> bool:
+    return type(value) is list and all(map(_json_number, value))
+
+
+def _or_null(kind: str, test):
+    return f"{kind} or null", lambda value: value is None or test(value)
+
+
+_INTEGER = ("an integer", lambda value: type(value) is int)
+_NUMBER_OR_NULL, _INTEGER_OR_NULL = _or_null("a number", _json_number), _or_null(*_INTEGER)
+#: What each model JSON field must hold, and the test of it, in the written order.
+_MODEL_FIELDS = {
+    "mean": ("an array of numbers", _json_numbers),
+    "cov": ("an array of arrays of numbers", lambda value: type(value) is list and all(map(_json_numbers, value))),
+    "loglik": _NUMBER_OR_NULL,
+    "converged": ("true or false", lambda value: type(value) is bool),
+    "iterations": _INTEGER,
+    "gradient_norm": _NUMBER_OR_NULL,
+    "evaluations": _INTEGER_OR_NULL,
+    "message": _or_null("a string", lambda value: type(value) is str),
+    "D": _INTEGER, "n1": _INTEGER, "n2": _INTEGER,
+    "seed": _INTEGER_OR_NULL,
+}
+#: Fields that a file written before they existed leaves out; they read back as None, or NaN for ``gradient_norm``.
+_MODEL_OPTIONAL = {"gradient_norm", "evaluations", "message", "seed"}
+
+
 def read_model_json(path) -> FittedModel:
     """Read a model JSON file and check it before any command uses it.
 
-    ``D`` must be the mean's length plus one, and the mean and covariance
-    must pass ``MvnParams``; each error names the file.  A leading byte-order
-    mark is skipped, as in a CSV file.
+    The document must be an object whose fields have the JSON types of
+    ``_MODEL_FIELDS``, so a bool or a numeric string is no number, ``D`` must
+    be the mean's length plus one, and the mean and covariance must pass
+    ``MvnParams``; each error names the file.  A null ``loglik`` or
+    ``gradient_norm``, or a missing ``gradient_norm``, reads back as NaN,
+    and another missing field of ``_MODEL_OPTIONAL`` as None.  A leading
+    byte-order mark is skipped, as in a CSV file.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read().removeprefix("\ufeff")
@@ -226,24 +271,75 @@ def read_model_json(path) -> FittedModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed model JSON ({exc})") from exc
+    if type(doc) is not dict:
+        raise ValueError(f"{path}: model JSON is not an object")
+    for key, (kind, test) in _MODEL_FIELDS.items():
+        if key in doc:
+            if not test(doc[key]):
+                raise ValueError(f"{path}: model JSON has a value of the wrong type ({key} must be {kind})")
+        elif key not in _MODEL_OPTIONAL:
+            raise ValueError(f"{path}: model JSON is missing field {key!r}")
+    if doc["D"] != len(doc["mean"]) + 1:
+        raise ValueError(f"{path}: model JSON has D = {doc['D']} but a mean of length {len(doc['mean'])}")
     try:
-        model = FittedModel.from_dict(doc)
-    except KeyError as exc:
-        raise ValueError(f"{path}: model JSON is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: model JSON has a value of the wrong type ({exc})") from exc
-    if model.n_parts != model.dim + 1:
-        raise ValueError(f"{path}: model JSON has D = {model.n_parts} but a mean of length {model.dim}")
-    try:
-        model.params  # noqa: B018  -- validates the mean and covariance
+        params = MvnParams(doc["mean"], doc["cov"])
     except ValueError as exc:
         raise ValueError(f"{path}: invalid model parameters ({exc})") from exc
-    return model
+    return FittedModel(
+        mean=params.mean,
+        cov=params.cov,
+        loglik=_float_or_nan(doc["loglik"]),
+        iterations=doc["iterations"],
+        converged=doc["converged"],
+        gradient_norm=_float_or_nan(doc.get("gradient_norm")),
+        n_parts=doc["D"],
+        n_interior=doc["n1"],
+        n_face=doc["n2"],
+        seed=doc.get("seed"),
+        evaluations=doc.get("evaluations"),
+        message=doc.get("message"),
+    )
+
+
+def _json_float(value) -> float | None:
+    """Strict JSON has no NaN or infinity: a non-finite value (or None) is written as null."""
+    return None if value is None or not math.isfinite(value) else float(value)
+
+
+def _float_or_nan(value) -> float:
+    return math.nan if value is None else float(value)
 
 
 def write_model_json(path, model: FittedModel) -> None:
-    write_file(path, lambda fh: fh.write(model.to_json(indent=2) + "\n"))
+    doc = {
+        "mean": [float(v) for v in model.mean],
+        "cov": [[float(v) for v in row] for row in model.cov],
+        "loglik": _json_float(model.loglik),
+        "converged": bool(model.converged),
+        "iterations": int(model.iterations),
+        "gradient_norm": _json_float(model.gradient_norm),
+        "evaluations": None if model.evaluations is None else int(model.evaluations),
+        "message": model.message,
+        "D": int(model.n_parts),
+        "n1": int(model.n_interior),
+        "n2": int(model.n_face),
+        "seed": None if model.seed is None else int(model.seed),
+    }
+    write_file(path, lambda fh: fh.write(json.dumps(doc, allow_nan=False, indent=2) + "\n"))
 
 
 def write_diagnostics_json(path, diag: ZeroDiagnostics) -> None:
-    write_file(path, lambda fh: fh.write(diag.to_json(indent=2) + "\n"))
+    doc = {
+        "names": None if diag.names is None else list(diag.names),
+        "observed_counts": [int(v) for v in diag.observed_counts],
+        "expected_counts": [float(v) for v in diag.expected_counts],
+        "observed_rates": [float(v) for v in diag.observed_rates],
+        "expected_rates": [float(v) for v in diag.expected_rates],
+        "chi_square": _json_float(diag.chi_square),
+        "mc_pvalue": None if diag.mc_pvalue is None else float(diag.mc_pvalue),
+        "n_observations": int(diag.n_observations),
+        "n_sims": int(diag.n_sims),
+        "n_replicates": None if diag.n_replicates is None else int(diag.n_replicates),
+        "seed": int(diag.seed),
+    }
+    write_file(path, lambda fh: fh.write(json.dumps(doc, allow_nan=False, indent=2) + "\n"))

@@ -34,7 +34,6 @@ only NumPy.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections import deque
@@ -393,15 +392,6 @@ def _loglik_and_score(
     return total, np.concatenate([solved[:, 0], g_tri])
 
 
-def json_float(value) -> float | None:
-    """Strict JSON has no NaN or infinity: a non-finite value (or None) is written as null."""
-    return None if value is None or not math.isfinite(value) else float(value)
-
-
-def _float_or_nan(value) -> float:
-    return math.nan if value is None else float(value)
-
-
 @dataclass(frozen=True)
 class FittedModel:
     """Maximum-likelihood estimate with convergence metadata.
@@ -410,9 +400,7 @@ class FittedModel:
     optimizer iteration.  ``evaluations`` counts the optimizer's combined
     value-and-score calls and ``message`` names the test that stopped it.
     ``seed`` records data provenance when the fitted sample was simulated;
-    it is None for real data.  The JSON form writes a non-finite ``loglik`` or
-    ``gradient_norm`` as null and reads null, or a missing ``gradient_norm``,
-    back as NaN; a missing ``evaluations`` or ``message`` reads back as None.
+    it is None for real data.
     """
 
     mean: np.ndarray
@@ -436,46 +424,6 @@ class FittedModel:
     @property
     def dim(self) -> int:
         return int(self.mean.size)
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "cov": [[float(v) for v in row] for row in self.cov],
-            "loglik": json_float(self.loglik),
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-            "gradient_norm": json_float(self.gradient_norm),
-            "evaluations": None if self.evaluations is None else int(self.evaluations),
-            "message": self.message,
-            "D": int(self.n_parts),
-            "n1": int(self.n_interior),
-            "n2": int(self.n_face),
-            "seed": None if self.seed is None else int(self.seed),
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), allow_nan=False, **kwargs)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FittedModel":
-        return cls(
-            mean=np.asarray(doc["mean"], dtype=float),
-            cov=np.asarray(doc["cov"], dtype=float),
-            loglik=_float_or_nan(doc["loglik"]),
-            iterations=int(doc["iterations"]),
-            converged=bool(doc["converged"]),
-            gradient_norm=_float_or_nan(doc.get("gradient_norm")),
-            n_parts=int(doc["D"]),
-            n_interior=int(doc["n1"]),
-            n_face=int(doc["n2"]),
-            seed=doc.get("seed"),
-            evaluations=doc.get("evaluations"),
-            message=doc.get("message"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FittedModel":
-        return cls.from_dict(json.loads(text))
 
 
 def _lbfgs(fun, x: np.ndarray, box: np.ndarray, *, max_iter: int, gradient_tol: float):

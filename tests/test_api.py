@@ -1,5 +1,6 @@
-"""The package's public names, the README's list of them, its fixed settings and its import cost."""
+"""The package's public names, the README's list of them, its fixed settings, its JSON owner and its import cost."""
 
+import ast
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from zerocensored import (
     zero_rates,
 )
 from zerocensored.diagnostics import _chi_square_discrepancy
+from zerocensored.io import write_diagnostics_json, write_model_json
 from zerocensored.simplex import validate_compositions
 from zerocensored.ternary import _density_contours
 
@@ -60,7 +62,7 @@ def test_public_names_are_exactly_the_listed_ones():
     assert len(zerocensored.__all__) == len(PUBLIC_NAMES)
 
 
-def test_readme_lists_the_json_keys_the_writers_write():
+def test_readme_lists_the_json_keys_the_writers_write(tmp_path):
     text = README.read_text(encoding="utf-8")
     schema = re.search(r"### Model JSON schema\s*```json\n(.*?)```", text, re.DOTALL)
     assert schema, "README has no 'Model JSON schema' block"
@@ -74,8 +76,28 @@ def test_readme_lists_the_json_keys_the_writers_write():
         gradient_norm=0.0, n_parts=3, n_interior=3, n_face=0,
     )
     data = CompositionalDataset.from_array([[0.2, 0.3, 0.5], [0.0, 0.5, 0.5]])
-    assert model_keys == list(model.to_dict())
-    assert diagnostics_keys == list(diagnose(model, data, n_sims=10_000, seed=0).to_dict())
+    write_model_json(tmp_path / "model.json", model)
+    write_diagnostics_json(tmp_path / "diagnostics.json", diagnose(model, data, n_sims=10_000, seed=0))
+    with open(tmp_path / "model.json", encoding="utf-8") as fh:
+        assert model_keys == list(json.load(fh))
+    with open(tmp_path / "diagnostics.json", encoding="utf-8") as fh:
+        assert diagnostics_keys == list(json.load(fh))
+
+
+def test_only_io_and_the_svg_metadata_import_json():
+    # The model and diagnostics formats live in io; ternary writes its SVG <desc> metadata with json.dumps.
+    importers = set()
+    for path in sorted((ROOT / "src" / "zerocensored").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "json" for name in names):
+                importers.add(path.name)
+    assert importers == {"io.py", "ternary.py"}
 
 
 def _small_sample():

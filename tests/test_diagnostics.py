@@ -1,5 +1,7 @@
 """Simulation and zero-count diagnostic tests."""
 
+import json
+
 import numpy as np
 import pytest
 from reference import (
@@ -33,7 +35,14 @@ from zerocensored.diagnostics import (
     _column_map,
     _quarter_turn,
 )
-from zerocensored.io import write_model_json
+from zerocensored.io import write_diagnostics_json, write_model_json
+
+
+def diagnostics_doc(result, tmp_path):
+    """The document that ``write_diagnostics_json`` writes for ``result``."""
+    path = tmp_path / "diagnostics.json"
+    write_diagnostics_json(path, result)
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def toy_model(mean, cov, n_parts):
@@ -220,7 +229,7 @@ def test_zero_rates_number_image_j_of_vector_i_as_j_m_plus_i(monkeypatch, n_part
             assert str(raised.value).endswith(f"two zeros: {j * m + i}")
 
 
-def test_counts_must_be_integers():
+def test_counts_must_be_integers(tmp_path):
     # A float count was truncated without a word: 10 000.9 drew 10 000 rows but divided by 10 000.9.
     with pytest.raises(ValueError, match="integer"):
         zero_rates(BOUNDARY_MODEL, 10_000.9, seed=0)
@@ -237,7 +246,8 @@ def test_counts_must_be_integers():
     np.testing.assert_array_equal(zero_rates(BOUNDARY_MODEL, np.int64(10_000), 0), zero_rates(BOUNDARY_MODEL, 10_000, 0))
     assert simulate_compositions(np.int32(3), BOUNDARY_MODEL, seed=0).n_obs == 3
     numpy_count = diagnose(model, ds, n_sims=10_000, seed=0, n_replicates=np.int64(120))
-    assert numpy_count.to_dict() == diagnose(model, ds, n_sims=10_000, seed=0, n_replicates=120).to_dict()
+    plain = diagnose(model, ds, n_sims=10_000, seed=0, n_replicates=120)
+    assert diagnostics_doc(numpy_count, tmp_path) == diagnostics_doc(plain, tmp_path)
 
 
 def test_zero_rates_are_one_stream_from_their_seed():
@@ -554,25 +564,26 @@ def test_diagnose_pvalue_is_mc_pvalue_with_the_same_seed():
         assert result.mc_pvalue == (1 + exceed) / 200
 
 
-def test_diagnose_repeats_itself_with_a_reused_seed_sequence():
+def test_diagnose_repeats_itself_with_a_reused_seed_sequence(tmp_path):
     # diagnose spawned its streams from the caller's sequence: a second call with it drew other rates
     # ([0, 0.0895, 0.37585], then [0, 0.08995, 0.3712]) and the sequence's child count moved on to 4.
     model = toy_model(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov, 3)
     ds = simulate_compositions(200, BOUNDARY_MODEL, seed=40)
     seq = np.random.SeedSequence(5)
-    first = diagnose(model, ds, n_sims=20_000, seed=seq, n_replicates=99).to_dict()
-    assert diagnose(model, ds, n_sims=20_000, seed=seq, n_replicates=99).to_dict() == first
+    first = diagnostics_doc(diagnose(model, ds, n_sims=20_000, seed=seq, n_replicates=99), tmp_path)
+    assert diagnostics_doc(diagnose(model, ds, n_sims=20_000, seed=seq, n_replicates=99), tmp_path) == first
     assert seq.n_children_spawned == 0
-    assert first == {**diagnose(model, ds, n_sims=20_000, seed=5, n_replicates=99).to_dict(), "seed": -1}
+    integer_seeded = diagnose(model, ds, n_sims=20_000, seed=5, n_replicates=99)
+    assert first == {**diagnostics_doc(integer_seeded, tmp_path), "seed": -1}
 
 
-def test_diagnose_records_integral_seeds_as_themselves():
+def test_diagnose_records_integral_seeds_as_themselves(tmp_path):
     model = toy_model(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov, 3)
     ds = simulate_compositions(100, BOUNDARY_MODEL, seed=42)
     plain = diagnose(model, ds, n_sims=20_000, seed=3, n_replicates=99)
     numpy_int = diagnose(model, ds, n_sims=20_000, seed=np.int64(3), n_replicates=99)
     assert plain.seed == numpy_int.seed == 3
-    assert numpy_int.to_dict() == plain.to_dict()
+    assert diagnostics_doc(numpy_int, tmp_path) == diagnostics_doc(plain, tmp_path)
     assert diagnose(model, ds, n_sims=20_000, seed=np.int64(3)).seed == 3
     assert diagnose(model, ds, n_sims=20_000, seed=np.random.SeedSequence(3)).seed == -1
 
@@ -596,12 +607,10 @@ def test_diagnostics_table_text_layout():
     assert {"a", "b", "c"} <= set(lines[0].split())
 
 
-def test_diagnostics_json_round_trip():
-    import json
-
+def test_diagnostics_json_round_trip(tmp_path):
     model = toy_model(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov, 3)
     ds = simulate_compositions(100, BOUNDARY_MODEL, seed=36)
-    doc = json.loads(diagnose(model, ds, n_sims=20_000, seed=37).to_json())
+    doc = diagnostics_doc(diagnose(model, ds, n_sims=20_000, seed=37), tmp_path)
     assert doc["n_observations"] == 100
     assert len(doc["expected_counts"]) == 3
     assert doc["mc_pvalue"] is None

@@ -300,10 +300,11 @@ def strict_json(path):
 
 
 def test_model_json_writes_missing_gradient_norm_as_null(tmp_path):
-    doc = BOUNDARY_MODEL.to_dict()
+    path = model_json_path(tmp_path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
     del doc["gradient_norm"]  # a file written before the field existed
-    path = tmp_path / "model.json"
-    write_model_json(path, FittedModel.from_dict(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    write_model_json(path, read_model_json(path))
     assert strict_json(path)["gradient_norm"] is None
     assert np.isnan(read_model_json(path).gradient_norm)
 
@@ -644,17 +645,35 @@ def _text_mean(doc):
     doc["mean"][0] = "x"
 
 
-@pytest.mark.parametrize(
-    "spoil", [_null_mean, _null_cov, _wrong_d, _text_mean], ids=["null-mean", "null-cov", "wrong-D", "text-mean"]
-)
-def test_cli_simulate_refuses_an_invalid_model(tmp_path, capsys, spoil):
-    doc = BOUNDARY_MODEL.to_dict()
-    spoil(doc)
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc), encoding="utf-8")
+INVALID_MODELS = {
+    "null-mean": (_null_mean, "mean must be an array of numbers"),
+    "null-cov": (_null_cov, "cov must be an array of arrays of numbers"),
+    "wrong-D": (_wrong_d, "D = 3 but a mean of length 3"),
+    "text-mean": (_text_mean, "mean must be an array of numbers"),
+    # Values that a reader converting with float(), int() and bool() would take.
+    "numeric-string-mean": (lambda doc: doc.update(mean=["0.4", "0.2"]), "mean must be an array of numbers"),
+    "boolean-mean": (lambda doc: doc.update(mean=[True, False]), "mean must be an array of numbers"),
+    "fractional-D": (lambda doc: doc.update(D=3.5), "D must be an integer"),
+    "fractional-iterations": (lambda doc: doc.update(iterations=7.9), "iterations must be an integer"),
+    "string-converged": (lambda doc: doc.update(converged="false"), "converged must be true or false"),
+    "string-seed": (lambda doc: doc.update(seed="abc"), "seed must be an integer or null"),
+    "string-evaluations": (lambda doc: doc.update(evaluations="x"), "evaluations must be an integer or null"),
+    "not-an-object": (lambda doc: [doc], "model JSON is not an object"),
+    # float() raised OverflowError on this integer, which the command did not catch.
+    "huge-integer-mean": (lambda doc: doc.update(mean=[10**400, 0.8]), "mean must be an array of numbers"),
+}
+
+
+@pytest.mark.parametrize("spoil, says", INVALID_MODELS.values(), ids=INVALID_MODELS.keys())
+def test_cli_simulate_refuses_an_invalid_model(tmp_path, capsys, spoil, says):
+    model = model_json_path(tmp_path)
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    spoiled = spoil(doc)
+    model.write_text(json.dumps(doc if spoiled is None else spoiled), encoding="utf-8")
     out = tmp_path / "sims.csv"
     assert main(["simulate", str(model), "-n", "10", "-o", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {model}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: ") and says in err
     assert not out.exists()
 
 

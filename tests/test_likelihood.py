@@ -6,6 +6,7 @@ from-scratch implementation built on naive matrix inverses plus the same
 quadrature: the two routes share no code with the module under test.
 """
 
+import dataclasses
 import json
 import math
 
@@ -29,6 +30,7 @@ from zerocensored import (
 import zerocensored.likelihood as likelihood_module
 from zerocensored.dataset import CompositionalDataset, TransformedSample
 from zerocensored.gaussian import NotPositiveDefiniteError, cholesky
+from zerocensored.io import read_model_json, write_model_json
 from zerocensored.likelihood import (
     LOG_DIAG_BOUND,
     LOGLIK_REL_TOL,
@@ -638,14 +640,14 @@ def test_score_near_singular_cov(d):
     assert_score_matches(sample, _pack_params(mean, cov), rtol=1e-6, rel_step=1e-6)
 
 
-def test_fit_uses_the_score_and_reports_its_calls():
+def test_fit_uses_the_score_and_reports_its_calls(tmp_path):
     rng = np.random.default_rng(63)
     sample = build_sample(rng.normal(size=(60, 2)), rng.normal(size=(20, 2)) + 1.0, 3)
     model = fit(sample)
     assert model.converged and model.gradient_norm < 1e-2
     assert model.evaluations >= model.iterations
     assert isinstance(model.message, str) and model.message
-    back = FittedModel.from_json(model.to_json())
+    _, back = write_and_read(tmp_path, model)
     assert back.evaluations == model.evaluations and back.message == model.message
 
 
@@ -836,7 +838,14 @@ def test_fit_records_seed_provenance():
 # --- serialization -----------------------------------------------------------------------
 
 
-def test_fitted_model_json_round_trip():
+def write_and_read(tmp_path, model):
+    """Write ``model`` with ``write_model_json``; the document written and the model ``read_model_json`` reads."""
+    path = tmp_path / "model.json"
+    write_model_json(path, model)
+    return json.loads(path.read_text(encoding="utf-8")), read_model_json(path)
+
+
+def test_fitted_model_json_round_trip(tmp_path):
     model = FittedModel(
         mean=np.array([0.1, -0.2]),
         cov=np.array([[1.0, 0.2], [0.2, 0.5]]),
@@ -851,7 +860,7 @@ def test_fitted_model_json_round_trip():
         evaluations=40,
         message="CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL",
     )
-    back = FittedModel.from_json(model.to_json())
+    doc, back = write_and_read(tmp_path, model)
     np.testing.assert_allclose(back.mean, model.mean)
     np.testing.assert_allclose(back.cov, model.cov)
     assert back.loglik == model.loglik
@@ -859,18 +868,24 @@ def test_fitted_model_json_round_trip():
     assert back.n_parts == 3 and back.n_interior == 40 and back.n_face == 9
     assert back.gradient_norm == model.gradient_norm
     assert back.evaluations == 40 and back.message == model.message
-    doc = model.to_dict()
     assert set(doc) == {
         "mean", "cov", "loglik", "converged", "iterations", "gradient_norm", "evaluations", "message",
         "D", "n1", "n2", "seed",
     }
+    # A non-finite log-likelihood and gradient norm are written as null and read back as NaN.
+    doc, back = write_and_read(tmp_path, dataclasses.replace(model, loglik=math.nan, gradient_norm=math.inf))
+    assert doc["loglik"] is None and doc["gradient_norm"] is None
+    assert math.isnan(back.loglik) and math.isnan(back.gradient_norm)
+    assert back.iterations == 31 and back.seed == 7 and back.message == model.message
 
 
-def test_model_json_without_optimizer_fields_reads_back_none():
+def test_model_json_without_optimizer_fields_reads_back_none(tmp_path):
     doc = {
         "mean": [0.1, -0.2], "cov": [[1.0, 0.2], [0.2, 0.5]], "loglik": -12.5, "converged": True,
         "iterations": 31, "gradient_norm": 3e-7, "D": 3, "n1": 40, "n2": 9, "seed": None,
     }
-    model = FittedModel.from_dict(doc)
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    model = read_model_json(path)
     assert model.evaluations is None and model.message is None
-    assert json.loads(model.to_json())["evaluations"] is None
+    assert write_and_read(tmp_path, model)[0]["evaluations"] is None
