@@ -69,7 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("-o", "--output", type=Path, required=True, help="diagnostics JSON path")
     p_diag.add_argument("--closure", action="store_true")
     p_diag.add_argument(
-        "--sims", type=int, default=DEFAULT_SIMS, help="Monte Carlo draws for rates, four per normal vector"
+        "--sims",
+        type=int,
+        default=DEFAULT_SIMS,
+        help="Monte Carlo draws for rates, four per normal vector; at D = 3 the rates are exact and draw none",
     )
     p_diag.add_argument("--replicates", type=int, default=None, help="simulated p-value replicates")
     p_diag.add_argument("--seed", type=int, default=DEFAULT_SEED)

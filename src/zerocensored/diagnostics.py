@@ -3,21 +3,27 @@
 Draws come from the latent normal, are mapped back through the exponent-one
 transform, and out-of-simplex draws are pulled onto a face, exactly as the
 model censors, by the one boundary rule in ``simplex``: simulation calls
-``project_rows``, and the zero rates apply the same rule, without pulling,
-to each block of parts stored by part.  The part count is always the
-model's, ``model.dim + 1``.  ``diagnose`` is the one route to the
-diagnostic: it compares observed per-component zero counts against Monte
-Carlo expectations under the fitted model, with a chi-square discrepancy
-and an optional simulated p-value, whose replicate zero counts are drawn
-from their exact law given the rates, Multinomial(n, (rates, 1 - sum(rates))).
+``project_rows``, and the Monte Carlo zero rates apply the same rule,
+without pulling, to each block of parts stored by part.  The part count is
+always the model's, ``model.dim + 1``.  ``diagnose`` is the one route to the
+diagnostic: it compares observed per-component zero counts against their
+expectations under the fitted model, with a chi-square discrepancy and an
+optional simulated p-value, whose replicate zero counts are drawn from
+their exact law given the rates, Multinomial(n, (rates, 1 - sum(rates))).
+At D = 3 the expected rates are exact, a fixed-node quadrature over the
+direction angle on the likelihood's face kernel (``_arc_rates``); at any
+other D they are a Monte Carlo estimate (``_monte_carlo_rates``).
 
-Determinism contract: every public operation takes an integer seed.  Each
-estimate is one stream: ``zero_rates`` draws its normal vectors from
-``default_rng(seed)``, as ``simulate_compositions`` draws its rows, so the
-same seed and ``n_sims`` reproduce results exactly.  ``diagnose`` names its
-two streams, ``SeedSequence(seed).spawn(2)``: the rates use child 0 and the
-p-value replicates child 1.  The rates count each of their ⌈n_sims/4⌉ normal
-vectors four times, under the powers of a quarter-turn (see ``zero_rates``).
+Determinism contract: every public operation takes an integer seed.  At
+D = 3 ``zero_rates`` draws nothing and ignores ``n_sims`` and ``seed``,
+though it checks ``n_sims`` as at every D, so the same model gives the same
+rates.  Elsewhere each estimate is one stream: ``zero_rates`` draws its
+normal vectors from ``default_rng(seed)``, as ``simulate_compositions``
+draws its rows, so the same seed and ``n_sims`` reproduce results exactly.
+``diagnose`` names its two streams, ``SeedSequence(seed).spawn(2)``: the
+rates use child 0 and the p-value replicates child 1.  The Monte Carlo rates
+count each of their ⌈n_sims/4⌉ normal vectors four times, under the powers
+of a quarter-turn (see ``_monte_carlo_rates``).
 Each stream, the rates' or a simulation's, is drawn in consecutive blocks of
 ``BLOCK_ROWS`` draws (a rate block: ``BLOCK_ROWS / 4`` vectors and their
 four images), and a remainder shorter than one block joins the last block.
@@ -26,7 +32,7 @@ whole-stream draw mapped the same way.  A call draws each block's normals
 into one buffer and maps them into a second, both reused across blocks, so a
 block is overwritten by the next one, and a tie or two-zero error names row
 numbers within its block.  ``simulate_compositions`` maps rows and holds its
-result plus the two buffers and one pulled block.  ``zero_rates`` maps each
+result plus the two buffers and one pulled block.  ``_monte_carlo_rates`` maps each
 block's vectors by two products, for images 0 and 1, into their parts stored
 by part, writes the parts of images 2 and 3, the reflections, beside them
 from the same products, and adds only the zero rule's bool mask.  Those
@@ -41,13 +47,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import numpy.random  # NumPy loads it, and about 20 modules with it, only on first use
 
 from .dataset import CompositionalDataset, part_names
 from .gaussian import MvnParams
-from .likelihood import FittedModel
+from .likelihood import FittedModel, _face_terms, _solve_chol
 from .simplex import _helmert_readonly, _inverse_affine, _zero_rule, project_rows
 
 #: Rows per draw block: a stream is drawn, mapped and counted or pulled this many rows at a time.
@@ -55,6 +62,8 @@ BLOCK_ROWS = 1 << 14
 #: Expected counts below this are pooled into a single leftover cell.
 CHI_SQUARE_FLOOR = 0.5
 MIN_RATE_SIMS = 10_000
+#: Gauss–Legendre nodes in each graded piece of the D = 3 angle integral (``_arc_rates``).
+ARC_NODES = 128
 
 
 def _longest_block(n: int, block_rows: int = BLOCK_ROWS) -> int:
@@ -145,6 +154,22 @@ def _quarter_turn(weights: np.ndarray) -> np.ndarray:
 
 
 def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
+    """Probability that a draw lands with its zero in part j, for each of ``model.dim + 1`` parts.
+
+    At D = 3 the rates are exact (``_arc_rates``), and ``n_sims`` and
+    ``seed`` are not used.  At any other D they are the Monte Carlo estimate
+    of ``_monte_carlo_rates`` from ``n_sims`` draws of ``default_rng(seed)``.
+    ``n_sims`` is checked at every D, so its errors do not depend on D.  The
+    rates sum to the overall boundary probability, which is at most 1.
+    """
+    if not isinstance(n_sims, numbers.Integral) or n_sims < MIN_RATE_SIMS:
+        raise ValueError(f"need an integer number of at least {MIN_RATE_SIMS} simulations, got {n_sims!r}")
+    if model.dim == 2:
+        return _arc_rates(model)
+    return _monte_carlo_rates(model, n_sims, seed)
+
+
+def _monte_carlo_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
     """Monte Carlo probability that a draw lands with its zero in part j, for each of ``model.dim + 1`` parts.
 
     The n draws are one stream from ``default_rng(seed)``, and each normal
@@ -164,8 +189,6 @@ def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
     without hold the simplex centre, which has no zero.  The rates sum to
     the overall boundary probability, which is at most 1.
     """
-    if not isinstance(n_sims, numbers.Integral) or n_sims < MIN_RATE_SIMS:
-        raise ValueError(f"need an integer number of at least {MIN_RATE_SIMS} simulations, got {n_sims!r}")
     n_parts = model.dim + 1
     vectors = -(-n_sims // 4)
     spare = 4 * vectors - n_sims  # the last vector goes without images 4 - spare .. 3
@@ -191,6 +214,108 @@ def zero_rates(model: MvnParams, n_sims: int, seed) -> np.ndarray:
         zeros = _zero_rule(parts, out=mask_buffer[: parts.size].reshape(n_parts, -1))[2]
         counts += [np.count_nonzero(part) for part in zeros]
     return counts / float(n_sims)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss–Legendre rule on [-1, 1], read-only.
+
+    The nodes are the roots of the Legendre polynomial P_n, found by Newton's
+    method from cos(pi (i - 1/4) / (n + 1/2)), with P_n and P_n' from the
+    three-term recurrence, and the weights are 2 / ((1 - x^2) P_n'(x)^2).  No
+    LAPACK eigensolver is touched: in a fresh process its code pages cost a
+    command about 2 MB of resident memory.
+    """
+    x = np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(10):  # from this start, four steps reach full precision at 128 nodes
+        before, p = np.ones(n), x
+        for k in range(2, n + 1):
+            before, p = p, ((2 * k - 1) * x * p - (k - 1) * before) / k
+        slope = n * (x * p - before) / (x * x - 1.0)
+        step = p / slope
+        x = x - step
+        if np.abs(step).max() <= 4.0 * np.finfo(float).eps:
+            break
+    weights = 2.0 / ((1.0 - x * x) * slope * slope)
+    x.setflags(write=False)
+    weights.setflags(write=False)
+    return x, weights
+
+
+def _held_to_arc(angle: float, lo: float, hi: float) -> float:
+    """The angle in [lo, hi] of the point of that arc nearest ``angle`` on the circle (hi - lo < 2 pi)."""
+    past = (angle - lo) % math.tau
+    if past <= hi - lo:
+        return lo + past
+    return hi if past - (hi - lo) < math.tau - past else lo
+
+
+def _arc_rates(model: MvnParams) -> np.ndarray:
+    """Exact zero rates of a 3-part model, by fixed-node quadrature over the direction angle.
+
+    In whitened coordinates z = L^-1 y the latent law is N(m, I) with
+    m = L^-1 mu, and the parts of z = t e, for a unit direction e, are
+    (H^T L e t + 1) / 3.  The first part to reach zero along e is
+    j = argmin_k (H^T L e)_k, at the radius c = -1 / (H^T L e)_j, so rate j is
+    the integral, over the angles of the directions whose part j that is, of
+    the radial mass beyond c.  That mass is exp(term) (b/a + lam/sqrt(a)),
+    E[T | T > c] for T ~ N(b/a, 1/a) times the face term of
+    ``_face_terms(c, e, m, 0)``, with a = 1 and b = e . m.  Part j's
+    directions are the arc between the whitened directions of the vertices
+    at the ends of its edge, on which the integrand is smooth.
+
+    Each arc is cut where the integrand can turn sharply: at m's angle and at
+    the angle of the edge point nearest m, each held to the arc.  A cut at
+    radius c gets the scale s = min(1, 1/|m|, delta/c^2), the angle across
+    the unit-width blob at m or along a unit of the edge, whose distance
+    from the origin is delta.  Each stretch between cuts is halved, and each
+    half gets ``ARC_NODES`` Gauss–Legendre nodes in u, at the angle
+    cut +/- s sinh(u), so they crowd towards its cut on the scale of its s
+    (an arc end that is no cut has s = 1).  A sum of rates that rounding
+    carries past 1 is scaled back to at most 1.
+    """
+    chol = model.chol
+    helmert = _helmert_readonly(3)
+    m = _solve_chol(chol, model.mean.copy())
+    slopes = helmert.T @ chol  # part j of z = t e is (1 + t slopes[j] . e) / 3
+    corners = _solve_chol(chol, helmert.copy())  # column k: the whitened direction of vertex k
+    corner_angles = np.arctan2(corners[1], corners[0])
+    norm_m = math.hypot(*m)
+    m_angle = math.atan2(m[1], m[0])
+    blob = min(1.0, 1.0 / norm_m) if norm_m else 1.0
+    pieces = []  # (cut, signed length, scale, part) of each graded half
+    order = np.argsort(corner_angles)
+    for i in range(3):
+        k, l = order[i], order[(i + 1) % 3]
+        part = 3 - k - l  # zero on the edge between vertices k and l
+        lo = corner_angles[k]
+        hi = lo + (corner_angles[l] - lo) % math.tau
+        normal = slopes[part]  # the edge is normal . z = -1, at distance 1/|normal| from the origin
+        foot = m - (normal @ m + 1.0) / (normal @ normal) * normal
+        scales = {lo: 1.0, hi: 1.0}
+        for angle in (m_angle, math.atan2(foot[1], foot[0])):
+            cut = _held_to_arc(angle, lo, hi)
+            along = (normal[0] * math.cos(cut) + normal[1] * math.sin(cut)) ** 2 / math.hypot(*normal)  # delta/c^2
+            scales[cut] = min(scales.get(cut, 1.0), blob, along)
+        cuts = sorted(scales)
+        for a, b in zip(cuts, cuts[1:]):
+            middle = 0.5 * (a + b)
+            pieces += [(a, middle - a, scales[a], part), (b, middle - b, scales[b], part)]
+    cut, length, scale, part = (np.array(column) for column in zip(*pieces))
+    nodes, weights = _gauss_legendre(ARC_NODES)
+    span = np.arcsinh(np.abs(length) / scale)
+    u = np.multiply.outer(0.5 * span, 1.0 + nodes)
+    angles = (cut[:, None] + np.copysign(scale, length)[:, None] * np.sinh(u)).ravel()
+    widths = ((0.5 * span * scale)[:, None] * weights * np.cosh(u)).ravel()
+    directions = np.stack((np.cos(angles), np.sin(angles)))
+    radii = -1.0 / np.min(slopes @ directions, axis=0)
+    term, a, root_a, b, lam = _face_terms(radii, directions, m, 0.0)
+    rates = np.bincount(np.repeat(part, ARC_NODES), weights=widths * np.exp(term) * (b / a + lam / root_a), minlength=3)
+    total = rates.sum()
+    while total > 1.0:  # rounding can carry a boundary mass of nearly 1 past it
+        rates = np.nextafter(rates / total, 0.0)
+        total = rates.sum()
+    return rates
 
 
 @dataclass(frozen=True)
@@ -264,9 +389,10 @@ def diagnose(
     """Zero-count diagnostic of a dataset against a fitted model, with an optional simulated p-value.
 
     The expected counts are n times ``zero_rates(model.params, n_sims,
-    seed)``, estimated once from ``n_sims`` draws, each normal vector
+    seed)`` with child 0 of ``SeedSequence(seed)``, taken once: exact at
+    D = 3, and elsewhere estimated from ``n_sims`` draws, each normal vector
     counted under four quarter-turns, so from about ``n_sims / 4`` normal
-    vectors, drawn from child 0 of ``SeedSequence(seed)``.  With
+    vectors.  With
     ``n_replicates`` (an integer, at least 99) the p-value is the add-one
     rank (1 + #{replicate >= observed}) / (R + 1) of the chi-square
     discrepancy among R replicate zero-count vectors, drawn from child 1.

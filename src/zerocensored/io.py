@@ -257,8 +257,9 @@ _MODEL_OPTIONAL = {"gradient_norm", "evaluations", "message", "seed"}
 def read_model_json(path) -> FittedModel:
     """Read a model JSON file and check it before any command uses it.
 
-    The document must be an object whose fields have the JSON types of
-    ``_MODEL_FIELDS``, so a bool or a numeric string is no number, ``D`` must
+    The document must be an object with no field outside ``_MODEL_FIELDS``,
+    so a misspelled field is no silent default, and its fields must have the
+    JSON types there, so a bool or a numeric string is no number, ``D`` must
     be the mean's length plus one, and the mean and covariance must pass
     ``MvnParams``; each error names the file.  A null ``loglik`` or
     ``gradient_norm``, or a missing ``gradient_norm``, reads back as NaN,
@@ -273,6 +274,9 @@ def read_model_json(path) -> FittedModel:
         raise ValueError(f"{path}: malformed model JSON ({exc})") from exc
     if type(doc) is not dict:
         raise ValueError(f"{path}: model JSON is not an object")
+    for key in doc:
+        if key not in _MODEL_FIELDS:
+            raise ValueError(f"{path}: model JSON has an unknown field {key!r}")
     for key, (kind, test) in _MODEL_FIELDS.items():
         if key in doc:
             if not test(doc[key]):

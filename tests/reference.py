@@ -173,7 +173,7 @@ def image_parts_whole(model, vectors) -> np.ndarray:
 
 
 def zero_rates_whole(model, n_sims, seed) -> np.ndarray:
-    """``zero_rates`` drawn and counted row-wise as one array: the ⌈n/4⌉ normal vectors z of
+    """``diagnostics._monte_carlo_rates`` drawn and counted row-wise as one array: the ⌈n/4⌉ normal vectors z of
     ``default_rng(seed)``, and image j = 0..3 of the quarter-turn, R^j z, for the first ⌊(n − j + 3)/4⌋ of
     them, each mapped as mean + R^j z Lᵀ."""
     images = image_vectors(-(-n_sims // 4), model.dim, seed)
@@ -192,7 +192,8 @@ def exact_zero_rates_d3(mean, cov) -> np.ndarray:
     s^2 e^(-(c - m)^2 / 2 s^2) + m s sqrt(2 pi) Phi(-(c - m) / s), times the
     density's factor along the ray, e^(-(mean'P mean - a m^2) / 2) / (2 pi |cov|^(1/2)).
     The angle integral runs by quadrature over the three arcs between vertex
-    directions, on each of which j is fixed.
+    directions, on each of which j is fixed, and an arc that holds the mean's
+    direction is split there, at the peak of a concentrated model's mass.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -212,11 +213,14 @@ def exact_zero_rates_d3(mean, cov) -> np.ndarray:
         return math.exp(-0.5 * (q - a * m * m)) * radial / scale
 
     vertices = sorted(math.atan2(col[1], col[0]) % (2.0 * math.pi) for col in h.T)
+    peak = math.atan2(mean[1], mean[0])
     rates = np.zeros(3)
     for lo, hi in zip(vertices, vertices[1:] + [vertices[0] + 2.0 * math.pi]):
         mid = 0.5 * (lo + hi)
         j = int(np.argmin(np.array([math.cos(mid), math.sin(mid)]) @ h))
-        rates[j] += quad(ray_mass, lo, hi, args=(j,), epsabs=0.0, epsrel=1e-10, limit=200)[0]
+        split = lo + (peak - lo) % (2.0 * math.pi)
+        for a, b in [(lo, split), (split, hi)] if split < hi else [(lo, hi)]:
+            rates[j] += quad(ray_mass, a, b, args=(j,), epsabs=0.0, epsrel=1e-10, limit=200)[0]
     return rates
 
 

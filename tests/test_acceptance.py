@@ -142,7 +142,7 @@ def test_criterion_3_example_generator_regeneration():
 
 
 def test_criterion_4_zero_rate_reproduction():
-    """Monte Carlo zero rates at the reported estimates match the published values to 0.01."""
+    """Zero rates at the reported estimates, exact at 3 parts, match the published values to 0.01."""
     params = zc.MvnParams(REPORTED_MEAN, np.array([[0.129, -0.132], [-0.132, 1.477]]))
     rates = zc.zero_rates(params, 1_000_000, seed=400)
     errors = np.abs(rates - REPORTED_ZERO_RATES)

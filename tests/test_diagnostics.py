@@ -33,6 +33,7 @@ from zerocensored.diagnostics import (
     MIN_RATE_SIMS,
     _chi_square_discrepancy,
     _column_map,
+    _monte_carlo_rates,
     _quarter_turn,
 )
 from zerocensored.io import write_diagnostics_json, write_model_json
@@ -149,9 +150,9 @@ def quadruple_zero_counts(n, model, seed):
 
 
 def test_zero_rates_count_the_zeros_simulation_writes():
-    # zero_rates draws its vectors as one stream from its seed, exactly as simulate does from that seed
+    # The Monte Carlo rates draw their vectors as one stream from their seed, exactly as simulate does from it
     n = 50_000
-    rates = zero_rates(BOUNDARY_MODEL, n, seed=13)
+    rates = _monte_carlo_rates(BOUNDARY_MODEL, n, seed=13)
     counts = quadruple_zero_counts(n, BOUNDARY_MODEL, 13)
     assert counts.sum() > 10_000
     np.testing.assert_array_equal(rates, counts / n)
@@ -164,7 +165,7 @@ def test_zero_rates_count_the_zeros_simulation_writes_at_every_part_count(n_part
     # n mod 4 = 3 leaves the stream's last vector without its image 3.
     model = correlated_model(n_parts)
     n = 3 * BLOCK_ROWS + 7
-    rates = zero_rates(model, n, seed=n_parts)
+    rates = _monte_carlo_rates(model, n, seed=n_parts)
     counts = quadruple_zero_counts(n, model, n_parts)
     assert counts.sum() > 500
     np.testing.assert_array_equal(rates, counts / n)
@@ -225,7 +226,7 @@ def test_zero_rates_number_image_j_of_vector_i_as_j_m_plus_i(monkeypatch, n_part
 
             monkeypatch.setattr(diagnostics, "_draw_blocks", one_block)
             with pytest.raises(TiedMinimumError) as raised:
-                zero_rates(model, MIN_RATE_SIMS, seed=0)
+                _monte_carlo_rates(model, MIN_RATE_SIMS, seed=0)
             assert str(raised.value).endswith(f"two zeros: {j * m + i}")
 
 
@@ -256,18 +257,18 @@ def test_zero_rates_are_one_stream_from_their_seed():
     n_sims = 300_000
     vectors, vector_rows = n_sims // 4, BLOCK_ROWS // 4
     assert vectors > vector_rows and vectors % vector_rows  # so the last block is longer than the others
-    a = zero_rates(BOUNDARY_MODEL, n_sims, seed=6)
-    np.testing.assert_array_equal(a, zero_rates(BOUNDARY_MODEL, n_sims, seed=6))
+    a = _monte_carlo_rates(BOUNDARY_MODEL, n_sims, seed=6)
+    np.testing.assert_array_equal(a, _monte_carlo_rates(BOUNDARY_MODEL, n_sims, seed=6))
     assert_same_bits(a, zero_rates_whole(BOUNDARY_MODEL, n_sims, seed=6))
     seq = np.random.SeedSequence(6)
-    assert_same_bits(a, zero_rates(BOUNDARY_MODEL, n_sims, seed=seq))
+    assert_same_bits(a, _monte_carlo_rates(BOUNDARY_MODEL, n_sims, seed=seq))
     assert seq.n_children_spawned == 0
 
 
 def test_zero_rates_monte_carlo_error_scales():
     # variance across repeats should drop roughly 100x from 1e4 to 1e6 draws
     def spread(n_sims, seeds):
-        vals = np.array([zero_rates(BOUNDARY_MODEL, n_sims, seed=s)[2] for s in seeds])
+        vals = np.array([_monte_carlo_rates(BOUNDARY_MODEL, n_sims, seed=s)[2] for s in seeds])
         return vals.var()
 
     v_small = spread(10_000, range(12))
@@ -277,8 +278,8 @@ def test_zero_rates_monte_carlo_error_scales():
 
 
 def test_zero_rates_disjoint_streams_agree():
-    r1 = zero_rates(BOUNDARY_MODEL, 400_000, seed=100)
-    r2 = zero_rates(BOUNDARY_MODEL, 400_000, seed=200)
+    r1 = _monte_carlo_rates(BOUNDARY_MODEL, 400_000, seed=100)
+    r2 = _monte_carlo_rates(BOUNDARY_MODEL, 400_000, seed=200)
     se = np.sqrt(r1 * (1 - r1) / 400_000)
     assert np.all(np.abs(r1 - r2) < 4 * np.maximum(se, 1e-4))
 
@@ -300,7 +301,7 @@ def test_exact_zero_rates_oracle_is_symmetric_for_a_centred_isotropic_model():
 def test_zero_rates_match_the_exact_rates(mean, cov, seed):
     exact = exact_zero_rates_d3(mean, cov)
     n_sims = 1_000_000
-    rates = zero_rates(MvnParams(np.array(mean), np.array(cov)), n_sims, seed)
+    rates = _monte_carlo_rates(MvnParams(np.array(mean), np.array(cov)), n_sims, seed)
     se = np.sqrt(exact * (1 - exact) / n_sims)
     assert np.all(np.abs(rates - exact) <= 4 * se), (rates, exact)
 
@@ -308,6 +309,141 @@ def test_zero_rates_match_the_exact_rates(mean, cov, seed):
 def test_zero_rates_enforces_minimum_sims():
     with pytest.raises(ValueError):
         zero_rates(BOUNDARY_MODEL, 5000, seed=0)
+
+
+# --- exact rates at three parts --------------------------------------------------------
+
+PAPER_MODELS = {
+    "generator": ([0.625, 0.821], [[0.149, -0.200], [-0.200, 1.523]]),
+    "reported-estimates": ([0.656, 0.788], [[0.129, -0.132], [-0.132, 1.477]]),
+}
+
+
+def whitened_mean_norm(model):
+    """|L^-1 mu|: the distance of the mean from the centre in units of the model's spread."""
+    return float(np.linalg.norm(np.linalg.solve(model.chol, model.mean)))
+
+
+def random_three_part_models(n, seed):
+    """n 3-part models with |L^-1 mu| <= 100: standard deviations from 1e-2 to 3, correlations up to 0.999,
+    and means inside the triangle, near a face, near a vertex, outside it or deep inside under a small spread."""
+    rng = np.random.default_rng(seed)
+    helmert = helmert_submatrix(3)
+    models = []
+    while len(models) < n:
+        kind = len(models) % 5
+        sd = 10.0 ** rng.uniform(-2.0, 0.5, size=2)
+        rho = rng.choice([-0.999, 0.999]) if rng.random() < 0.3 else rng.uniform(-0.9, 0.9)
+        if kind == 0:  # anywhere near the triangle
+            x = rng.dirichlet([2.0, 2.0, 2.0]) + rng.normal(0.0, 0.1, 3)
+        elif kind == 1:  # near a face
+            x = np.insert(rng.dirichlet([2.0, 2.0]), rng.integers(3), rng.normal(0.0, 0.02))
+        elif kind == 2:  # near a vertex
+            x = np.eye(3)[rng.integers(3)] + rng.normal(0.0, 0.02, 3)
+        elif kind == 3:  # deep inside: a deep upper tail beyond every face
+            x = rng.dirichlet([5.0, 5.0, 5.0])
+            sd = 10.0 ** rng.uniform(-2.0, -1.0, size=2)
+        else:  # outside
+            x = rng.dirichlet([2.0, 2.0, 2.0]) - np.eye(3)[rng.integers(3)] * rng.uniform(0.3, 0.6)
+        mean = helmert @ (3.0 * x / x.sum() - 1.0)
+        cov = np.outer(sd, sd) * np.array([[1.0, rho], [rho, 1.0]])
+        model = MvnParams(mean, cov)
+        if whitened_mean_norm(model) <= 100.0:
+            models.append(model)
+    return models
+
+
+@pytest.mark.parametrize("mean, cov", PAPER_MODELS.values(), ids=PAPER_MODELS.keys())
+def test_zero_rates_at_three_parts_are_the_exact_rates(mean, cov):
+    # 10^6 draws counted the reported estimates' first face, rate 1.78e-5, as 0.
+    rates = zero_rates(MvnParams(np.array(mean), np.array(cov)), 10_000, seed=0)
+    np.testing.assert_allclose(rates, exact_zero_rates_d3(mean, cov), rtol=0.0, atol=1e-12)
+    assert rates.min() > 0.0
+
+
+def test_zero_rates_at_three_parts_match_the_oracle_on_random_models():
+    models = random_three_part_models(60, seed=2026)
+    worst = max(float(np.abs(zero_rates(m, 10_000, 0) - exact_zero_rates_d3(m.mean, m.cov)).max()) for m in models)
+    assert worst <= 1e-12
+    tails = [zero_rates(m, 10_000, 0).sum() for m in models[3::5]]
+    assert min(tails) < 1e-12 < max(tails)  # the deep-inside models reach far into the tails
+
+
+# Near-singular covariances whiten the triangle into a needle whose long edges meet the rays at grazing angles.
+NEEDLES = {
+    # The mean lies near the needle's tip, where the edge radius turns within delta/c^2 of the mean's angle.
+    "mean-at-the-tip": ([0.0475, -2.3745], [[7.2075, -2.5685], [-2.5685, 0.91617]]),
+    # The mass beyond a face gathers at the edge point nearest the mean, well away from the mean's angle.
+    "mean-beside-an-edge": ([-0.0351, 0.4768], [[0.26994, 0.23255], [0.23255, 0.20037]]),
+}
+
+
+@pytest.mark.parametrize("mean, cov", NEEDLES.values(), ids=NEEDLES.keys())
+def test_zero_rates_at_three_parts_match_the_oracle_on_needles(mean, cov):
+    model = MvnParams(np.array(mean), np.array(cov))
+    assert np.linalg.cond(model.cov) > 1e4
+    np.testing.assert_allclose(zero_rates(model, 10_000, 0), exact_zero_rates_d3(mean, cov), rtol=0.0, atol=1e-12)
+
+
+def test_zero_rates_at_three_parts_match_the_oracle_on_concentrated_models():
+    # As the spread shrinks, the mass beyond a face gathers within about 1/|L^-1 mu| of the mean's direction;
+    # the oracle's quadrature is split there.  Its rounding and ours grow with |L^-1 mu|^2.
+    helmert = helmert_submatrix(3)
+    cov = np.array(PAPER_MODELS["generator"][1])
+    # On a face, near it, at a vertex, near it, outside a face and beyond a vertex.
+    spots = [[0.0, 0.6, 0.4], [0.01, 0.59, 0.4], [1.0, 0.0, 0.0], [0.97, 0.02, 0.01], [-0.1, 0.7, 0.4], [1.1, -0.05, -0.05]]
+    largest = 0.0
+    for spot in spots:
+        mean = helmert @ (3.0 * np.array(spot) - 1.0)
+        for scale in (1.0, 0.1, 0.03, 0.01, 3e-3, 1e-3):
+            model = MvnParams(mean, scale * scale * cov)
+            if whitened_mean_norm(model) > 3_000.0:
+                continue
+            largest = max(largest, whitened_mean_norm(model))
+            exact = exact_zero_rates_d3(mean, model.cov)
+            np.testing.assert_allclose(zero_rates(model, 10_000, 0), exact, rtol=0.0, atol=1e-9)
+    assert largest > 2_000.0
+
+
+def test_zero_rates_at_three_parts_sum_to_at_most_one_and_repeat_bit_for_bit():
+    # The last two lie almost wholly beyond the triangle; rounding carries the first one's integral to
+    # 1 + 1.2e-13, and the second one's to 1 - 2.2e-11.
+    models = [MvnParams(np.array(mean), np.array(cov)) for mean, cov in PAPER_MODELS.values()] + [
+        BOUNDARY_MODEL,
+        MvnParams(np.array([-0.0248, -2.7006]), np.array([[0.000989, -0.001168], [-0.001168, 0.002372]])),
+        MvnParams(helmert_submatrix(3) @ np.array([-0.3, 3.3, 0.0]), 1e-5 * np.eye(2)),
+    ]
+    sums = []
+    for model in models:
+        rates = zero_rates(model, 10_000, seed=0)
+        assert_same_bits(rates, zero_rates(model, 10_000, seed=0))
+        sums.append(rates.sum())
+    assert max(sums) <= 1.0
+    assert max(sums) > 1.0 - 1e-12
+
+
+def test_zero_rates_at_three_parts_ignore_the_count_and_the_seed():
+    rates = zero_rates(BOUNDARY_MODEL, 10_000, seed=0)
+    assert_same_bits(rates, zero_rates(BOUNDARY_MODEL, 1_000_000, seed=np.random.SeedSequence(7)))
+    # The count is still checked, as at every other part count.
+    for n_parts in (3, 4):
+        model = MvnParams(np.zeros(n_parts - 1), np.eye(n_parts - 1))
+        for n_sims in (MIN_RATE_SIMS - 1, 20_000.0):
+            with pytest.raises(ValueError, match="simulations"):
+                zero_rates(model, n_sims, seed=0)
+
+
+def test_diagnose_draws_no_normals_at_three_parts(monkeypatch):
+    import zerocensored.diagnostics as diagnostics
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew normal vectors")
+
+    model = toy_model(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov, 3)
+    ds = simulate_compositions(200, BOUNDARY_MODEL, seed=43)
+    monkeypatch.setattr(diagnostics, "_draw_blocks", no_draws)
+    result = diagnose(model, ds, n_sims=1_000_000, seed=44, n_replicates=99)
+    assert_same_bits(result.expected_rates, zero_rates(BOUNDARY_MODEL, 10_000, seed=0))
 
 
 # --- blocked draws ----------------------------------------------------------------
@@ -352,7 +488,7 @@ def test_zero_rates_blocks_give_the_whole_chunk_bits(n_parts):
     # draws end on a block of 4 096 vectors plus a remainder of 1, 2, 2 and 0 vectors.
     b = BLOCK_ROWS
     for n_sims in (10_000, 10_002, (1 << 17) + 1, (1 << 17) + b + 5, (1 << 17) + b + 6, 2 * (1 << 17) - 1):
-        assert_same_bits(zero_rates(model, n_sims, seed=n_parts), zero_rates_whole(model, n_sims, seed=n_parts))
+        assert_same_bits(_monte_carlo_rates(model, n_sims, seed=n_parts), zero_rates_whole(model, n_sims, seed=n_parts))
 
 
 def test_zero_rates_blocks_give_the_whole_chunk_bits_at_a_million_draws():
@@ -551,9 +687,9 @@ def test_diagnose_pvalue_is_mc_pvalue_with_the_same_seed():
     model = toy_model(BOUNDARY_MODEL.mean, BOUNDARY_MODEL.cov, 3)
     ds = simulate_compositions(200, BOUNDARY_MODEL, seed=40)
     rates_seed, replicates_seed = np.random.SeedSequence(41).spawn(2)
-    # The rates come from child 0 of the seed's sequence, and the p-value ranks the reported statistic among
-    # multinomial replicates from the reported rates, drawn from child 1.  Up to 131 072 draws these are
-    # the streams of the earlier 131 072-draw chunks, so CLI output kept its bytes; above, it moved.
+    # The rates are zero_rates' with child 0 of the seed's sequence, which at 3 parts are exact and draw
+    # nothing, and the p-value ranks the reported statistic among multinomial replicates from the reported
+    # rates, drawn from child 1.
     for n_sims in (100_000, 300_000):
         result = diagnose(model, ds, n_sims=n_sims, seed=41, n_replicates=199)
         np.testing.assert_array_equal(result.expected_rates, zero_rates(BOUNDARY_MODEL, n_sims, seed=rates_seed))

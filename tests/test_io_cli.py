@@ -661,6 +661,11 @@ INVALID_MODELS = {
     "not-an-object": (lambda doc: [doc], "model JSON is not an object"),
     # float() raised OverflowError on this integer, which the command did not catch.
     "huge-integer-mean": (lambda doc: doc.update(mean=[10**400, 0.8]), "mean must be an array of numbers"),
+    # An unknown field was ignored, so a misspelled optional one read back as its default: here NaN.
+    "misspelled-field": (
+        lambda doc: doc.update(gradient_nrom=doc.pop("gradient_norm")),
+        "unknown field 'gradient_nrom'",
+    ),
 }
 
 
