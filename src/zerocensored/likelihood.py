@@ -6,12 +6,13 @@ point that was pulled to a face enters through its rotated coordinates
 z = B y: the density of the non-first coordinates evaluated at zero, times
 the upper-tail probability of the first coordinate beyond the rotation
 radius c1.  B is the paper's orthonormal matrix built by Gram-Schmidt,
-``gram_schmidt_rotation``, which lives beside ``boundary_term``.
-``boundary_term`` evaluates exactly that term, splitting the rotated normal
-by the Schur complement of its non-first block, and the two are kept as the
-rotated-frame reference.  The term depends only on the unit direction
-u = y / c1 and c1, so the likelihood itself uses the equivalent direction
-form in ``_face_terms``, which needs no rotation.  The constant Jacobian
+``gram_schmidt_rotation``, which lives beside ``boundary_term``.  The term
+depends only on the unit direction u = y / c1 and c1, so one kernel,
+``_face_terms``, evaluates it from those with no rotation for the
+likelihood, its score and the exact D = 3 zero rates, and ``boundary_term``
+is that kernel at one point given (B, c1).  The rotated-frame form, which
+splits the rotated normal by the Schur complement of its non-first block,
+is kept only as the tests' oracle.  The constant Jacobian
 term (n d + n/2) log D of the exponent-one transformation, the only member
 of the power family that the likelihood is defined for, is included so
 reported values are full data log-likelihoods; it does not move the
@@ -174,11 +175,6 @@ def _log_ndtr_erfcx(x) -> tuple[np.ndarray, np.ndarray]:
     return out.reshape(x.shape), ex.reshape(x.shape)
 
 
-def _log_ndtr(x) -> np.ndarray:
-    """log Phi(x), the log standard normal distribution function, elementwise (``_log_ndtr_erfcx``)."""
-    return _log_ndtr_erfcx(x)[0]
-
-
 def _solve_chol(chol: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Overwrite x, a C-ordered float (d,) or (d, k) array, with L^-1 x for a lower-triangular L; return x.
 
@@ -240,40 +236,29 @@ def gram_schmidt_rotation(y) -> np.ndarray:
 
 
 def boundary_term(rotation, radius: float, mean, cov) -> float:
-    """Censored log-contribution of one face point with rotation data (B, c1).
+    """Censored log-contribution of one face point with rotation data (B, c1): ``_face_terms`` at that point.
 
-    With mu_z = B mu and Sigma_z = B Sigma B^T, the term is the log-density of
-    the non-first rotated coordinates at zero plus the log upper tail of the
-    first one beyond c1 given them.  Through L = chol(Sigma_22),
-    half = L^-1 Sigma_21 and m = L^-1 mu_2, the marginal is
-    -1/2 [(d - 1) log 2 pi + log|Sigma_22| + m.m] and the conditional of the
-    first coordinate has mean mu_1 - half.m and variance Sigma_11 - half.half
-    (the Schur complement), so the tail is
-    log(1 - Phi((c1 - cond_mean) / sqrt(cond_var))).
+    The log-density of the non-first rotated coordinates at zero plus the log
+    upper tail of the first one beyond c1 depends on B only through its first
+    row u, so this is the face kernel at w = L^-1 u and m = L^-1 mu with
+    L = chol(Sigma).  The rotated-frame Schur-complement form is the tests'
+    oracle.  A radius that is not positive and finite, a non-finite rotation
+    or mean, or mismatched shapes are a ``ValueError``.
     """
     b = np.asarray(rotation, dtype=float)
     c1 = float(radius)
-    if c1 <= 0.0:
-        raise ValueError(f"rotation radius must be positive, got {c1!r}")
+    if not 0.0 < c1 < math.inf:
+        raise ValueError(f"rotation radius must be positive and finite, got {c1!r}")
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    mu_z = b @ mean
-    sig_z = b @ cov @ b.T
-    sig_z = 0.5 * (sig_z + sig_z.T)  # rotation leaves eps-level asymmetry
-    d = mu_z.size
-    if d == 1:
-        sd = math.sqrt(float(sig_z[0, 0]))
-        return float(_log_ndtr(-(c1 - float(mu_z[0])) / sd))
-    chol = cholesky(sig_z[1:, 1:])
-    half = _solve_chol(chol, sig_z[1:, 0].copy())
-    m = _solve_chol(chol, mu_z[1:].copy())
-    cond_mean = float(mu_z[0] - half @ m)
-    cond_var = float(sig_z[0, 0] - half @ half)
-    if cond_var <= 0.0:
-        raise NotPositiveDefiniteError("conditional variance is not positive")
+    d = mean.size
+    if mean.shape != (d,) or b.shape != (d, d) or cov.shape != (d, d):
+        raise ValueError("parameter dimensions do not match the rotation")
+    _require_finite(b, mean)
+    chol = cholesky(cov)
+    x = _solve_chol(chol, np.column_stack([b[0], mean]))
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m)
-    return float(marginal + _log_ndtr(-(c1 - cond_mean) / math.sqrt(cond_var)))
+    return float(_face_terms(np.array([c1]), x[:, :1], x[:, 1], log_det)[0][0])
 
 
 def _sample_columns(sample: TransformedSample) -> tuple[np.ndarray, np.ndarray]:
@@ -296,24 +281,33 @@ def _sample_columns(sample: TransformedSample) -> tuple[np.ndarray, np.ndarray]:
 def _face_terms(
     radii: np.ndarray, w: np.ndarray, m: np.ndarray, log_det: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized ``boundary_term`` over face points with radii c1 and w = L^-1 u, with a, sqrt(a), b and lam.
+    """The censored terms of face points with radii c1 and w = L^-1 u, with a, sqrt(a), b and lam.
 
-    With u = y / c1, L = chol(Sigma), m = L^-1 mu, a = ||w||^2 and b = w . m,
-    the rotated first coordinate has conditional precision a and conditional
-    mean b / a given the others at zero, so the term is
-    -1/2 [(d - 1) log 2 pi + log|Sigma| + ||m||^2 - b^2/a + log a]
-    + log(1 - Phi(z)) with z = (c1 - b/a) sqrt(a).  No rotation is built.  The
-    inverse Mills ratio lam = phi(z) / (1 - Phi(z)) is sqrt(2/pi) /
-    erfcx(z/sqrt(2)) for z >= 0 from the tail's own erfcx, to any tail depth,
-    and is computed in logs below zero, where 1 - Phi(z) > 1/2.
+    The package's one censored-term formula; ``boundary_term`` is it at one
+    point.  With u = y / c1, L = chol(Sigma), m = L^-1 mu, a = ||w||^2 and
+    b = w . m, the rotated first coordinate has conditional precision a and
+    conditional mean b / a given the others at zero, so the term is
+    -1/2 [(d - 1) log 2 pi + log|Sigma| + ||m - (b/a) w||^2 + log a]
+    + log(1 - Phi(z)) with z = (c1 - b/a) sqrt(a).  No rotation is built.
+    ||m - (b/a) w||^2 equals ||m||^2 - b^2/a without its cancellation when m
+    lies far out along u; it reuses the (d, n2) buffer of a.  The inverse
+    Mills ratio lam = phi(z) / (1 - Phi(z)) is sqrt(2/pi) / erfcx(z/sqrt(2))
+    for z >= 0 from the tail's own erfcx, to any tail depth, and is computed
+    in logs below zero, where 1 - Phi(z) > 1/2.
     """
-    a = np.sum(w * w, axis=0)
-    root_a = np.sqrt(a)
+    square = w * w
+    a = square.sum(axis=0)
     b = m @ w
-    z = (radii - b / a) * root_a
+    centre = b / a
+    np.multiply(w, -centre, out=square)
+    square += m[:, None]
+    square *= square
+    perp = square.sum(axis=0)
+    del square  # not alive while the tail's temporaries are
+    root_a = np.sqrt(a)
+    z = (radii - centre) * root_a
     log_tail, erfcx = _log_ndtr_erfcx(-z)
-    d = m.size
-    marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m - b * b / a + np.log(a))
+    marginal = -0.5 * ((m.size - 1) * LOG_2PI + log_det + perp + np.log(a))
     with np.errstate(divide="ignore", over="ignore"):  # an infinite z is refused with the score
         lam = _SQRT_2_OVER_PI / erfcx
         below = z < 0.0

@@ -306,10 +306,49 @@ def loglik_frame_per_call(sample, mean, chol):
         z = (radii - b / a) * np.sqrt(a)
         log_tail, erfcx = _log_ndtr_erfcx(-z)
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m - b * b / a + np.log(a))
+        perp = m[:, None] - (b / a) * w
+        marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + np.sum(perp * perp, axis=0) + np.log(a))
         total += float(np.sum(marginal + log_tail))
         face = (radii, w, m, a, b, z, log_tail, erfcx)
     return total, x[:, n2 + 1 : n2 + 1 + d], resid, face
+
+
+def boundary_term_schur(rotation, radius: float, mean, cov) -> float:
+    """Censored log-contribution of one face point with rotation data (B, c1), in the rotated frame.
+
+    ``likelihood.boundary_term`` as the package computed it before it became
+    the face kernel at one point.  With mu_z = B mu and Sigma_z = B Sigma B^T,
+    the term is the log-density of the non-first rotated coordinates at zero
+    plus the log upper tail of the first one beyond c1 given them.  Through
+    L = chol(Sigma_22), half = L^-1 Sigma_21 and m = L^-1 mu_2, the marginal is
+    -1/2 [(d - 1) log 2 pi + log|Sigma_22| + m.m] and the conditional of the
+    first coordinate has mean mu_1 - half.m and variance Sigma_11 - half.half
+    (the Schur complement), so the tail is
+    log(1 - Phi((c1 - cond_mean) / sqrt(cond_var))).
+    """
+    b = np.asarray(rotation, dtype=float)
+    c1 = float(radius)
+    if c1 <= 0.0:
+        raise ValueError(f"rotation radius must be positive, got {c1!r}")
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    mu_z = b @ mean
+    sig_z = b @ cov @ b.T
+    sig_z = 0.5 * (sig_z + sig_z.T)  # rotation leaves eps-level asymmetry
+    d = mu_z.size
+    if d == 1:
+        sd = math.sqrt(float(sig_z[0, 0]))
+        return float(_log_ndtr_erfcx(-(c1 - float(mu_z[0])) / sd)[0])
+    chol = cholesky(sig_z[1:, 1:])
+    half = _solve_chol(chol, sig_z[1:, 0].copy())
+    m = _solve_chol(chol, mu_z[1:].copy())
+    cond_mean = float(mu_z[0] - half @ m)
+    cond_var = float(sig_z[0, 0] - half @ half)
+    if cond_var <= 0.0:
+        raise NotPositiveDefiniteError("conditional variance is not positive")
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    marginal = -0.5 * ((d - 1) * LOG_2PI + log_det + m @ m)
+    return float(marginal + _log_ndtr_erfcx(-(c1 - cond_mean) / math.sqrt(cond_var))[0])
 
 
 def erfcx_power_series(n_terms: int = 25, k: float = 3.75, nodes: int = 128, dps: int = 40) -> tuple[float, ...]:

@@ -1,4 +1,5 @@
-"""The package's public names, the README's list of them, its fixed settings, its JSON owner and its import cost."""
+"""The package's public names, the README's list of them, its fixed settings, its JSON owner, its one
+censored-term formula and its import cost."""
 
 import ast
 import json
@@ -98,6 +99,18 @@ def test_only_io_and_the_svg_metadata_import_json():
             if any(name.partition(".")[0] == "json" for name in names):
                 importers.add(path.name)
     assert importers == {"io.py", "ternary.py"}
+
+
+def test_only_the_face_kernel_calls_the_normal_tail():
+    # One censored-term formula: boundary_term, the likelihood and the D = 3 rates all reach the tail through it.
+    callers = set()
+    for path in sorted((ROOT / "src" / "zerocensored").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if "_log_ndtr_erfcx" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    callers.add((path.name, getattr(top, "name", "<module>")))
+    assert callers == {("likelihood.py", "_face_terms")}
 
 
 def _small_sample():

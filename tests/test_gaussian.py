@@ -3,9 +3,11 @@
 ``MvnParams`` and ``cholesky`` must refuse what LAPACK would pass through.
 The reference log-density (``tests/reference.py``) that other tests build on
 is checked against a naive inverse/determinant evaluation and against grid
-quadrature.  The conditional split of the rotated normal and its normal tail
-now live only inside ``boundary_term``; they are checked through it with the
-identity rotation, against closed forms, the joint density and an
+quadrature.  The conditional split of the rotated normal is checked through
+``boundary_term``, the face kernel at one point, with the identity rotation
+against closed forms and the joint density; its rotated-frame Schur form is
+the oracle ``tests/reference.py::boundary_term_schur``.  The normal tail is
+checked through the kernel's ``_log_ndtr_erfcx`` against closed forms and an
 arbitrary-precision complementary error function.
 """
 
@@ -17,6 +19,7 @@ import pytest
 from scipy.integrate import quad, trapezoid
 
 from zerocensored import MvnParams, NotPositiveDefiniteError, boundary_term, cholesky
+from zerocensored.likelihood import _log_ndtr_erfcx
 
 from reference import mvn_logpdf
 
@@ -125,7 +128,7 @@ def test_logpdf_dimension_mismatch():
         mvn_logpdf(np.zeros(3), MvnParams(np.zeros(2), np.eye(2)))
 
 
-# --- conditional split, inside boundary_term ------------------------------------------
+# --- conditional split, through boundary_term (the face kernel at one point) ----------
 
 
 def log_sf(x):
@@ -168,17 +171,17 @@ def test_factorization_identity_at_zero_tail_coordinates():
 
 
 def test_conditional_split_rejects_a_singular_covariance():
-    # the Schur complement 1 - 1 * 1 is exactly zero
-    with pytest.raises(NotPositiveDefiniteError, match="conditional variance"):
+    # the covariance's second pivot, and the Schur complement 1 - 1 * 1, are exactly zero
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
         boundary_term(np.eye(2), 1.0, np.zeros(2), np.ones((2, 2)))
 
 
-# --- normal tail, as the one-coordinate boundary term -------------------------------------
+# --- normal tail, from the face kernel's log Phi ------------------------------------------
 
 
 def log_tail(a: float) -> float:
-    """log(1 - Phi(a)), as the d = 1 boundary term at radius 1 with mean 1 - a."""
-    return boundary_term(np.eye(1), 1.0, np.array([1.0 - a]), np.eye(1))
+    """log(1 - Phi(a)) = log Phi(-a), from the face kernel's normal-tail routine."""
+    return float(_log_ndtr_erfcx(-a)[0])
 
 
 def test_log_tail_at_zero():

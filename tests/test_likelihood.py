@@ -38,7 +38,7 @@ from zerocensored.likelihood import (
     _ERFCX_POWERS,
     _erfcx,
     _face_terms,
-    _log_ndtr,
+    _log_ndtr_erfcx,
     _loglik_and_score,
     _pack_params,
     _sample_columns,
@@ -49,6 +49,7 @@ from zerocensored.likelihood import (
 from zerocensored.simplex import _inverse_affine
 
 from reference import (
+    boundary_term_schur,
     erfcx_power_series,
     fit_lbfgsb,
     loglik_and_score_per_call,
@@ -170,6 +171,11 @@ def ulps_off(got, exact):
     return np.abs(got - exact) / np.spacing(np.abs(exact))
 
 
+def log_ndtr(x):
+    """log Phi(x) from the package's normal-tail kernel."""
+    return _log_ndtr_erfcx(x)[0]
+
+
 def test_erfcx_matches_mpmath_to_a_few_ulps():
     with mp.workdps(40):
         exact = np.array([float(mp.exp(mp.mpf(t) ** 2) * mp.erfc(t)) for t in ERFCX_GRID])
@@ -181,18 +187,18 @@ def test_log_ndtr_matches_mpmath_to_a_few_ulps():
         exact = np.array(
             [float(mp.log(mp.ncdf(x)) if x < 0 else mp.log1p(-mp.ncdf(-x))) for x in LOG_NDTR_GRID]
         )
-    assert ulps_off(_log_ndtr(LOG_NDTR_GRID), exact).max() <= KERNEL_ULPS
+    assert ulps_off(log_ndtr(LOG_NDTR_GRID), exact).max() <= KERNEL_ULPS
 
 
 def test_normal_tail_kernels_at_special_values():
     with np.errstate(all="raise", under="ignore"):  # NumPy's default ignores underflow only
         ends = _erfcx(np.array([0.0, -0.0, np.inf, np.nan]))
-        got = _log_ndtr(np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, 40.0, 1e300, -1e300]))
+        got = log_ndtr(np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, 40.0, 1e300, -1e300]))
     np.testing.assert_allclose(ends, [1.0, 1.0, 0.0, np.nan], rtol=2.3e-16, atol=0)
     np.testing.assert_array_equal(got[:3], [-np.inf, 0.0, np.nan])
     assert got[3] == got[4] == pytest.approx(math.log(0.5), rel=1e-15)
     assert got[5] == got[6] == 0.0 and got[7] == -np.inf
-    assert _log_ndtr(-3.0).shape == () and _log_ndtr(np.zeros((2, 3))).shape == (2, 3)
+    assert log_ndtr(-3.0).shape == () and log_ndtr(np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_normal_tail_kernels_match_scipy():
@@ -200,7 +206,7 @@ def test_normal_tail_kernels_match_scipy():
     # is within 4 ulps of mpmath, so the comparison stops there.
     np.testing.assert_allclose(_erfcx(ERFCX_GRID), scipy.special.erfcx(ERFCX_GRID), rtol=2e-15, atol=0)
     x = LOG_NDTR_GRID[LOG_NDTR_GRID < 6.0]
-    np.testing.assert_allclose(_log_ndtr(x), scipy.special.log_ndtr(x), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(log_ndtr(x), scipy.special.log_ndtr(x), rtol=1e-14, atol=0)
 
 
 def test_erfcx_table_is_the_reference_series():
@@ -270,6 +276,8 @@ def test_boundary_term_invariant_to_row_sign_flips():
             flipped = b.copy()
             flipped[row] = -flipped[row]
             assert boundary_term(flipped, c1, mean, cov) == pytest.approx(base, abs=1e-10)
+            # The package reads only B's first row; the rotated-frame oracle reads all of it.
+            assert boundary_term_schur(flipped, c1, mean, cov) == pytest.approx(base, abs=1e-10)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 9, 19])
@@ -280,7 +288,7 @@ def test_vectorized_boundary_terms_match_scalar_route(d):
     mean = rng.normal(size=d)
     cov = random_spd(rng, d)
     batch = face_terms(face, mean, np.linalg.cholesky(cov))
-    scalar = [boundary_term(gram_schmidt_rotation(y), np.linalg.norm(y), mean, cov) for y in face]
+    scalar = [boundary_term_schur(gram_schmidt_rotation(y), np.linalg.norm(y), mean, cov) for y in face]
     np.testing.assert_allclose(batch, scalar, atol=1e-12)
 
 
@@ -293,7 +301,7 @@ def test_vectorized_boundary_terms_finite_deep_in_the_tail(d):
     direction /= np.linalg.norm(direction)
     face = np.outer([10.0, 30.0, 50.0], direction) * 0.1  # c / sigma = 10, 30, 50
     batch = face_terms(face, mean, np.linalg.cholesky(cov))
-    scalar = [boundary_term(gram_schmidt_rotation(y), np.linalg.norm(y), mean, cov) for y in face]
+    scalar = [boundary_term_schur(gram_schmidt_rotation(y), np.linalg.norm(y), mean, cov) for y in face]
     assert np.all(np.isfinite(batch))
     np.testing.assert_allclose(batch, scalar, rtol=1e-12)
 
@@ -326,6 +334,23 @@ def direction_form_mp(y, mean, cov):
         return float(marginal + mp.log(mp.erfc(z / mp.sqrt(2)) / 2))
 
 
+@pytest.mark.parametrize("d", [2, 4, 9])
+def test_vectorized_boundary_terms_far_from_the_centre(d):
+    # With |L^-1 mu| near 1e4 along the rays, ||m||^2 - b^2/a would lose about 1e8 ulps of an O(1) term.
+    rng = np.random.default_rng(46)
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    cov = basis @ np.diag(np.linspace(1.0, 2.0, d)) @ basis.T
+    cov = 0.5 * (cov + cov.T)
+    unit = rng.normal(size=d)
+    unit /= np.linalg.norm(unit)
+    mean = 1e4 * unit
+    rays = unit + 1e-4 * rng.normal(size=(4, d))
+    face = rng.uniform(0.5, 2.0, size=(4, 1)) * rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    batch = face_terms(face, mean, np.linalg.cholesky(cov))
+    reference = np.array([direction_form_mp(y, mean, cov) for y in face])
+    assert np.max(np.abs(batch - reference) / np.maximum(1.0, np.abs(reference))) <= 1e-11
+
+
 @pytest.mark.parametrize("d", [3, 9])
 def test_vectorized_boundary_terms_near_singular_cov(d):
     rng = np.random.default_rng(45)
@@ -339,9 +364,22 @@ def test_vectorized_boundary_terms_near_singular_cov(d):
     np.testing.assert_allclose(batch, reference, rtol=1e-7)
 
 
-def test_boundary_term_rejects_nonpositive_radius():
+BAD_BOUNDARY_INPUTS = {
+    "zero-radius": (np.eye(2), 0.0, np.zeros(2)),
+    "negative-radius": (np.eye(2), -1.0, np.zeros(2)),
+    "nan-radius": (np.eye(2), np.nan, np.zeros(2)),
+    "infinite-radius": (np.eye(2), np.inf, np.zeros(2)),
+    "nan-mean": (np.eye(2), 1.0, np.array([np.nan, 0.0])),
+    "infinite-mean": (np.eye(2), 1.0, np.array([0.0, np.inf])),
+    "oversized-rotation": (np.eye(4), 1.0, np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("rotation, radius, mean", BAD_BOUNDARY_INPUTS.values(), ids=BAD_BOUNDARY_INPUTS.keys())
+def test_boundary_term_rejects_nonpositive_radius(rotation, radius, mean):
+    # log_likelihood refuses a non-finite mean too; a NaN must not pass as a term.
     with pytest.raises(ValueError):
-        boundary_term(np.eye(2), 0.0, np.zeros(2), np.eye(2))
+        boundary_term(rotation, radius, mean, np.eye(2))
 
 
 def test_censored_contribution_below_interior_density():
