@@ -167,20 +167,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_plot(args) -> int:
     dataset = read_compositions_csv(args.data_csv, apply_closure=args.closure)
-    if dataset.n_parts != 3:
-        print(
-            f"error: ternary plots need exactly 3 components, got {dataset.n_parts} "
-            "(the model itself has no such limit)",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    params = None
-    if args.model is not None:
-        model = read_model_json(args.model)
-        if model.n_parts != 3:
-            print("error: model is not 3-part; cannot draw contours", file=sys.stderr)
-            return EXIT_INPUT
-        params = model.params
+    params = None if args.model is None else read_model_json(args.model).params
     svg = render_svg(dataset, params)
     write_file(args.output, lambda fh: fh.write(svg))
     print(f"wrote {args.output}")

@@ -7,7 +7,7 @@ per-point rotation is built or cached here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,13 +95,12 @@ class CompositionalDataset:
 
 @dataclass(frozen=True)
 class TransformedSample:
-    """A dataset mapped to R^d: interior points, and face points with their zero part."""
+    """A dataset mapped to R^d: interior points, and face points with their zero part (no part names)."""
 
     interior: np.ndarray
     face: np.ndarray
     face_zero_index: np.ndarray
     n_parts: int
-    names: tuple[str, ...] | None = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
@@ -136,5 +135,4 @@ def transform_dataset(dataset: CompositionalDataset) -> TransformedSample:
         face=face,
         face_zero_index=dataset.face_zero_index.copy(),
         n_parts=dataset.n_parts,
-        names=dataset.names,
     )

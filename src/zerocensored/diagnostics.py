@@ -356,16 +356,16 @@ def _chi_square_discrepancy(observed, expected):
     a single leftover cell so the statistic stays defined for sparse tables.
     A leftover cell with zero expectation contributes 0 when its observed
     count is also zero and +inf otherwise (an observation the model calls
-    impossible).  ``observed`` is one table, scored as a float, or a stack of
-    tables in its rows, scored as an array.
+    impossible).  ``observed`` is a stack of tables in its rows, each scored
+    on its own, so a row gets the same bits in any stack; the result is an
+    array with one statistic per row.
     """
-    obs = np.asarray(observed, dtype=float)
+    tables = np.asarray(observed, dtype=float)
     exp = np.asarray(expected, dtype=float)
-    if obs.shape[-1:] != exp.shape or obs.ndim not in (1, 2) or exp.size == 0:
-        raise ValueError("observed and expected must be equal-length non-empty vectors")
+    if tables.ndim != 2 or tables.shape[1:] != exp.shape or exp.size == 0:
+        raise ValueError("observed must be rows of tables as long as the non-empty expected vector")
     if np.any(exp < 0.0):
         raise ValueError("expected counts must be non-negative")
-    tables = np.atleast_2d(obs)
     keep = exp >= CHI_SQUARE_FLOOR
     stats = np.sum((tables[:, keep] - exp[keep]) ** 2 / exp[keep], axis=1)
     pooled_obs = tables[:, ~keep].sum(axis=1)
@@ -375,7 +375,7 @@ def _chi_square_discrepancy(observed, expected):
         stats += [(p - pooled_exp) ** 2 / pooled_exp for p in pooled_obs.tolist()]
     else:
         stats[pooled_obs > 0.0] = math.inf
-    return float(stats[0]) if obs.ndim == 1 else stats
+    return stats
 
 
 def diagnose(
@@ -413,13 +413,14 @@ def diagnose(
     n_obs = dataset.n_obs
     expected = n_obs * rates
     observed = dataset.observed_zero_counts()
-    stat = _chi_square_discrepancy(observed, expected)
-    pvalue = None
+    tables = observed[None, :]
     if n_replicates is not None:
         rng = np.random.default_rng(replicates_seed)
         replicates = rng.multinomial(n_obs, [*rates, max(0.0, 1.0 - rates.sum())], size=n_replicates)
-        exceed = int(np.count_nonzero(_chi_square_discrepancy(replicates[:, :-1], expected) >= stat))
-        pvalue = (1 + exceed) / (n_replicates + 1)
+        tables = np.vstack([observed, replicates[:, :-1]])
+    stats = _chi_square_discrepancy(tables, expected)
+    stat = float(stats[0])
+    pvalue = None if n_replicates is None else (1 + int(np.count_nonzero(stats[1:] >= stat))) / (n_replicates + 1)
     return ZeroDiagnostics(
         names=dataset.names,
         observed_counts=observed,

@@ -263,8 +263,9 @@ def read_model_json(path) -> FittedModel:
     be the mean's length plus one, and the mean and covariance must pass
     ``MvnParams``; each error names the file.  A null ``loglik`` or
     ``gradient_norm``, or a missing ``gradient_norm``, reads back as NaN,
-    and another missing field of ``_MODEL_OPTIONAL`` as None.  A leading
-    byte-order mark is skipped, as in a CSV file.
+    and another missing field of ``_MODEL_OPTIONAL`` as None; ``seed`` is
+    checked but not kept.  A leading byte-order mark is skipped, as in a CSV
+    file.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read().removeprefix("\ufeff")
@@ -299,7 +300,6 @@ def read_model_json(path) -> FittedModel:
         n_parts=doc["D"],
         n_interior=doc["n1"],
         n_face=doc["n2"],
-        seed=doc.get("seed"),
         evaluations=doc.get("evaluations"),
         message=doc.get("message"),
     )
@@ -327,7 +327,7 @@ def write_model_json(path, model: FittedModel) -> None:
         "D": int(model.n_parts),
         "n1": int(model.n_interior),
         "n2": int(model.n_face),
-        "seed": None if model.seed is None else int(model.seed),
+        "seed": None,
     }
     write_file(path, lambda fh: fh.write(json.dumps(doc, allow_nan=False, indent=2) + "\n"))
 

@@ -55,6 +55,8 @@ LOGLIK_REL_TOL = 1e-10
 START_RIDGE = 1e-8
 #: Candidate basis vectors with residual norm below this are skipped during completion.
 GS_SKIP_TOL = 1e-8
+#: ``boundary_term`` refuses a rotation B with max|B B^T - I| above this; Gram-Schmidt's is below 1e-15.
+ORTHONORMAL_TOL = 1e-10
 
 #: (1 + 2t) erfcx(t) = sum_j a_j s^j with s = (t - K) / (t + K), K = 3.75, for t >= 0: Shepherd and
 #: Laframboise's Chebyshev series (Math. Comp. 36 (1981) 249-253), cut at 25 terms (2.2e-16 relative) and
@@ -243,7 +245,8 @@ def boundary_term(rotation, radius: float, mean, cov) -> float:
     row u, so this is the face kernel at w = L^-1 u and m = L^-1 mu with
     L = chol(Sigma).  The rotated-frame Schur-complement form is the tests'
     oracle.  A radius that is not positive and finite, a non-finite rotation
-    or mean, or mismatched shapes are a ``ValueError``.
+    or mean, a rotation not orthonormal within ``ORTHONORMAL_TOL``, or
+    mismatched shapes are a ``ValueError``.
     """
     b = np.asarray(rotation, dtype=float)
     c1 = float(radius)
@@ -255,6 +258,8 @@ def boundary_term(rotation, radius: float, mean, cov) -> float:
     if mean.shape != (d,) or b.shape != (d, d) or cov.shape != (d, d):
         raise ValueError("parameter dimensions do not match the rotation")
     _require_finite(b, mean)
+    if np.abs(b @ b.T - np.eye(d)).max() > ORTHONORMAL_TOL:
+        raise ValueError(f"rotation must be orthonormal (max |B B^T - I| <= {ORTHONORMAL_TOL:g})")
     chol = cholesky(cov)
     x = _solve_chol(chol, np.column_stack([b[0], mean]))
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -393,8 +398,7 @@ class FittedModel:
     ``trace`` holds the log-likelihood at the initial point and after each
     optimizer iteration.  ``evaluations`` counts the optimizer's combined
     value-and-score calls and ``message`` names the test that stopped it.
-    ``seed`` records data provenance when the fitted sample was simulated;
-    it is None for real data.
+    It keeps no seed: a model file's ``seed`` is always written as null.
     """
 
     mean: np.ndarray
@@ -407,7 +411,6 @@ class FittedModel:
     n_interior: int
     n_face: int
     trace: tuple[float, ...] = field(default=(), repr=False)
-    seed: int | None = None
     evaluations: int | None = None
     message: str | None = None
 
@@ -542,7 +545,6 @@ def fit(
     *,
     max_iter: int = 5000,
     gradient_tol: float = 1e-6,
-    seed: int | None = None,
 ) -> FittedModel:
     """Maximize the censored log-likelihood over (mean, cov) by L-BFGS (``_lbfgs``).
 
@@ -603,7 +605,6 @@ def fit(
         n_interior=n1,
         n_face=sample.n_face,
         trace=tuple(-v for v in values),
-        seed=seed,
         evaluations=evaluations,
         message=message,
     )

@@ -145,7 +145,7 @@ def project_rows(parts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def validate_compositions(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Check one composition or an (n, D) array of them; returns (parts, zero_index).
+    """Check an (n, D) array of compositions; returns (parts, zero_index).
 
     Parts must be finite; negatives down to ``-ZERO_TOL`` are clamped to zero.
     Row sums off by more than ``UNIT_SUM_TOL`` but at most ``RECLOSE_TOL``
@@ -153,8 +153,7 @@ def validate_compositions(rows) -> tuple[np.ndarray, np.ndarray]:
     part (``zero_parts``: parts up to ``ZERO_TOL``), and a row may have one
     (its ``zero_index``, -1 if none).  Errors name 1-based row numbers.
     """
-    x = np.array(rows, dtype=float)
-    x = _as_rows(x[None, :] if x.ndim == 1 else x)
+    x = _as_rows(np.array(rows, dtype=float))
     _reject_rows(~np.isfinite(x).all(axis=1), "non-finite values in rows")
     _reject_rows((x < -ZERO_TOL).any(axis=1), "negative parts in rows")
     x[x < 0.0] = 0.0

@@ -52,7 +52,7 @@ def _density_contours(model: MvnParams) -> list[tuple[float, np.ndarray, np.ndar
     coordinates.
     """
     if model.dim != 2:
-        raise ValueError("density contours are drawn for 2-d latent models (3 parts) only")
+        raise ValueError("model is not 3-part; cannot draw contours")
     r_max = math.sqrt(-2.0 * math.log1p(-COVERAGE))
     peak = -0.5 * (2.0 * LOG_2PI + 2.0 * float(np.sum(np.log(np.diag(model.chol)))))
     t = np.linspace(0.0, 2.0 * math.pi, N_POINTS)
@@ -70,16 +70,19 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(dataset: CompositionalDataset | None = None, model: MvnParams | None = None) -> str:
+def render_svg(dataset: CompositionalDataset, model: MvnParams | None = None) -> str:
     """Render a ternary scatter (interior dots, green boundary crosses) with optional contours.
 
-    Vertex labels are the dataset's part names, or ``comp1``..``comp3`` when it
-    has none.  The drawing is ``WIDTH`` pixels wide with a ``MARGIN`` around
-    the triangle.
+    An empty dataset draws the frame alone, and a dataset or model that is
+    not 3-part is a ``ValueError``.  Vertex labels are the dataset's part
+    names, or ``comp1``..``comp3`` when it has none.  The drawing is
+    ``WIDTH`` pixels wide with a ``MARGIN`` around the triangle.
     """
-    if dataset is not None and dataset.n_parts != 3:
-        raise ValueError(f"ternary plots need exactly 3 components, got {dataset.n_parts}")
-    names = part_names(None if dataset is None else dataset.names, 3)
+    if dataset.n_parts != 3:
+        raise ValueError(
+            f"ternary plots need exactly 3 components, got {dataset.n_parts} (the model itself has no such limit)"
+        )
+    names = part_names(dataset.names, 3)
     # Escaped for XML once, for the labels and the <desc> JSON (not with xml.sax.saxutils: it imports urllib).
     names = [n.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;") for n in names]
 
@@ -128,7 +131,7 @@ def render_svg(dataset: CompositionalDataset | None = None, model: MvnParams | N
             f'<polyline points="{path}" fill="none" stroke="#4878b0" stroke-width="1.0"/>'
         )
 
-    if dataset is not None and dataset.n_obs:
+    if dataset.n_obs:
         interior_px = to_px(_ternary_coordinates(dataset.interior_parts)) if dataset.n_interior else []
         for x, y in interior_px:
             parts_svg.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.2" fill="#303030"/>')

@@ -451,7 +451,7 @@ def loglik_frame_scipy(sample, mean, chol):
     return total, resid, face
 
 
-def fit_lbfgsb(sample, *, max_iter=5000, gradient_tol=1e-6, seed=None) -> FittedModel:
+def fit_lbfgsb(sample, *, max_iter=5000, gradient_tol=1e-6) -> FittedModel:
     """``likelihood.fit`` through SciPy's L-BFGS-B, as the package fitted before it had its own L-BFGS.
 
     Same start point, objective, bound and stop tests (``ftol`` is
@@ -550,7 +550,6 @@ def fit_lbfgsb(sample, *, max_iter=5000, gradient_tol=1e-6, seed=None) -> Fitted
         n_interior=n1,
         n_face=sample.n_face,
         trace=tuple(trace),
-        seed=seed,
         evaluations=int(result.nfev),
         message=str(result.message),
     )

@@ -17,6 +17,7 @@ from zerocensored import (
     CompositionalDataset,
     FittedModel,
     MvnParams,
+    TransformedSample,
     diagnose,
     fit,
     render_svg,
@@ -120,20 +121,25 @@ def _small_sample():
 
 _MODEL = MvnParams(np.zeros(2), np.eye(2))
 _COMPOSITION = [0.2, 0.3, 0.5]
+_DATASET = CompositionalDataset.from_array([_COMPOSITION])
 
-# Each call is valid apart from one keyword that is now a module constant.
+# Each call is valid apart from one keyword that is now a module constant, or that no caller set and is gone.
 FIXED_SETTINGS = {
     "validate_compositions(reclose=)": lambda: validate_compositions([_COMPOSITION], reclose=True),
     "zero_rates(chunk_size=)": lambda: zero_rates(_MODEL, 10_000, 0, chunk_size=1 << 17),
-    "chi_square_discrepancy(floor=)": lambda: _chi_square_discrepancy([1, 2], [1.0, 2.0], floor=0.5),
+    "chi_square_discrepancy(floor=)": lambda: _chi_square_discrepancy([[1, 2]], [1.0, 2.0], floor=0.5),
     "fit(loglik_rel_tol=)": lambda: fit(_small_sample(), loglik_rel_tol=1e-10),
     "fit(ridge=)": lambda: fit(_small_sample(), ridge=1e-8),
+    "fit(seed=)": lambda: fit(_small_sample(), seed=0),
+    "TransformedSample(names=)": lambda: TransformedSample(
+        np.zeros((3, 2)), np.zeros((0, 2)), np.zeros(0, dtype=int), 3, names=("a", "b", "c")
+    ),
     "density_contours(n_levels=)": lambda: _density_contours(_MODEL, n_levels=6),
     "density_contours(coverage=)": lambda: _density_contours(_MODEL, coverage=0.99),
     "density_contours(n_points=)": lambda: _density_contours(_MODEL, n_points=241),
-    "render_svg(names=)": lambda: render_svg(None, None, names=("a", "b", "c")),
-    "render_svg(width=)": lambda: render_svg(None, None, width=560),
-    "render_svg(margin=)": lambda: render_svg(None, None, margin=48.0),
+    "render_svg(names=)": lambda: render_svg(_DATASET, None, names=("a", "b", "c")),
+    "render_svg(width=)": lambda: render_svg(_DATASET, None, width=560),
+    "render_svg(margin=)": lambda: render_svg(_DATASET, None, margin=48.0),
 }
 
 

@@ -66,12 +66,11 @@ def test_parts_are_read_only():
         ds.parts[0, 0] = 0.9
 
 
-def test_transform_dataset_shapes_and_names():
+def test_transform_dataset_shapes():
     sample = transform_dataset(small_dataset())
     assert sample.dim == 2 and sample.n_parts == 3
     assert sample.interior.shape == (2, 2)
     assert sample.face.shape == (2, 2)
-    assert sample.names == ("a", "b", "c")
     assert sample.n_obs == 4
 
 

@@ -31,6 +31,7 @@ from zerocensored.dataset import CompositionalDataset
 from zerocensored.diagnostics import (
     BLOCK_ROWS,
     MIN_RATE_SIMS,
+    _arc_rates,
     _chi_square_discrepancy,
     _column_map,
     _monte_carlo_rates,
@@ -385,6 +386,37 @@ def test_zero_rates_at_three_parts_match_the_oracle_on_needles(mean, cov):
     np.testing.assert_allclose(zero_rates(model, 10_000, 0), exact_zero_rates_d3(mean, cov), rtol=0.0, atol=1e-12)
 
 
+def conditioned_three_part_models(n, condition, seed):
+    """n 3-part models whose covariance has the given condition number: major standard deviation from 0.1
+    to 3 along a random axis, means near the triangle, and |L^-1 mu| <= 1000."""
+    rng = np.random.default_rng(seed)
+    helmert = helmert_submatrix(3)
+    models = []
+    while len(models) < n:
+        angle = rng.uniform(0.0, np.pi)
+        axes = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        sd = 10.0 ** rng.uniform(-1.0, 0.5)
+        x = rng.dirichlet([2.0, 2.0, 2.0]) + rng.normal(0.0, 0.1, 3)
+        model = MvnParams(helmert @ (3.0 * x / x.sum() - 1.0), sd * sd * (axes * [1.0, 1.0 / condition]) @ axes.T)
+        if whitened_mean_norm(model) <= 1000.0:
+            models.append(model)
+    return models
+
+
+@pytest.mark.parametrize("condition", [1e2, 1e4, 1e5])
+def test_zero_rates_at_three_parts_hold_under_more_nodes_on_near_singular_models(monkeypatch, condition):
+    # The SciPy oracle inverts the covariance and cannot check here, so the quadrature is checked against
+    # itself at four times the nodes.
+    import zerocensored.diagnostics as diagnostics
+
+    models = conditioned_three_part_models(40, condition, seed=int(condition))
+    np.testing.assert_allclose(np.linalg.cond(models[0].cov), condition, rtol=1e-6)
+    rates = [_arc_rates(model) for model in models]
+    monkeypatch.setattr(diagnostics, "ARC_NODES", 512)
+    for model, coarse in zip(models, rates):
+        np.testing.assert_allclose(coarse, _arc_rates(model), rtol=0.0, atol=1e-13)
+
+
 def test_zero_rates_at_three_parts_match_the_oracle_on_concentrated_models():
     # As the spread shrinks, the mass beyond a face gathers within about 1/|L^-1 mu| of the mean's direction;
     # the oracle's quadrature is split there.  Its rounding and ours grow with |L^-1 mu|^2.
@@ -556,23 +588,23 @@ def test_expected_table_zero_observations():
 
 
 def test_chi_square_zero_when_equal():
-    assert _chi_square_discrepancy([3, 1, 4], [3.0, 1.0, 4.0]) == 0.0
+    assert _chi_square_discrepancy([[3, 1, 4]], [3.0, 1.0, 4.0])[0] == 0.0
 
 
 def test_chi_square_direct_arithmetic():
-    assert _chi_square_discrepancy([2, 0], [1.0, 1.0]) == pytest.approx(2.0)
+    assert _chi_square_discrepancy([[2, 0]], [1.0, 1.0])[0] == pytest.approx(2.0)
 
 
 def test_chi_square_sparse_table_with_pooling():
     observed = [0, 1, 0, 4, 0, 0, 0, 0, 0, 0]
     expected = [0.593, 0.547, 2.106, 2.151, 0.002, 0.0, 0.0, 0.0, 0.137, 0.0]
     # retained cells: the four with expectation >= 0.5; the rest pool to 0.139 vs 0
-    assert _chi_square_discrepancy(observed, expected) == pytest.approx(4.802554308739526)
+    assert _chi_square_discrepancy([observed], expected)[0] == pytest.approx(4.802554308739526)
 
 
 def test_chi_square_pooled_zero_expectation():
-    assert _chi_square_discrepancy([0, 0, 0], [0.0, 0.0, 0.0]) == 0.0
-    assert _chi_square_discrepancy([0, 1, 0], [0.0, 0.0, 0.0]) == np.inf
+    assert _chi_square_discrepancy([[0, 0, 0]], [0.0, 0.0, 0.0])[0] == 0.0
+    assert _chi_square_discrepancy([[0, 1, 0]], [0.0, 0.0, 0.0])[0] == np.inf
 
 
 @pytest.mark.parametrize(
@@ -586,15 +618,17 @@ def test_chi_square_scores_a_stack_of_tables_as_each_table(expected):
     tables[0] = 0
     stacked = _chi_square_discrepancy(tables, expected)
     assert stacked.shape == (200,)
-    np.testing.assert_array_equal(stacked, [_chi_square_discrepancy(t, expected) for t in tables])
+    np.testing.assert_array_equal(stacked, [_chi_square_discrepancy([t], expected)[0] for t in tables])
     assert np.isfinite(stacked).any() and (np.isinf(stacked).any() == (sum(expected) == 0.0))
 
 
 def test_chi_square_input_validation():
     with pytest.raises(ValueError):
-        _chi_square_discrepancy([1, 2], [1.0])
+        _chi_square_discrepancy([[1, 2]], [1.0])
     with pytest.raises(ValueError):
-        _chi_square_discrepancy([1], [-0.5])
+        _chi_square_discrepancy([[1]], [-0.5])
+    with pytest.raises(ValueError, match="rows of tables"):  # one table is one row, not a vector
+        _chi_square_discrepancy([1, 2], [1.0, 2.0])
 
 
 # --- simulated p-value ------------------------------------------------------------------
@@ -696,7 +730,7 @@ def test_diagnose_pvalue_is_mc_pvalue_with_the_same_seed():
         rng = np.random.default_rng(replicates_seed)
         rates = result.expected_rates
         replicates = rng.multinomial(200, [*rates, 1.0 - rates.sum()], size=199)[:, :-1]
-        exceed = sum(_chi_square_discrepancy(c, result.expected_counts) >= result.chi_square for c in replicates)
+        exceed = sum(_chi_square_discrepancy([c], result.expected_counts)[0] >= result.chi_square for c in replicates)
         assert result.mc_pvalue == (1 + exceed) / 200
 
 

@@ -1,5 +1,6 @@
 """CSV/JSON interchange and command-line workflow tests."""
 
+import dataclasses
 import json
 import math
 import os
@@ -797,7 +798,20 @@ def test_cli_plot_rejects_non_ternary(tmp_path, capsys):
     data = tmp_path / "wide.csv"
     write_csv(data, ["a", "b", "c", "d"], [[0.25, 0.25, 0.25, 0.25]])
     assert main(["plot", str(data), "-o", str(tmp_path / "x.svg")]) == 2
-    assert "3 components" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: ternary plots need exactly 3 components, got 4 (the model itself has no such limit)\n"
+    )
+
+
+def test_cli_plot_rejects_a_model_that_is_not_3_part(tmp_path, capsys):
+    data = tmp_path / "obs.csv"
+    write_csv(data, ["a", "b", "c"], [[0.2, 0.3, 0.5], [0.0, 0.4, 0.6]])
+    model = tmp_path / "wide.json"
+    write_model_json(model, dataclasses.replace(BOUNDARY_MODEL, mean=np.zeros(9), cov=np.eye(9), n_parts=10))
+    out = tmp_path / "x.svg"
+    assert main(["plot", str(data), "--model", str(model), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: model is not 3-part; cannot draw contours\n"
+    assert not out.exists()
 
 
 # --- CLI: pipeline stability ----------------------------------------------------------------

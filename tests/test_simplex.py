@@ -16,7 +16,7 @@ from zerocensored import (
     jacobian_alpha,
     jacobian_simplex,
 )
-from zerocensored.simplex import _alpha_transform_simplex
+from zerocensored.simplex import _alpha_transform_simplex, validate_compositions
 
 ALPHAS = (-1.0, -0.5, 0.5, 1.0, 2.0)
 
@@ -26,7 +26,14 @@ def random_interior(rng, n_parts):
     return rng.dirichlet(np.full(n_parts, 2.0))
 
 
-# --- closure -----------------------------------------------------------------
+# --- validation and closure ---------------------------------------------------
+
+
+def test_validate_compositions_takes_rows_not_one_vector():
+    _, zero_index = validate_compositions([[0.0, 0.4, 0.6]])
+    assert zero_index.tolist() == [0]
+    with pytest.raises(ValueError, match=r"expected an \(n, D\) array"):
+        validate_compositions([0.0, 0.4, 0.6])
 
 
 def test_closure_scales_proportionally():

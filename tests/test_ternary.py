@@ -110,5 +110,12 @@ def test_svg_deterministic():
 
 def test_svg_rejects_non_ternary():
     ds = CompositionalDataset.from_array([[0.2, 0.3, 0.25, 0.25]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly 3 components, got 4"):
         render_svg(ds)
+    with pytest.raises(ValueError, match="model is not 3-part"):
+        render_svg(dataset_with_faces(), MvnParams(np.zeros(3), np.eye(3)))
+
+
+def test_svg_needs_a_dataset():
+    with pytest.raises(TypeError, match="missing 1 required positional argument"):
+        render_svg()
