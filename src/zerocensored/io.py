@@ -8,15 +8,20 @@ before it builds the ``FittedModel``.
 
 CSV conventions: comma-separated, UTF-8, a header row of component names,
 decimal-point reals, no thousands separators.  Zeros are written literally as
-``0``; other values use ``repr`` so a write/read round trip is lossless.
-Written rows end in CRLF, as ``csv.writer`` ends them.  The writer takes a
-dataset or an iterable of row blocks, each written as it is pulled and
-formatted ``WRITE_BLOCK`` rows at a time, so a streamed file is never whole
-in memory, and both forms give the same bytes.  Every file the package
-writes, CSV, JSON or SVG, goes through ``write_file``: a new path or an
-existing regular file is written through a hidden temporary file in its
-directory and renamed into place on success, so a write that fails leaves
-what was there.
+``0``; every other value is written as ``repr`` writes it, so a write/read
+round trip is lossless.  Written rows end in CRLF, as ``csv.writer`` ends
+them.  The writer takes a dataset or an iterable of (m, ``n_parts``) row
+blocks, each written as it is pulled and formatted ``WRITE_BLOCK`` rows at a
+time, so a streamed file is never whole in memory, and both forms give the
+same bytes.  ``repr``'s bytes of a row whose values are all 0 or in [1e-4, 1),
+which it writes as ``0.`` and digits, are computed in bulk: ``_repr_digits``
+runs Ryu's shortest round-trip digit search (Adams, PLDI 2018) in NumPy
+integer arithmetic over the whole block.  A row with any other value, one
+below 1e-4 (subnormals too), 1.0 and above, a negative or a non-finite value,
+is written by ``repr`` itself.  Every file the package writes, CSV, JSON or
+SVG, goes through ``write_file``: a new path or an existing regular file is
+written through a hidden temporary file in its directory and renamed into
+place on success, so a write that fails leaves what was there.
 
 Reading is one bulk ``np.loadtxt`` parse of the rows after the header.  A file
 it does not accept with the header's column count (no data rows, a blank-cell
@@ -45,8 +50,9 @@ from .likelihood import FittedModel
 from .simplex import RECLOSE_TOL, _close_rows, format_rows
 
 
-#: Rows formatted per write; bounds the text held in memory at once (a 2.3 MB traced peak
-#: at 20 parts, for 0.4 MB of output).  Writing takes as long at 1024 rows as at 4096.
+#: Rows formatted per write; bounds what a write holds at once (a 2.6 MB traced peak at 20
+#: parts, 2.2 MB by ``repr`` alone, for 0.4 MB of output).  The bulk route takes 150 to 170 ns
+#: a value at 1024 rows and about 225 ns at 4096.
 WRITE_BLOCK = 1024
 
 
@@ -137,6 +143,8 @@ def write_compositions_csv(path, data, *, n_parts: int | None = None) -> None:
     """
     if isinstance(data, CompositionalDataset):
         names, n_parts, blocks = data.names, data.n_parts, [data.parts]
+    elif n_parts is None:
+        raise ValueError("writing row blocks needs n_parts, the number of columns of each block")
     else:
         names, blocks = None, data
     row_format = ",".join(["{}"] * n_parts) + "\r\n"
@@ -144,6 +152,9 @@ def write_compositions_csv(path, data, *, n_parts: int | None = None) -> None:
     def write(fh) -> None:
         csv.writer(fh).writerow(part_names(names, n_parts))
         for block in blocks:
+            block = np.asarray(block, dtype=float)
+            if block.ndim != 2 or block.shape[1] != n_parts:
+                raise ValueError(f"a row block of shape {block.shape} is not an (m, {n_parts}) array")
             for start in range(0, len(block), WRITE_BLOCK):
                 fh.write(_format_rows(row_format, block[start : start + WRITE_BLOCK]))
             del block  # not alive while the next block is pulled
@@ -198,11 +209,172 @@ def _temporary_beside(path):
 
 
 def _format_rows(row_format: str, rows: np.ndarray) -> str:
-    """The text of up to ``WRITE_BLOCK`` rows; its cell strings are freed on return, before the next block."""
+    """The text of up to ``WRITE_BLOCK`` rows; its temporaries are freed on return, before the next block."""
+    plain = (((rows >= 1e-4) & (rows < 1.0)) | (rows == 0.0)).all(axis=1)
+    others = np.flatnonzero(~plain).tolist()
+    if not others:
+        return _format_plain_rows(rows)
+    lines = _format_plain_rows(rows[plain]).split("\r\n")  # the last line is ""
+    for i in others:
+        lines.insert(i, _repr_rows(row_format, rows[i : i + 1]).removesuffix("\r\n"))
+    return "\r\n".join(lines)
+
+
+def _repr_rows(row_format: str, rows: np.ndarray) -> str:
     cells = list(map(repr, rows.ravel().tolist()))
     for i in np.flatnonzero(rows == 0.0).tolist():
         cells[i] = "0"
     return (row_format * len(rows)).format(*cells)
+
+
+# The plain-row kernel does its 128-bit product and its text in np.uint64 words, with
+# np.uint64 scalars throughout (uint64 mixed with a signed integer gives float64 and
+# loses digits), and its digit search in int64, whose values are below 2^61.  It uses
+# few kinds of NumPy loop: no bitwise operation, and comparisons and indices in int64
+# and bool only, never in uint64 or uint8.  Each further kind maps another 64 KB of
+# NumPy's code into every process that writes.
+_U = np.uint64
+#: 5^k and its low and high 32 bits, for k = 21 - dec, where dec = floor(log10 v) + 4 is 0 to 3 on [1e-4, 1).
+_POW5, _POW5_LOW, _POW5_HIGH = np.array(
+    [[5**k, 5**k % 2**32, 5**k >> 32] for k in range(21, 17, -1)], dtype=np.uint64
+).T
+#: The two ASCII digits of each z < 100 as the low bytes of a uint64 word.
+_PAIRS = np.array([48 + z // 10 + (48 + z % 10 << 8) for z in range(100)], dtype=np.uint64)
+#: For each of a cell's three words and each first byte of the cell's text, what to
+#: subtract from the word: "0" from each byte before the text, where every byte is "0",
+#: and "0" - "." from the byte after its first, except in the cell "0", the only text
+#: that starts at byte 23.
+_CUT = np.array(
+    [
+        [
+            sum(48 << 8 * i for i in range(8) if w + i < start)
+            + (2 << 8 * (start + 1 - w) if start < 23 and 0 <= start + 1 - w < 8 else 0)
+            for start in range(24)
+        ]
+        for w in (0, 8, 16)
+    ],
+    dtype=np.uint64,
+)
+
+
+def _repr_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The digits of ``repr`` of each v in [1e-4, 1), as an int64, and the length of ``repr(v)``.
+
+    Ryu's search (Adams, PLDI 2018), exact in 64-bit integers.  With v = m 2^e and
+    k = 17 - floor(log10 v), vr, vp and vm are floor(4m, 4m + 2 and 4m - 2 times
+    5^k / 2^s), s = 2 - e - k: v and the midpoints to its neighbours, scaled to 18
+    digits.  A midpoint is an odd multiple of 2^(e - 1), e <= -53, so it is no decimal
+    of 18 digits or fewer, and a shorter decimal reads back as v exactly when it lies
+    strictly between them.  The search drops trailing digits while (vm, vp] still holds
+    an integer at the next scale; 17 digits always do.  The interval is symmetric about
+    v, so it then holds the integer nearest v: vr rounds half to even on the last digit
+    dropped, ``exact`` recording that v 10^k is an integer and every digit dropped
+    before the last was 0.  At a power of two the lower midpoint is 4m - 1, but the 13
+    powers of two in [1e-4, 1) print their exact decimals, of at most 13 digits,
+    either way.
+    """
+    bits = v.view(np.uint64)
+    dec = (v >= 1e-3).astype(np.int64) + (v >= 1e-2) + (v >= 1e-1)
+    exponent = bits >> _U(52)
+    t = _U(1024) + dec.view(np.uint64) - exponent  # s - 32, for s = 1077 - biased exponent - k
+    # 4m 5^k from 32-bit limbs: 4m < 2^55 and 5^k < 2^49, so every partial product fits,
+    # and 34 <= s <= 50.
+    a0 = (bits - (exponent << _U(52)) + _U(2**52)) << _U(2)  # 4m
+    del exponent
+    a1 = a0 >> _U(32)
+    a0 -= a1 << _U(32)
+    b0, b1 = _POW5_LOW[dec], _POW5_HIGH[dec]
+    low = a0 * b0
+    carry = low >> _U(32)
+    middle = a1 * b0 + a0 * b1 + carry
+    del a0, b0
+    high = middle >> t
+    vr = a1 * b1
+    vr <<= _U(32) - t
+    vr += high
+    rest = ((middle - (high << t)) << _U(32)) + low - (carry << _U(32))  # 4m 5^k mod 2^s
+    del a1, b1, low, carry, middle, high
+    b = _POW5[dec] << _U(1)  # 2 5^k, the distance from 4m 5^k to either midpoint
+    vp = vr + ((rest + b) >> _U(32) >> t)
+    vm = vr - ((b + (_U(2**32) << t) - _U(1) - rest) >> _U(32) >> t)
+    exact = rest.view(np.int64) == 0
+    del b, t, rest
+    vr, vp, vm = vr.view(np.int64), vp.view(np.int64), vm.view(np.int64)
+    q = vr // 10  # the 18th digit always goes
+    last, vr = vr - q * 10, q
+    dropped = np.ones(v.shape, dtype=np.int64)
+    # Only the values still dropping digits take the next pass: a short value such as
+    # 0.5 drops 17, most drop 1 or 2.
+    p10, m10 = vp // 100, vm // 100
+    idx = np.flatnonzero(p10 > m10)
+    p10, m10 = p10[idx], m10[idx]
+    while idx.size:
+        r10 = vr[idx]
+        q = r10 // 10
+        exact[idx] &= last[idx] == 0
+        last[idx], vr[idx] = r10 - q * 10, q
+        dropped[idx] += 1
+        p10, m10 = p10 // 10, m10 // 10
+        go = p10 > m10
+        idx, p10, m10 = idx[go], p10[go], m10[go]
+    up = last >= 5
+    tie = np.flatnonzero(exact & (last == 5))
+    up[tie] = vr[tie] // 2 * 2 != vr[tie]  # half to even
+    return vr + up, 23 - dec - dropped  # "0.", 3 - dec zeros and 18 - dropped digits
+
+
+def _ascii4(y: np.ndarray) -> np.ndarray:
+    """The 4 zero-padded decimal digits of each y < 10^4 as the low bytes of a little-endian uint64; y is spent."""
+    first = y * _U(5243)
+    first >>= _U(19)  # y // 100 for y < 43699
+    y -= first * _U(100)
+    text = _PAIRS[y.view(np.int64)]
+    text <<= _U(16)
+    text += _PAIRS[first.view(np.int64)]
+    return text
+
+
+def _format_plain_rows(rows: np.ndarray) -> str:
+    """The text of rows whose values are all 0 or in [1e-4, 1), byte for byte what ``_repr_rows`` writes.
+
+    Each cell is built right-aligned in a 24-byte slot of three uint64 words: its
+    separator (the "," or "\r\n" that ends the cell before it) in bytes 0 and 1,
+    the digits in bytes 7 to 23, "0." and leading zeros before them, and 0 in every
+    byte left out, so that dropping the 0 bytes leaves the text.
+    """
+    r, p = rows.shape
+    if not rows.size:
+        return "\r\n" * r
+    v = rows.ravel()
+    nonzero = v != 0.0
+    digits, length = np.zeros(v.size, dtype=np.int64), np.ones(v.size, dtype=np.int64)
+    digits[nonzero], length[nonzero] = _repr_digits(v[nonzero])
+    words = np.empty((3, v.size), dtype=np.int64)  # the three uint64 words of each cell
+    np.floor_divide(digits, 10**8, out=words[1])
+    np.floor_divide(words[1], 10**8, out=words[0])  # digits < 10^17
+    words[2] = digits - words[1] * 10**8
+    words[1] -= words[0] * 10**8
+    del digits
+    words = words.view(np.uint64)
+    words[0] <<= _U(56)
+    words[0] += _U(0x3030_3030_3030_3030)  # the top digit after seven "0"s
+    x = words[1:]  # 8 digits each
+    first = x * _U(3518437209)
+    first >>= _U(45)  # x // 10^4 for x < 2^32
+    x -= first * _U(10000)
+    x[...] = _ascii4(first) + (_ascii4(x) << _U(32))
+    words -= np.take(_CUT, 24 - length, axis=1)
+    slots = np.empty(3 * v.size + 1, dtype="<u8")
+    cells = slots[:-1].reshape(r, p, 3)
+    cells[...] = words.T.reshape(r, p, 3)
+    del words
+    cells[:, 1:, 0] += _U(ord(",") << 8)
+    cells[1:, 0, 0] += _U(0x0A0D)  # b"\r\n"
+    slots[-1] = _U(0x0A0D)
+    text = slots.view(np.uint8)
+    text = text[text.astype(bool)]
+    del slots, cells
+    return str(text, "ascii")
 
 
 def read_latent_csv(path) -> tuple[list[str], np.ndarray]:

@@ -1,6 +1,7 @@
 """CSV/JSON interchange and command-line workflow tests."""
 
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -172,10 +173,39 @@ def test_csv_bulk_parse_matches_row_checker(tmp_path, body):
     np.testing.assert_array_equal(values.view(np.int64), expected[1].view(np.int64))
 
 
+def _with_neighbours(values):
+    """The values and the doubles on either side of each, as rows of three."""
+    values = np.asarray(values, dtype=float)
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 2.0)])
+    return np.concatenate([values, np.full(-len(values) % 3, 0.5)]).reshape(-1, 3)
+
+
+def _shortest_forms():
+    """Values in [1e-4, 1) whose ``repr`` has each count of significant digits from 1 to 17."""
+    rng = np.random.default_rng(73)
+    values = [float(f"{x:.{d}g}") for d in range(1, 18) for x in 10.0 ** rng.uniform(-4, 0, 12)]
+    values = [x for x in values if 1e-4 <= x < 1.0]
+    assert {len(repr(x)[2:].lstrip("0")) for x in values} == set(range(1, 18))
+    return values
+
+
 WRITER_ROWS = {
     "tiny and huge values": [[5e-324, 1e-300, 1.0], [1e-5, 1e16, 0.5]],
     "0.1 + 0.2 and zeros": [[0.1 + 0.2, 0.0, -0.0], [0.0, 0.25, 0.75]],
     "no rows": np.empty((0, 3)),
+    # At m = 2^52 the lower neighbour is half as far as the upper one.
+    "powers of two and their neighbours": _with_neighbours(2.0 ** -np.arange(1.0, 15.0)),
+    "shortest forms of 1 to 17 digits and their neighbours": _with_neighbours(_shortest_forms()),
+    # Each has 17 decimal places and two nearest 16-digit forms that read back, and repr takes the even one.
+    "halfway between two shortest forms": (np.arange(2**16 + 1, 2**16 + 3001, 2) / 2**17).reshape(-1, 3),
+    "the edges of [1e-4, 1) and beyond": [
+        [1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0)],
+        [1e-3, np.nextafter(1e-3, 0.0), np.nextafter(0.01, 0.0)],
+        [np.nextafter(0.1, 0.0), np.nextafter(1.0, 0.0), 1.0],
+        [-0.0, 5e-324, np.nextafter(2.2250738585072014e-308, 0.0)],
+        [2.2250738585072014e-308, 1.5, 1e300],
+        [-0.25, np.inf, np.nan],
+    ],
 }
 
 
@@ -199,6 +229,56 @@ def test_csv_writer_matches_row_writer_across_blocks(tmp_path):
     write_compositions_csv(fast, ds)
     write_compositions_csv_rowwise(slow, ds)
     assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_csv_writer_matches_row_writer_on_a_million_log_uniform_values(tmp_path):
+    rng = np.random.default_rng(74)
+    rows = 10.0 ** rng.uniform(-4.0, 0.0, size=(250_000, 4))
+    rows[rng.random(rows.shape) < 0.05] = 0.0
+    # Rows with a value outside [1e-4, 1) among the others, which take repr itself.
+    others = rng.choice(len(rows), size=300, replace=False)
+    rows[others, rng.integers(0, 4, size=300)] = rng.choice([9.99e-5, 1e-9, 1.0, 2.5, -0.5], size=300)
+    ds = CompositionalDataset(parts=rows, zero_index=np.full(rows.shape[0], -1))
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_compositions_csv(fast, ds)
+    write_compositions_csv_rowwise(slow, ds)
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "blocks, n_parts, message",
+    [
+        ([np.full((2, 4), 0.25)], 3, "a row block of shape (2, 4) is not an (m, 3) array"),
+        ([np.full((5, 3), 0.25), np.full((1, 2), 0.5)], 3, "a row block of shape (1, 2) is not an (m, 3) array"),
+        ([np.full(3, 0.25)], 3, "a row block of shape (3,) is not an (m, 3) array"),
+        ([np.full((2, 3), 0.25)], None, "writing row blocks needs n_parts"),
+    ],
+    ids=["too wide", "too narrow after a good block", "one row as a vector", "no n_parts"],
+)
+def test_csv_writer_refuses_a_row_block_of_another_width(tmp_path, blocks, n_parts, message):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError) as excinfo:
+        write_compositions_csv(path, blocks, n_parts=n_parts)
+    assert str(excinfo.value).startswith(message)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("workload, n_simulate", [("montecarlo-d3", 50_000), ("censored-d10", 2_000)])
+def test_cli_simulate_and_project_write_the_row_writer_bytes(tmp_path, monkeypatch, workload, n_simulate):
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")  # the benchmark's input generator
+    w = workloads.WORKLOADS[workload]
+    inputs = workloads.make_inputs(w, 101, tmp_path)
+    model = tmp_path / "model.json"
+    write_model_json(model, dataclasses.replace(BOUNDARY_MODEL, mean=w.mean, cov=w.cov, n_parts=w.n_parts))
+    sims, projected, rowwise = tmp_path / "sims.csv", tmp_path / "projected.csv", tmp_path / "rowwise.csv"
+    assert main(["simulate", str(model), "-n", str(n_simulate), "-o", str(sims)]) == 0
+    assert main(["project", str(inputs.latent_csv), "-o", str(projected)]) == 0
+    for written in (sims, projected):
+        header, values = io_module._parse_rows(written)
+        ds = CompositionalDataset(parts=values, zero_index=np.full(values.shape[0], -1), names=tuple(header))
+        write_compositions_csv_rowwise(rowwise, ds)
+        assert written.read_bytes() == rowwise.read_bytes()
 
 
 def test_csv_package_and_benchmark_files_take_the_bulk_parse(tmp_path, monkeypatch):
